@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg.lapack import dgbsv
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,24 +131,46 @@ def norms(f: PeriodicField) -> FieldNorms:
     )
 
 
-def diff_matrix(grid: Grid, order: int) -> sp.csr_matrix:
-    """Sparse periodic differentiation matrix matching d1/d2/d3."""
-    n, dx = grid.n, grid.dx
-    eye = np.ones(n)
-    if order == 1:
-        diags = {1: eye / (2 * dx), -1: -eye / (2 * dx)}
-    elif order == 2:
-        diags = {0: -2 * eye / dx**2, 1: eye / dx**2, -1: eye / dx**2}
-    elif order == 3:
-        c = 1.0 / (2 * dx**3)
-        diags = {2: c * eye, 1: -2 * c * eye, -1: 2 * c * eye, -2: -c * eye}
-    else:
-        raise ValueError(f"unsupported derivative order {order}")
-    mat = sp.lil_matrix((n, n))
-    idx = np.arange(n)
-    for off, vals in diags.items():
-        mat[idx, (idx + off) % n] = vals
-    return mat.tocsr()
+def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for a pentadiagonal matrix with periodic corners.
+
+    bands has shape (5, n) with bands[k][i] = A[i, (i + k - 2) mod n]; rhs
+    has shape (n,) or (n, m).  The six corner entries that wrap around the
+    period are split off as A = B + P K P^T, where B is the plain band, P
+    holds the unit columns e_0, e_1, e_{n-2}, e_{n-1} and K is the 4x4
+    corner block.  One banded LAPACK solve gives B^{-1} [rhs, P], and the
+    Woodbury identity with the capacitance I + P^T B^{-1} P K adds the
+    corners back.  Raises np.linalg.LinAlgError when B or the capacitance
+    is singular; det A = det B det(capacitance).
+    """
+    n = bands.shape[1]
+    if bands.shape != (5, n) or n < 5:
+        raise ValueError(f"need bands of shape (5, n) with n >= 5, got {bands.shape}")
+    rhs = np.asarray(rhs, dtype=float)
+    m = 1 if rhs.ndim == 1 else rhs.shape[1]
+    # LAPACK band storage: ab[4 + i - j, j] = B[i, j], rows 0-1 for fill-in.
+    ab = np.zeros((7, n))
+    ab[2, 2:] = bands[4, :-2]
+    ab[3, 1:] = bands[3, :-1]
+    ab[4] = bands[2]
+    ab[5, :-1] = bands[1, 1:]
+    ab[6, :-2] = bands[0, 2:]
+    corner_idx = np.array([0, 1, n - 2, n - 1])
+    b = np.zeros((n, m + 4))
+    b[:, :m] = rhs.reshape(n, m)
+    b[corner_idx, np.arange(m, m + 4)] = 1.0
+    _, _, x, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular banded matrix")
+    if info < 0:
+        raise ValueError(f"dgbsv: illegal argument {-info}")
+    corners = np.zeros((4, 4))
+    corners[0, 2], corners[0, 3], corners[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
+    corners[2, 0], corners[3, 0], corners[3, 1] = bands[4, n - 2], bands[3, n - 1], bands[4, n - 1]
+    y, w = x[:, :m], x[:, m:]
+    capacitance = np.eye(4) + w[corner_idx, :] @ corners
+    y -= w @ (corners @ np.linalg.solve(capacitance, y[corner_idx, :]))
+    return y.reshape(rhs.shape)
 
 
 def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:

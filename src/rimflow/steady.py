@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .grid import TWO_PI, Grid, PeriodicField, d1, d3, diff_matrix, integrate
+from .grid import TWO_PI, Grid, PeriodicField, cyclic_banded_solve, integrate
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
 
@@ -182,19 +180,24 @@ def capillary_residual(prof: SteadyProfile, grid: Optional[Grid] = None) -> Peri
     g = grid if grid is not None else prof.h.grid
     if not g.compatible(prof.h.grid):
         raise ValueError("profile grid and requested grid differ")
-    h = prof.h
-    hv = h.values
-    cosx = np.cos(g.x)
-    third = d3(h).values
-    first = d1(h).values
-    res = hv - (prof.mu / 3.0) * hv**3 * cosx + (prof.chi / 3.0) * hv**3 * (first + third) - prof.q
+    res = _capillary_lhs(prof.h.values, prof.q, prof.mu, prof.chi, np.cos(g.x), _capillary_stencil(g))
     return PeriodicField(g, res)
 
 
-def _capillary_system(grid: Grid):
-    L = (diff_matrix(grid, 1) + diff_matrix(grid, 3)).tocsr()
-    cosx = np.cos(grid.x)
-    return L, cosx
+def _capillary_stencil(grid: Grid) -> np.ndarray:
+    """d1 + d3 as five coefficients at offsets -2..2 (the stencils of grid.d1, grid.d3)."""
+    c1 = 1.0 / (2.0 * grid.dx)
+    c3 = 1.0 / (2.0 * grid.dx**3)
+    return np.array([-c3, 2.0 * c3 - c1, 0.0, c1 - 2.0 * c3, c3])
+
+
+def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (stencil[0] * np.roll(v, 2) + stencil[1] * np.roll(v, 1)
+            + stencil[3] * np.roll(v, -1) + stencil[4] * np.roll(v, -2))
+
+
+def _capillary_lhs(v, q, mu, chi, cosx, stencil) -> np.ndarray:
+    return v - (mu / 3.0) * v**3 * cosx + (chi / 3.0) * v**3 * _apply_stencil(stencil, v) - q
 
 
 def _capillary_newton(
@@ -206,16 +209,15 @@ def _capillary_newton(
     step: ContinuationStep,
 ) -> tuple[np.ndarray, float, float, int]:
     """Damped Newton; returns (h, q, residual_sup, iterations) or raises."""
-    L, cosx = _capillary_system(grid)
-    n = grid.n
+    stencil = _capillary_stencil(grid)
+    cosx = np.cos(grid.x)
     dx = grid.dx
     fixed_mass = step.mode == "fixed_mass"
     u = h_init.copy()
     q = q_init if fixed_mass else step.target
 
     def residual(u, q):
-        Lu = L @ u
-        r = u - (mu / 3.0) * u**3 * cosx + (chi / 3.0) * u**3 * Lu - q
+        r = _capillary_lhs(u, q, mu, chi, cosx, stencil)
         if fixed_mass:
             return r, dx * float(np.sum(u)) - step.target
         return r, 0.0
@@ -232,25 +234,15 @@ def _capillary_newton(
             raise NoConvergence("Newton iterate diverged", residual_sup=res, iterations=it)
         if res <= step.tol:
             return u, q, res, it
-        Lu = L @ u
-        diag = 1.0 - mu * cosx * u**2 + chi * u**2 * Lu
-        J = sp.diags(diag) + sp.diags((chi / 3.0) * u**3) @ L
-        if fixed_mass:
-            Jb = sp.bmat(
-                [[J, -np.ones((n, 1))], [dx * np.ones((1, n)), None]], format="csc"
-            )
-            rhs = np.concatenate([r, [rm]])
-            try:
-                delta = -splu(Jb).solve(rhs)
-            except RuntimeError:
-                raise NoConvergence("singular Jacobian", residual_sup=res, iterations=it)
-            du, dq = delta[:n], float(delta[n])
-        else:
-            try:
-                du = -splu(J.tocsc()).solve(r)
-            except RuntimeError:
-                raise NoConvergence("singular Jacobian", residual_sup=res, iterations=it)
-            dq = 0.0
+        bands = np.outer(stencil, (chi / 3.0) * u**3)
+        bands[2] += 1.0 - mu * cosx * u**2 + chi * u**2 * _apply_stencil(stencil, u)
+        try:
+            if fixed_mass:
+                du, dq = _bordered_solve(bands, r, rm, dx)
+            else:
+                du, dq = -cyclic_banded_solve(bands, r), 0.0
+        except np.linalg.LinAlgError:
+            raise NoConvergence("singular Jacobian", residual_sup=res, iterations=it)
         if not np.all(np.isfinite(du)):
             raise NoConvergence("Newton direction not finite", residual_sup=res, iterations=it)
         lam = 1.0
@@ -275,6 +267,21 @@ def _capillary_newton(
         residual_sup=res,
         iterations=step.max_newton,
     )
+
+
+def _bordered_solve(bands: np.ndarray, r: np.ndarray, rm: float, dx: float) -> tuple[np.ndarray, float]:
+    """Newton step (du, dq) of the mass-bordered system.
+
+    Solves [[J, -1], [dx 1^T, 0]] [du; dq] = -[r; rm] by eliminating the
+    border: with J [a, b] = [r, 1], du = dq b - a and dx sum(du) = -rm.
+    """
+    sol = cyclic_banded_solve(bands, np.column_stack([r, np.ones_like(r)]))
+    a, b = sol[:, 0], sol[:, 1]
+    denom = dx * float(np.sum(b))
+    if denom == 0.0:
+        raise np.linalg.LinAlgError("singular bordered system")
+    dq = (dx * float(np.sum(a)) - rm) / denom
+    return dq * b - a, dq
 
 
 def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfile:

@@ -10,6 +10,7 @@ from rimflow.evolve import (
     EvolveState,
     StepFailure,
     _System,
+    _newton,
     flux,
     initial_lift,
     run,
@@ -112,14 +113,14 @@ class TestFlux:
 
 class TestJacobian:
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.0), (1e-3, 0.0), (0.1, 0.05)])
-    def test_matches_finite_differences(self, eps, delta):
+    def test_matches_finite_differences(self, eps, delta, dense_from_bands):
         g = Grid(n=32)
         p = make_params(g, a=(0.7, 5.0, -2.0, 1.2))
         knobs = RegularizationKnobs(delta=delta, epsilon=eps)
         u = random_positive(g, 11).values
         dt = 1e-3
         sysm = _System(g, p, knobs)
-        J = sysm.jacobian(u, dt).toarray()
+        J = dense_from_bands(sysm.jacobian(u, dt))
         hold = u.copy()
         fd = np.empty_like(J)
         eta = 1e-7
@@ -132,14 +133,35 @@ class TestJacobian:
         scale = np.max(np.abs(J))
         assert np.max(np.abs(J - fd)) <= 1e-5 * scale
 
-    def test_column_sums_vanish_off_identity(self):
+    def test_column_sums_vanish_off_identity(self, dense_from_bands):
         # The divergence part of the Jacobian has zero column sums, so the
         # full matrix's column sums are exactly one.
         g = Grid(n=32)
         p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
         sysm = _System(g, p, RegularizationKnobs(epsilon=1e-6))
-        J = sysm.jacobian(random_positive(g, 5).values, 0.01)
-        assert_allclose(np.asarray(J.sum(axis=0)).ravel(), 1.0, atol=1e-13)
+        J = dense_from_bands(sysm.jacobian(random_positive(g, 5).values, 0.01))
+        assert_allclose(J.sum(axis=0), 1.0, atol=1e-13)
+
+    def test_singular_jacobian_reports_diverged(self):
+        # A zero column makes the banded factorization hit an exact zero
+        # pivot; Newton then stops and reports a diverged iterate.
+        g = Grid(n=32)
+        p = make_params(g)
+        sysm = _System(g, p, RegularizationKnobs(epsilon=1e-6))
+        jacobian = sysm.jacobian
+
+        def singular(u, dt):
+            bands = jacobian(u, dt)
+            j = 7
+            bands[np.arange(5), (j + 2 - np.arange(5)) % g.n] = 0.0
+            return bands
+
+        sysm.jacobian = singular
+        hold = random_positive(g, 3).values
+        u, iters, ok, res, diverged, _ = _newton(sysm, hold, 0.01, 1e-10, 12)
+        assert not ok and diverged
+        assert iters == 0
+        assert np.array_equal(u, hold)
 
 
 class TestStep:

@@ -1,9 +1,16 @@
 """Grid construction, discrete calculus, quadrature, and CSV round trips."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import rimflow
 
 from rimflow.grid import (
     TWO_PI,
@@ -12,8 +19,8 @@ from rimflow.grid import (
     PeriodicField,
     d1,
     d2,
+    cyclic_banded_solve,
     d3,
-    diff_matrix,
     integrate,
     norms,
     read_field_csv,
@@ -137,16 +144,61 @@ class TestDerivatives:
         f = random_trig(g, seed)
         assert_allclose(op(f.shift(5)).values, op(f).shift(5).values, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_diff_matrix_matches_operator(self, order):
-        g = Grid(n=32)
-        f = random_trig(g, 7)
-        op = {1: d1, 2: d2, 3: d3}[order]
-        assert_allclose(diff_matrix(g, order) @ f.values, op(f).values, atol=1e-12)
 
-    def test_diff_matrix_rejects_order(self):
+
+def weighted_bands(n, seed, weight):
+    """Random (5, n) bands whose centre entry is weight times its row's off-band sum."""
+    rng = np.random.default_rng(seed)
+    bands = rng.normal(size=(5, n))
+    off = np.sum(np.abs(bands), axis=0) - np.abs(bands[2])
+    bands[2] = np.where(bands[2] < 0.0, -1.0, 1.0) * weight * off
+    return bands
+
+
+class TestCyclicBandedSolve:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 64, 768]),
+        nrhs=st.sampled_from([None, 1, 3]),
+        weight=st.floats(1.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, n, nrhs, weight, seed, dense_from_bands):
+        bands = weighted_bands(n, seed, weight)
+        rng = np.random.default_rng(seed + 1)
+        rhs = rng.normal(size=n if nrhs is None else (n, nrhs))
+        x = cyclic_banded_solve(bands, rhs)
+        assert x.shape == rhs.shape
+        expect = np.linalg.solve(dense_from_bands(bands), rhs)
+        assert np.max(np.abs(x - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 64, 768]),
+        column=st.integers(0, 767),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_singular_bands_raise(self, n, column, seed):
+        # A zero column, corner columns included, is an exact zero pivot.
+        bands = weighted_bands(n, seed, 2.0)
+        j = column % n
+        bands[np.arange(5), (j + 2 - np.arange(5)) % n] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            cyclic_banded_solve(bands, np.ones(n))
+
+    def test_rejects_short_bands(self):
         with pytest.raises(ValueError):
-            diff_matrix(Grid(n=16), 4)
+            cyclic_banded_solve(np.ones((5, 4)), np.ones(4))
+        with pytest.raises(ValueError):
+            cyclic_banded_solve(np.ones((3, 16)), np.ones(16))
+
+    def test_import_leaves_out_scipy_sparse(self):
+        src = Path(rimflow.__file__).resolve().parents[1]
+        code = ("import sys; import rimflow, rimflow.cli; "
+                "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestQuadratureAndNorms:

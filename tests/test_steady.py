@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rimflow.grid import Grid, PeriodicField, integrate
+import rimflow.steady
+from rimflow.grid import Grid, PeriodicField, cyclic_banded_solve, d1, d3, integrate
 from rimflow.steady import (
+    _apply_stencil,
+    _bordered_solve,
+    _capillary_stencil,
     FLUX_BOUND_RATIO,
     BranchLost,
     ContinuationStep,
@@ -196,6 +202,58 @@ class TestCapillarySolve:
             ContinuationStep("fixed_flux", 0.1, max_newton=0)
         with pytest.raises(ValueError):
             ContinuationStep("fixed_flux", 0.1, tol=0.0)
+
+
+class TestCapillaryStencil:
+    def test_bands_match_d1_plus_d3(self, dense_from_bands):
+        g = Grid(n=32)
+        rng = np.random.default_rng(7)
+        v = 1.0 + sum(rng.normal() * 0.1 / k * np.cos(k * g.x + rng.normal())
+                      for k in range(1, 4))
+        f = PeriodicField(g, v)
+        stencil = _capillary_stencil(g)
+        expect = d1(f).values + d3(f).values
+        bands = np.outer(stencil, np.ones(g.n))
+        assert_allclose(dense_from_bands(bands) @ v, expect, atol=1e-12)
+        assert_allclose(_apply_stencil(stencil, v), expect, atol=1e-12)
+
+
+class TestNewtonLinearAlgebra:
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([8, 10, 64, 768]), seed=st.integers(0, 2**32 - 1))
+    def test_bordered_solve_matches_dense(self, n, seed, dense_from_bands):
+        # [[J, -1], [dx 1^T, 0]] [du; dq] = -[r; rm], solved densely.
+        rng = np.random.default_rng(seed)
+        bands = rng.normal(size=(5, n))
+        bands[2] = 2.0 + np.sum(np.abs(bands), axis=0)
+        r = rng.normal(size=n)
+        rm = float(rng.normal())
+        dx = 2.0 * math.pi / n
+        du, dq = _bordered_solve(bands, r, rm, dx)
+        full = np.zeros((n + 1, n + 1))
+        full[:n, :n] = dense_from_bands(bands)
+        full[:n, n] = -1.0
+        full[n, :n] = dx
+        expect = np.linalg.solve(full, -np.concatenate([r, [rm]]))
+        scale = max(1.0, np.max(np.abs(expect)))
+        assert np.max(np.abs(du - expect[:n])) <= 1e-11 * scale
+        assert abs(dq - expect[n]) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("mode", ["fixed_flux", "fixed_mass"])
+    def test_singular_jacobian_raises(self, mode, monkeypatch):
+        # A zero column in the Jacobian bands is an exact zero pivot.
+        def singular(bands, rhs):
+            bands = bands.copy()
+            bands[np.arange(5), (9 - np.arange(5)) % bands.shape[1]] = 0.0
+            return cyclic_banded_solve(bands, rhs)
+
+        monkeypatch.setattr(rimflow.steady, "cyclic_banded_solve", singular)
+        g = Grid(n=64)
+        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
+        target = 0.1 if mode == "fixed_flux" else init.mass
+        with pytest.raises(NoConvergence, match="^singular Jacobian$") as exc:
+            capillary_solve(init, ContinuationStep(mode, target))
+        assert exc.value.iterations == 0
 
 
 class TestSolvability:
