@@ -184,11 +184,20 @@ def capillary_residual(prof: SteadyProfile, grid: Optional[Grid] = None) -> Peri
     return PeriodicField(g, res)
 
 
+def _derivative_stencil(grid: Grid, order: int) -> np.ndarray:
+    """grid.d1 (order 1) or grid.d3 (order 3) as five coefficients at offsets -2..2."""
+    if order == 1:
+        c1 = 1.0 / (2.0 * grid.dx)
+        return np.array([0.0, -c1, 0.0, c1, 0.0])
+    if order == 3:
+        c3 = 1.0 / (2.0 * grid.dx**3)
+        return np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
+    raise ValueError(f"order must be 1 or 3, got {order}")
+
+
 def _capillary_stencil(grid: Grid) -> np.ndarray:
-    """d1 + d3 as five coefficients at offsets -2..2 (the stencils of grid.d1, grid.d3)."""
-    c1 = 1.0 / (2.0 * grid.dx)
-    c3 = 1.0 / (2.0 * grid.dx**3)
-    return np.array([-c3, 2.0 * c3 - c1, 0.0, c1 - 2.0 * c3, c3])
+    """d1 + d3 as five coefficients at offsets -2..2."""
+    return _derivative_stencil(grid, 1) + _derivative_stencil(grid, 3)
 
 
 def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from rimflow.steady import (
     _apply_stencil,
     _bordered_solve,
     _capillary_stencil,
+    _derivative_stencil,
     FLUX_BOUND_RATIO,
     BranchLost,
     ContinuationStep,
@@ -205,6 +206,21 @@ class TestCapillarySolve:
 
 
 class TestCapillaryStencil:
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_stencil_matches_operator(self, order, dense_from_bands):
+        g = Grid(n=32)
+        rng = np.random.default_rng(order)
+        v = rng.normal(size=g.n)
+        f = PeriodicField(g, v)
+        op = {1: d1, 3: d3}[order]
+        bands = np.outer(_derivative_stencil(g, order), np.ones(g.n))
+        assert_allclose(dense_from_bands(bands) @ v, op(f).values, atol=1e-12)
+
+    def test_stencil_rejects_order(self):
+        for order in (0, 2, 4):
+            with pytest.raises(ValueError):
+                _derivative_stencil(Grid(n=8), order)
+
     def test_bands_match_d1_plus_d3(self, dense_from_bands):
         g = Grid(n=32)
         rng = np.random.default_rng(7)
