@@ -1,98 +1,8 @@
-"""Numerical laboratory for a long-wave unstable thin-film equation of rimming/coating flow."""
+"""Numerical laboratory for a long-wave unstable thin-film equation of rimming/coating flow.
 
-from .bounds import (
-    BoundReport,
-    DiagnosticsRecord,
-    b_constants,
-    c_constants,
-    detect_period,
-    dissipation_check,
-    gradient_bound_check,
-    h1_growth_bound,
-    interpolation_check,
-    k_constant,
-    local_existence_time,
-    positivity_monitor,
-)
-from .evolve import EvolveConfig, EvolveState, StepFailure, Trajectory, flux, initial_lift, run, step
-from .grid import Grid, PeriodicField, d1, d2, d3, integrate, norms
-from .model import (
-    Forcing,
-    Params,
-    RegularizationKnobs,
-    alpha_entropy,
-    energy,
-    entropy_G,
-    from_physical,
-    mobility,
-)
-from .steady import (
-    BranchLost,
-    ContinuationStep,
-    NoConvergence,
-    SteadyProfile,
-    asymptotic_guess,
-    capillary_residual,
-    capillary_solve,
-    continue_branch,
-    critical_flux,
-    moffatt_profile,
-    moffatt_roots,
-    nonexistence_threshold,
-    pukhnachov_bound,
-    solvability_residuals,
-)
+The package exports only its version; import names from the submodules
+(rimflow.grid, rimflow.model, rimflow.evolve, rimflow.steady, rimflow.bounds,
+rimflow.cli).
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "BranchLost",
-    "ContinuationStep",
-    "DiagnosticsRecord",
-    "EvolveConfig",
-    "EvolveState",
-    "Forcing",
-    "Grid",
-    "NoConvergence",
-    "Params",
-    "PeriodicField",
-    "RegularizationKnobs",
-    "SteadyProfile",
-    "StepFailure",
-    "Trajectory",
-    "alpha_entropy",
-    "asymptotic_guess",
-    "b_constants",
-    "c_constants",
-    "capillary_residual",
-    "capillary_solve",
-    "continue_branch",
-    "critical_flux",
-    "d1",
-    "d2",
-    "d3",
-    "detect_period",
-    "dissipation_check",
-    "energy",
-    "entropy_G",
-    "flux",
-    "from_physical",
-    "gradient_bound_check",
-    "h1_growth_bound",
-    "initial_lift",
-    "integrate",
-    "interpolation_check",
-    "k_constant",
-    "local_existence_time",
-    "mobility",
-    "moffatt_profile",
-    "moffatt_roots",
-    "nonexistence_threshold",
-    "norms",
-    "positivity_monitor",
-    "pukhnachov_bound",
-    "run",
-    "solvability_residuals",
-    "step",
-]

@@ -31,7 +31,6 @@ class DiagnosticsRecord:
     entropy_eps: float
     gradient_sq: float
     dissipation_cum: float
-    alpha_entropy: Optional[float] = None
 
 
 DIAGNOSTICS_COLUMNS = (

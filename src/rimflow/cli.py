@@ -67,8 +67,6 @@ _SECTION_KEYS = {
         "delta",
         "epsilon",
         "theta",
-        "positivity_floor",
-        "alpha",
     },
     "steady": {"mode", "targets", "mu", "chi", "tol", "max_newton"},
     "sweep": {"vary", "values", "workers"},
@@ -287,7 +285,6 @@ def parse_config(text: str) -> RunConfig:
         snap = None
         if "snapshots" in sec:
             snap = _floats(sec["snapshots"])
-        alpha = _get_float(sec, "evolve", "alpha", default=math.nan)
         try:
             knobs = RegularizationKnobs(
                 delta=_get_float(sec, "evolve", "delta", default=0.0),
@@ -303,8 +300,6 @@ def parse_config(text: str) -> RunConfig:
                 newton_max_iter=_get_int(sec, "evolve", "newton_max_iter", default=12),
                 snapshot_times=snap,
                 knobs=knobs,
-                positivity_floor=_get_float(sec, "evolve", "positivity_floor", default=0.0),
-                alpha=None if math.isnan(alpha) else alpha,
             )
         except ValueError as exc:
             if isinstance(exc, ConfigError):
@@ -526,8 +521,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for v in spec.values:
         sub_dir = out / f"{spec.vary.split('.', 1)[1]}={v:g}"
         jobs.append((cfg.raw, spec.vary, v, str(sub_dir)))
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # Never more processes than runs or cores, whatever the config asks for.
+    workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]
@@ -584,7 +581,7 @@ def _check_battery(seed: int):
     m0 = traj.records[0].mass
     drift = max(abs(r.mass - m0) for r in traj.records) / abs(m0)
     yield BoundReport.check("evolve_mass_conservation", drift, 1e-11), True
-    energies = traj.step_log.energy
+    energies = traj.step_energies
     worst_rise = max(
         (energies[i + 1] - energies[i] for i in range(len(energies) - 1)), default=0.0
     )

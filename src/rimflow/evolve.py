@@ -11,6 +11,12 @@ centered second derivative for the interface third derivative.  The update
 dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx telescopes, so the discrete mass is
 conserved identically.
 
+The per-step monitors reuse these interface values: the dissipation sums
+and the K1 gradient/entropy functional use the interface gradient and third
+derivative, so energy plus dissipation closes the discrete energy identity
+of the scheme.  The snapshot functionals (energy, h1, gradient_sq) use the
+centred gradient grid.d1, as model.energy does.
+
 Time stepping is backward Euler (L-stable, first order) with an analytic
 pentadiagonal-plus-corners Jacobian solved by one banded LU with a
 low-rank correction for the periodic corners, Newton damping on residual
@@ -28,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DiagnosticsRecord
-from .grid import Grid, PeriodicField, cyclic_banded_solve
+from .grid import Grid, PeriodicField, cyclic_banded_solve, d1
 from .model import (
     Params,
     RegularizationKnobs,
@@ -61,8 +67,6 @@ class EvolveConfig:
     newton_max_iter: int = 12
     snapshot_times: Optional[Sequence[float]] = None
     knobs: RegularizationKnobs = field(default_factory=RegularizationKnobs)
-    positivity_floor: float = 0.0
-    alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0):
@@ -76,8 +80,6 @@ class EvolveConfig:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.positivity_floor < 0.0:
-            raise ValueError("positivity_floor must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ class EvolveState:
     t: float
     h: PeriodicField
     dt: float
-    step_count: int = 0
     newton_iters_last: int = 0
 
 
@@ -109,34 +110,15 @@ class Snapshot:
 
 
 @dataclass
-class StepLog:
-    """Per accepted step scalars, appended during the run."""
-
-    t: list = field(default_factory=list)
-    dt: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    min_h: list = field(default_factory=list)
-    sup_h: list = field(default_factory=list)
-    sup_rate: list = field(default_factory=list)
-    newton_iters: list = field(default_factory=list)
-
-    def as_arrays(self) -> dict:
-        return {k: np.asarray(getattr(self, k)) for k in
-                ("t", "dt", "energy", "mass", "min_h", "sup_h", "sup_rate", "newton_iters")}
-
-
-@dataclass
 class Trajectory:
     snapshots: list
     termination: str
     config: EvolveConfig
-    step_log: StepLog
+    step_energies: list
+    sup_h_max: float
     k1_observed: float
     supcube_time_integral: float
     dissipation3_cum: float
-    undershoots: list
-    floor_events: list
     final_state: Optional[EvolveState]
 
     @property
@@ -149,12 +131,11 @@ class Trajectory:
 
     @property
     def step_count(self) -> int:
-        return len(self.step_log.t)
+        return len(self.step_energies)
 
     @property
     def newton_tol_effective(self) -> float:
-        sup_h = max(self.step_log.sup_h, default=1.0)
-        return self.config.newton_tol * max(1.0, sup_h)
+        return self.config.newton_tol * max(1.0, self.sup_h_max)
 
 
 def initial_lift(h0: PeriodicField, knobs: RegularizationKnobs) -> PeriodicField:
@@ -312,48 +293,31 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
         t=state.t + dt,
         h=state.h.with_values(u),
         dt=min(dt * DT_GROWTH, cfg.dt_max),
-        step_count=state.step_count + 1,
         newton_iters_last=iters,
     )
 
 
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
-    from .grid import norms as field_norms
-    from .model import alpha_entropy as alpha_density, entropy_integral
-
-    nm = field_norms(h)
-    dx = h.grid.dx
-    hx = (np.roll(h.values, -1) - np.roll(h.values, 1)) / (2.0 * dx)
-    grad_sq = float(dx * np.sum(hx**2))
-    min_h = nm.min
+    v, dx = h.values, h.grid.dx
+    l2_sq = float(dx * np.sum(v * v))
+    grad_sq = float(dx * np.sum(d1(h).values ** 2))
+    min_h = float(np.min(v))
     if min_h > 0.0:
-        entropy0 = float(dx * np.sum(0.5 / h.values))
-        entropy_eps = entropy0 + (
-            float(dx * np.sum(cfg.knobs.epsilon / (6.0 * h.values**2)))
-            if cfg.knobs.epsilon > 0.0
-            else 0.0
-        )
-        alpha_val = (
-            float(dx * np.sum(alpha_density(h.values, cfg.knobs.epsilon, cfg.alpha)))
-            if cfg.alpha is not None
-            else None
-        )
+        entropy0 = float(dx * np.sum(entropy_G(v, 0.0)))
+        entropy_eps = float(dx * np.sum(entropy_G(v, cfg.knobs.epsilon)))
     else:
-        entropy0 = math.inf
-        entropy_eps = math.inf
-        alpha_val = math.inf if cfg.alpha is not None else None
+        entropy0 = entropy_eps = math.inf
     return DiagnosticsRecord(
         t=t,
-        mass=float(dx * np.sum(h.values)),
-        l2=nm.l2,
-        h1=nm.h1,
+        mass=float(dx * np.sum(v)),
+        l2=math.sqrt(l2_sq),
+        h1=math.sqrt(l2_sq + grad_sq),
         min_h=min_h,
         energy=energy(h, p),
         entropy0=entropy0,
         entropy_eps=entropy_eps,
         gradient_sq=grad_sq,
         dissipation_cum=diss_cum,
-        alpha_entropy=alpha_val,
     )
 
 
@@ -379,21 +343,18 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     diss_cum = 0.0
     diss3_cum = 0.0
     supcube_int = 0.0
-    k1_obs = -math.inf
-    log = StepLog()
-    undershoots: list = []
-    floor_events: list = []
+    sup_h_max = 0.0
+    step_energies: list = []
     snapshots = [Snapshot(0.0, h, _record(h, 0.0, p, cfg, diss_cum))]
 
-    def k1_current(hv: np.ndarray) -> float:
-        gx = (np.roll(hv, -1) - hv) / dx
-        grad = float(dx * np.sum(gx**2))
-        if float(np.min(hv)) <= 0.0:
+    def k1_current(u: np.ndarray, t1: np.ndarray) -> float:
+        if float(np.min(u)) <= 0.0:
             return math.inf
-        ent = float(dx * np.sum(entropy_G(hv, cfg.knobs.epsilon)))
+        grad = float(dx * np.sum(t1**2))
+        ent = float(dx * np.sum(entropy_G(u, cfg.knobs.epsilon)))
         return grad + a_ratio * (a_ratio + 2.0 * cfg.knobs.delta) * ent + p.a0 * diss3_cum
 
-    k1_obs = max(k1_obs, k1_current(h.values))
+    k1_obs = k1_current(h.values, sysm.interface_values(h.values)[1])
 
     state = EvolveState(t=0.0, h=h, dt=cfg.dt_init)
     nominal_dt = cfg.dt_init
@@ -402,19 +363,17 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     termination = "t_end"
 
     def build(final_state, term):
-        traj = Trajectory(
+        return Trajectory(
             snapshots=snapshots,
             termination=term,
             config=cfg,
-            step_log=log,
+            step_energies=step_energies,
+            sup_h_max=sup_h_max,
             k1_observed=k1_obs,
             supcube_time_integral=supcube_int,
             dissipation3_cum=diss3_cum,
-            undershoots=undershoots,
-            floor_events=floor_events,
             final_state=final_state,
         )
-        return traj
 
     while pending:
         target = pending[0]
@@ -441,24 +400,11 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         diss_cum += dt_used * float(dx * np.sum(fvals * g**2))
         diss3_cum += dt_used * float(dx * np.sum(fvals * t3**2))
         sup_h = float(np.max(np.abs(u)))
+        sup_h_max = max(sup_h_max, sup_h)
         supcube_int += dt_used * sup_h**3
-        k1_obs = max(k1_obs, k1_current(u))
-
-        min_h = float(np.min(u))
-        if min_h < 0.0:
-            undershoots.append((new_state.t, min_h))
-        if cfg.positivity_floor > 0.0 and min_h < cfg.positivity_floor:
-            floor_events.append((new_state.t, min_h))
-
+        k1_obs = max(k1_obs, k1_current(u, t1))
+        step_energies.append(energy(new_state.h, p))
         rate = float(np.max(np.abs(u - state.h.values))) / dt_used
-        log.t.append(new_state.t)
-        log.dt.append(dt_used)
-        log.energy.append(energy(new_state.h, p))
-        log.mass.append(float(dx * np.sum(u)))
-        log.min_h.append(min_h)
-        log.sup_h.append(sup_h)
-        log.sup_rate.append(rate)
-        log.newton_iters.append(new_state.newton_iters_last)
 
         if capped and abs(dt_used - dt_try) <= 1e-15 * max(1.0, dt_try):
             pass  # snapshot landing, keep the nominal step size

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -83,13 +83,6 @@ class PeriodicField:
         return PeriodicField(self.grid, np.roll(self.values, cells))
 
 
-class FieldNorms(NamedTuple):
-    l2: float
-    h1: float
-    sup: float
-    min: float
-
-
 def _as_values(f: PeriodicField) -> tuple[np.ndarray, float]:
     return f.values, f.grid.dx
 
@@ -116,19 +109,6 @@ def d3(f: PeriodicField) -> PeriodicField:
 def integrate(f: PeriodicField) -> float:
     """Periodic rectangle rule, exact for trigonometric polynomials below the grid cutoff."""
     return float(f.grid.dx * np.sum(f.values))
-
-
-def norms(f: PeriodicField) -> FieldNorms:
-    v, dx = _as_values(f)
-    l2sq = dx * float(np.sum(v * v))
-    gx = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
-    h1sq = l2sq + dx * float(np.sum(gx * gx))
-    return FieldNorms(
-        l2=math.sqrt(l2sq),
-        h1=math.sqrt(h1sq),
-        sup=float(np.max(np.abs(v))),
-        min=float(np.min(v)),
-    )
 
 
 def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rimflow import cli
 from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config
 from rimflow.grid import Grid, write_field_csv
 
@@ -273,6 +274,13 @@ class TestModeAndParseErrors:
         cfg = write_cfg(tmp_path, "not an ini file [\n")
         assert main(["evolve", cfg]) == 2
 
+    @pytest.mark.parametrize("key", ["positivity_floor", "alpha"])
+    def test_removed_evolve_keys_are_config_errors(self, tmp_path, capsys, key):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out") + f"{key} = 0.5\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["evolve", cfg]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["evolve", str(tmp_path / "nope.ini")]) == 1
 
@@ -362,6 +370,42 @@ class TestSweepCommand:
             sub = out / f"a3={record['value']:g}"
             assert (sub / "manifest.json").exists()
             assert (sub / "diagnostics.csv").exists()
+
+
+    @pytest.mark.parametrize("workers,values,cpus,expected", [
+        (100000, 2, 64, 2),
+        (100000, 8, 2, 2),
+        (3, 8, 64, 3),
+        (8, 8, None, None),
+    ])
+    def test_pool_size_is_capped(self, tmp_path, monkeypatch, workers, values, cpus, expected):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def fake_worker(args):
+            return {"value": args[2], "dir": args[3], "exit_code": 0, "termination": "t_end"}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        text += "[sweep]\nvary = params.a3\nvalues = {}\nworkers = {}\n".format(
+            ", ".join(str(v) for v in range(values)), workers)
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 0
+        # cpu_count() of None counts as one core, so the sweep runs serially.
+        assert sizes == ([] if expected is None else [expected])
 
 
 class TestCheckCommand:

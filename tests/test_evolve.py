@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rimflow.evolve import (
@@ -11,13 +13,14 @@ from rimflow.evolve import (
     StepFailure,
     _System,
     _newton,
+    _record,
     flux,
     initial_lift,
     run,
     step,
 )
 from rimflow.grid import Grid, PeriodicField, integrate
-from rimflow.model import Forcing, Params, RegularizationKnobs, energy, mobility
+from rimflow.model import Forcing, Params, RegularizationKnobs, energy, entropy_G, mobility
 
 
 def make_params(grid, a=(1.0, 16.0, 0.0, 0.0), forcing="sine"):
@@ -283,22 +286,11 @@ class TestRun:
         cfg = EvolveConfig(t_end=0.5, dt_init=1e-3, dt_max=0.05,
                            knobs=RegularizationKnobs(epsilon=0.0))
         traj = run(random_positive(g, 3, mean=0.3, amp=0.02), p, cfg)
-        log = traj.step_log.as_arrays()
-        assert traj.step_count == len(log["t"]) > 0
-        assert np.all(log["dt"] > 0)
-        assert np.all(np.diff(log["t"]) > 0)
+        assert traj.step_count == len(traj.step_energies) > 0
         assert len(traj.fields) == len(traj.records) == len(traj.snapshots)
         assert traj.newton_tol_effective >= cfg.newton_tol
         assert traj.final_state is not None
         assert traj.final_state.t == pytest.approx(0.5, abs=1e-12)
-
-    def test_positivity_floor_events_recorded(self):
-        g = Grid(n=64)
-        p = make_params(g, a=(1.0, 1.0, 0.0, 0.0))
-        cfg = EvolveConfig(t_end=0.05, dt_init=1e-2, positivity_floor=0.5,
-                           knobs=RegularizationKnobs(epsilon=0.0))
-        traj = run(g.constant(0.3), p, cfg)
-        assert len(traj.floor_events) == traj.step_count > 0
 
     def test_dissipation_accumulates(self):
         g = Grid(n=64)
@@ -313,6 +305,50 @@ class TestRun:
         assert traj.dissipation3_cum >= 0.0
         assert traj.supcube_time_integral > 0.0
         assert math.isfinite(traj.k1_observed)
+
+
+class TestRecord:
+    def test_norms_of_shifted_cos(self):
+        # h = c + cos x: l2^2 = 2 pi c^2 + pi, and the centred gradient adds
+        # pi up to O(dx^2).
+        g = Grid(n=256)
+        c = 2.0
+        rec = _record(g.sample(lambda x: c + np.cos(x)), 0.0, make_params(g),
+                      EvolveConfig(t_end=1.0), 0.0)
+        assert rec.l2 == pytest.approx(math.sqrt(2.0 * math.pi * c**2 + math.pi), abs=1e-10)
+        assert rec.h1 == pytest.approx(math.sqrt(2.0 * math.pi * (c**2 + 1.0)), abs=g.dx**2)
+        assert rec.min_h == pytest.approx(c - 1.0, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        mean=st.floats(0.05, 2.0),
+        epsilon=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 0.5]),
+    )
+    def test_initial_record_matches_numpy_sums(self, n, coeffs, mean, epsilon):
+        g = Grid(n=n)
+        x, dx = g.x, g.dx
+        # Amplitudes scaled to 90% of the mean keep the data positive.
+        amps = 0.9 * mean * np.asarray(coeffs) / max(1.0, float(np.sum(np.abs(coeffs))))
+        h0 = g.field(mean + amps[0] * np.cos(x) + amps[1] * np.sin(x)
+                     + amps[2] * np.cos(2 * x) + amps[3] * np.sin(3 * x))
+        knobs = RegularizationKnobs(epsilon=epsilon)
+        p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
+        traj = run(h0, p, EvolveConfig(t_end=1e-6, dt_init=1e-6, dt_max=1e-6, knobs=knobs))
+        rec = traj.records[0]
+        v = h0.values + (epsilon**knobs.theta if epsilon > 0.0 else 0.0)
+        grad = np.array([(v[(i + 1) % n] - v[i - 1]) / (2.0 * dx) for i in range(n)])
+        assert rec.t == 0.0
+        assert rec.mass == pytest.approx(dx * np.sum(v), rel=1e-13)
+        assert rec.l2 == pytest.approx(math.sqrt(dx * np.sum(v**2)), rel=1e-13)
+        assert rec.gradient_sq == pytest.approx(dx * np.sum(grad**2), rel=1e-12, abs=1e-14)
+        assert rec.h1**2 == pytest.approx(rec.l2**2 + rec.gradient_sq, rel=1e-13)
+        assert rec.min_h == np.min(v)
+        assert rec.energy == energy(g.field(v), p)
+        assert rec.entropy0 == dx * np.sum(entropy_G(v, 0.0))
+        assert rec.entropy_eps == dx * np.sum(entropy_G(v, epsilon))
+        assert rec.dissipation_cum == 0.0
 
 
 class TestFailure:

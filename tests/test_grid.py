@@ -14,7 +14,6 @@ import rimflow
 
 from rimflow.grid import (
     TWO_PI,
-    FieldNorms,
     Grid,
     PeriodicField,
     d1,
@@ -22,7 +21,6 @@ from rimflow.grid import (
     cyclic_banded_solve,
     d3,
     integrate,
-    norms,
     read_field_csv,
     write_field_csv,
 )
@@ -211,15 +209,6 @@ class TestQuadratureAndNorms:
             g = Grid(n=n)
             f = g.field(np.sin(g.x) ** 2)
             assert integrate(f) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_norms_of_cos(self):
-        g = Grid(n=256)
-        nm = norms(g.sample(np.cos))
-        assert isinstance(nm, FieldNorms)
-        assert nm.l2 == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-        assert nm.h1 == pytest.approx(math.sqrt(2.0 * math.pi), abs=g.dx**2)
-        assert nm.sup == 1.0
-        assert nm.min == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestCsvRoundTrip:
