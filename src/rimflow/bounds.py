@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicField, d1, integrate
+from .grid import PeriodicField, d1, integrate, periodic_pad
 from .model import Params, entropy_G
 
 
@@ -317,8 +317,8 @@ def count_local_maxima(h: PeriodicField, rel_prominence: float = 1e-3) -> list[i
     rng = float(np.max(v) - np.min(v))
     if rng == 0.0:
         return []
-    up = np.roll(v, -1)
-    dn = np.roll(v, 1)
+    pad = periodic_pad(v, 1)
+    up, dn = pad[2:], pad[:-2]
     cand = np.where((v >= up) & (v >= dn) & ((v > up) | (v > dn)))[0]
     out = []
     floor = np.min(v)

@@ -336,7 +336,10 @@ def parse_config(text: str) -> RunConfig:
         values = _floats(sec.get("values", ""))
         if not values:
             raise ConfigError("[sweep] missing or empty key 'values'")
-        sweep_spec = SweepSpec(vary=vary, values=values, workers=_get_int(sec, "sweep", "workers", default=2))
+        workers = _get_int(sec, "sweep", "workers", default=2)
+        if workers < 1:
+            raise ConfigError(f"[sweep] workers must be at least 1, got {workers}")
+        sweep_spec = SweepSpec(vary=vary, values=values, workers=workers)
 
     raw = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DiagnosticsRecord
-from .grid import Grid, PeriodicField, cyclic_banded_solve, d1
+from .grid import Grid, PeriodicField, cyclic_banded_solve, d1, periodic_pad
 from .model import (
     Params,
     RegularizationKnobs,
@@ -160,9 +160,8 @@ class _System:
 
     def interface_values(self, u: np.ndarray):
         dx = self.dx
-        up1 = np.roll(u, -1)
-        up2 = np.roll(u, -2)
-        um1 = np.roll(u, 1)
+        pad = periodic_pad(u, 2)
+        up1, up2, um1 = pad[3:-1], pad[4:], pad[1:-3]
         m = 0.5 * (u + up1)
         t1 = (up1 - u) / dx
         t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
@@ -176,7 +175,7 @@ class _System:
 
     def divergence(self, u: np.ndarray) -> np.ndarray:
         F = self.interface_flux(u)
-        return (F - np.roll(F, 1)) / self.dx
+        return (F - periodic_pad(F, 1)[:-2]) / self.dx
 
     def residual(self, u: np.ndarray, hold: np.ndarray, dt: float) -> np.ndarray:
         return u - hold + dt * self.divergence(u)
@@ -195,10 +194,11 @@ class _System:
         C = half_fp_g + f * (-3.0 * p.a0 / dx**3 + p.a1 / dx) + 0.5 * p.a3
         D = f * (p.a0 / dx**3)
         s = dt / dx
-        diag_m2 = -s * np.roll(A, 1)
-        diag_m1 = s * (A - np.roll(B, 1))
-        diag_0 = 1.0 + s * (B - np.roll(C, 1))
-        diag_p1 = s * (C - np.roll(D, 1))
+        A_m1, B_m1, C_m1, D_m1 = periodic_pad(np.stack([A, B, C, D]), 1)[:, :-2]
+        diag_m2 = -s * A_m1
+        diag_m1 = s * (A - B_m1)
+        diag_0 = 1.0 + s * (B - C_m1)
+        diag_p1 = s * (C - D_m1)
         diag_p2 = s * D
         return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
 

@@ -83,6 +83,16 @@ class PeriodicField:
         return PeriodicField(self.grid, np.roll(self.values, cells))
 
 
+def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
+    """v with width periodic ghost cells on each side of its last axis.
+
+    For p = periodic_pad(v, w), p[..., w + k : n + w + k] is v shifted by k
+    cells, v[(i + k) mod n], for |k| <= w: neighbours are read as slices of
+    one copy instead of one roll per offset.
+    """
+    return np.concatenate((v[..., -width:], v, v[..., :width]), axis=-1)
+
+
 def _as_values(f: PeriodicField) -> tuple[np.ndarray, float]:
     return f.values, f.grid.dx
 
@@ -90,19 +100,22 @@ def _as_values(f: PeriodicField) -> tuple[np.ndarray, float]:
 def d1(f: PeriodicField) -> PeriodicField:
     """Centered first derivative, second order."""
     v, dx = _as_values(f)
-    return f.with_values((np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx))
+    p = periodic_pad(v, 1)
+    return f.with_values((p[2:] - p[:-2]) / (2.0 * dx))
 
 
 def d2(f: PeriodicField) -> PeriodicField:
     """Centered second derivative, second order."""
     v, dx = _as_values(f)
-    return f.with_values((np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / dx**2)
+    p = periodic_pad(v, 1)
+    return f.with_values((p[2:] - 2.0 * v + p[:-2]) / dx**2)
 
 
 def d3(f: PeriodicField) -> PeriodicField:
     """Centered third derivative, second order."""
     v, dx = _as_values(f)
-    out = (np.roll(v, -2) - 2.0 * np.roll(v, -1) + 2.0 * np.roll(v, 1) - np.roll(v, 2))
+    p = periodic_pad(v, 2)
+    out = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4])
     return f.with_values(out / (2.0 * dx**3))
 
 
@@ -129,14 +142,15 @@ def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     m = 1 if rhs.ndim == 1 else rhs.shape[1]
     # LAPACK band storage: ab[4 + i - j, j] = B[i, j], rows 0-1 for fill-in.
-    ab = np.zeros((7, n))
+    # Fortran order lets dgbsv work in place instead of copying ab and b.
+    ab = np.zeros((7, n), order="F")
     ab[2, 2:] = bands[4, :-2]
     ab[3, 1:] = bands[3, :-1]
     ab[4] = bands[2]
     ab[5, :-1] = bands[1, 1:]
     ab[6, :-2] = bands[0, 2:]
     corner_idx = np.array([0, 1, n - 2, n - 1])
-    b = np.zeros((n, m + 4))
+    b = np.zeros((n, m + 4), order="F")
     b[:, :m] = rhs.reshape(n, m)
     b[corner_idx, np.arange(m, m + 4)] = 1.0
     _, _, x, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)

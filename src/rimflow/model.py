@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, d1, d2, d3, integrate
+from .grid import TWO_PI, Grid, PeriodicField, d1, d2, d3, integrate, periodic_pad
 
 ALPHA_RANGE = (-0.5, 1.0)
 THETA_RANGE = (0.0, 0.4)
@@ -112,7 +112,7 @@ class Forcing:
         """w' sampled at the cell interfaces x_{i+1/2}."""
         if self.kind == "sine":
             return np.cos(self.grid.x + 0.5 * self.grid.dx)
-        return 0.5 * (self.wp + np.roll(self.wp, -1))
+        return 0.5 * (self.wp + periodic_pad(self.wp, 1)[2:])
 
     # Norms used by the a priori constants.
     @property

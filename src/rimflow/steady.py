@@ -4,8 +4,9 @@ With surface tension neglected the steady balance is pointwise algebraic,
 
     h - (mu/3) h^3 cos x = q,
 
-solved per grid point on the branch that stays below the fold.  With surface
-tension the profile solves the periodic ODE
+solved at all grid points at once, from the eigenvalues of one stack of 3x3
+companion matrices polished by Newton, on the branch that stays below the
+fold.  With surface tension the profile solves the periodic ODE
 
     h - (mu/3) h^3 cos x + (chi/3) h^3 (h_x + h_xxx) = q,
 
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, cyclic_banded_solve, integrate
+from .grid import TWO_PI, Grid, PeriodicField, cyclic_banded_solve, integrate, periodic_pad
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
 
@@ -96,6 +97,30 @@ def _require_full_period(grid: Grid) -> None:
         raise ValueError("steady profiles are defined on a full period of length 2*pi")
 
 
+def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of (mu c/3) h^3 - h + q = 0 for each entry of c, |c| >= 1e-14.
+
+    Returns (h, ok), both of shape (len(c), 3): the real parts of the three
+    roots after two Newton polishes, and whether each is a positive real
+    root.  The companion matrices are those np.roots builds, and one
+    batched eigvals call gives the same eigenvalues as one np.roots call
+    per entry.
+    """
+    a = mu * c / 3.0
+    companion = np.zeros((c.size, 3, 3))
+    companion[:, 0] = -np.array([0.0, -1.0, q]) / a[:, None]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    z = np.linalg.eigvals(companion)
+    h = z.real
+    ok = (np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z))) & (h > 0.0)
+    a, mc = a[:, None], (mu * c)[:, None]
+    for _ in range(2):
+        val = a * h**3 - h + q
+        der = mc * h**2 - 1.0
+        h = h - np.divide(val, der, out=np.zeros_like(h), where=der != 0.0)
+    return h, ok & (h > 0.0)
+
+
 def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
     """Positive real roots of h - (mu/3) h^3 cos(x) = q at one angle, ascending.
 
@@ -106,57 +131,40 @@ def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
     c = math.cos(x)
     if abs(c) < 1e-14:
         return [q]
-    coeffs = [mu * c / 3.0, 0.0, -1.0, q]
-    roots = np.roots(coeffs)
-    out = []
-    for z in roots:
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-            continue
-        h = float(z.real)
-        if h <= 0.0:
-            continue
-        # One Newton polish on the cubic for full precision.
-        for _ in range(2):
-            val = (mu * c / 3.0) * h**3 - h + q
-            der = mu * c * h**2 - 1.0
-            if der != 0.0:
-                h -= val / der
-        if h > 0.0:
-            out.append(h)
-    out.sort()
+    h, ok = _cubic_roots(mu, q, np.array([c]))
     dedup: list[float] = []
-    for h in out:
-        if dedup and abs(h - dedup[-1]) <= 1e-6 * max(1.0, h):
+    for r in sorted(h[ok].tolist()):
+        if dedup and abs(r - dedup[-1]) <= 1e-6 * max(1.0, r):
             continue
-        dedup.append(h)
+        dedup.append(r)
     return dedup
 
 
 def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     """Pointwise branch below the fold; None when the fold is crossed somewhere.
 
-    On the half-domain where cos x > 0 the selected root must satisfy
-    mu cos(x) h^2 < 1 strictly; a double root (the fold itself) does not
-    count as existence.
+    The cubic is solved at every grid point at once, from the eigenvalues
+    of one stack of companion matrices.  The profile takes the smallest
+    positive real root; on the half-domain where cos x > 0 that root must
+    satisfy mu cos(x) h^2 < 1 strictly, so a double root (the fold itself)
+    does not count as existence.  Where |cos x| < 1e-14 the cubic term
+    vanishes and h = q.
     """
     if not (mu > 0.0 and q > 0.0):
         raise ValueError("mu and q must be positive")
     _require_full_period(grid)
-    h = np.empty(grid.n)
-    for i, xi in enumerate(grid.x):
-        c = math.cos(xi)
-        roots = moffatt_roots(mu, q, float(xi))
-        if not roots:
-            return None
-        if c > 1e-14:
-            sub = [r for r in roots if mu * c * r * r < 1.0]
-            if not sub:
-                return None
-            h[i] = sub[0]
-        else:
-            h[i] = roots[0]
+    cosx = np.cos(grid.x)
+    far = np.abs(cosx) >= 1e-14
+    c = cosx[far]
+    roots, ok = _cubic_roots(mu, q, c)
+    has_fold = (c > 1e-14)[:, None]
+    ok &= ~has_fold | (mu * c[:, None] * roots * roots < 1.0)
+    if not np.all(np.any(ok, axis=1)):
+        return None
+    h = np.full(grid.n, q)
+    h[far] = np.min(np.where(ok, roots, np.inf), axis=1)
     prof = PeriodicField(grid, h)
-    resid = h - (mu / 3.0) * h**3 * np.cos(grid.x) - q
+    resid = h - (mu / 3.0) * h**3 * cosx - q
     return SteadyProfile(
         h=prof,
         q=q,
@@ -201,8 +209,9 @@ def _capillary_stencil(grid: Grid) -> np.ndarray:
 
 
 def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (stencil[0] * np.roll(v, 2) + stencil[1] * np.roll(v, 1)
-            + stencil[3] * np.roll(v, -1) + stencil[4] * np.roll(v, -2))
+    p = periodic_pad(v, 2)
+    return (stencil[0] * p[:-4] + stencil[1] * p[1:-3]
+            + stencil[3] * p[3:-1] + stencil[4] * p[4:])
 
 
 def _capillary_lhs(v, q, mu, chi, cosx, stencil) -> np.ndarray:

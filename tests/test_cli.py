@@ -372,6 +372,15 @@ class TestSweepCommand:
             assert (sub / "diagnostics.csv").exists()
 
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        text += f"[sweep]\nvary = params.a3\nvalues = 0, 1\nworkers = {workers}\n"
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            parse_config(text)
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers,values,cpus,expected", [
         (100000, 2, 64, 2),
         (100000, 8, 2, 2),

@@ -20,7 +20,15 @@ from rimflow.evolve import (
     step,
 )
 from rimflow.grid import Grid, PeriodicField, integrate
-from rimflow.model import Forcing, Params, RegularizationKnobs, energy, entropy_G, mobility
+from rimflow.model import (
+    Forcing,
+    Params,
+    RegularizationKnobs,
+    energy,
+    entropy_G,
+    mobility,
+    mobility_derivative,
+)
 
 
 def make_params(grid, a=(1.0, 16.0, 0.0, 0.0), forcing="sine"):
@@ -112,6 +120,43 @@ class TestFlux:
         sysm = _System(g, p, knobs)
         div = sysm.divergence(h.values)
         assert abs(np.sum(div)) <= 1e-12 * np.max(np.abs(sysm.interface_flux(h.values)))
+
+    @pytest.mark.parametrize("n", [8, 10, 256])
+    def test_bit_identical_to_roll_formulas(self, n):
+        g = Grid(n=n)
+        rng = np.random.default_rng(n)
+        p = Params(0.7, 5.0, -2.0, 1.2, Forcing.tabulated(g, rng.normal(size=n)))
+        knobs = RegularizationKnobs(delta=0.02, epsilon=1e-3)
+        u = random_positive(g, n).values
+        dt, dx = 1e-3, g.dx
+        sysm = _System(g, p, knobs)
+
+        up1, up2, um1 = np.roll(u, -1), np.roll(u, -2), np.roll(u, 1)
+        m = 0.5 * (u + up1)
+        t1 = (up1 - u) / dx
+        t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
+        for got, want in zip(sysm.interface_values(u), (m, t1, t3)):
+            assert np.array_equal(got, want)
+
+        F = sysm.interface_flux(u)
+        assert np.array_equal(sysm.divergence(u), (F - np.roll(F, 1)) / dx)
+
+        gv = p.a0 * t3 + p.a1 * t1 + p.a2 * p.w.wp_mid()
+        f = mobility(m, knobs)
+        half_fp_g = 0.5 * mobility_derivative(m, knobs) * gv
+        A = f * (-p.a0 / dx**3)
+        B = half_fp_g + f * (3.0 * p.a0 / dx**3 - p.a1 / dx) + 0.5 * p.a3
+        C = half_fp_g + f * (-3.0 * p.a0 / dx**3 + p.a1 / dx) + 0.5 * p.a3
+        D = f * (p.a0 / dx**3)
+        s = dt / dx
+        bands = np.stack([
+            -s * np.roll(A, 1),
+            s * (A - np.roll(B, 1)),
+            1.0 + s * (B - np.roll(C, 1)),
+            s * (C - np.roll(D, 1)),
+            s * D,
+        ])
+        assert np.array_equal(sysm.jacobian(u, dt), bands)
 
 
 class TestJacobian:

@@ -1,4 +1,5 @@
 """Grid construction, discrete calculus, quadrature, and CSV round trips."""
+import ast
 import math
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from rimflow.grid import (
     cyclic_banded_solve,
     d3,
     integrate,
+    periodic_pad,
     read_field_csv,
     write_field_csv,
 )
@@ -142,6 +144,53 @@ class TestDerivatives:
         f = random_trig(g, seed)
         assert_allclose(op(f.shift(5)).values, op(f).shift(5).values, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("n", [8, 10, 256])
+    def test_bit_identical_to_roll_formulas(self, n):
+        g = Grid(n=n)
+        v = np.random.default_rng(n).normal(size=n)
+        f, dx = PeriodicField(g, v), g.dx
+        r = {k: np.roll(v, k) for k in (-2, -1, 1, 2)}
+        assert np.array_equal(d1(f).values, (r[-1] - r[1]) / (2.0 * dx))
+        assert np.array_equal(d2(f).values, (r[-1] - 2.0 * v + r[1]) / dx**2)
+        assert np.array_equal(
+            d3(f).values, (r[-2] - 2.0 * r[-1] + 2.0 * r[1] - r[2]) / (2.0 * dx**3))
+
+
+class TestPeriodicPad:
+    def test_layout(self):
+        v = np.arange(8.0)
+        assert np.array_equal(periodic_pad(v, 2), [6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1])
+        stacked = periodic_pad(np.stack([v, -v]), 1)
+        assert stacked.shape == (2, 10)
+        assert np.array_equal(stacked[1], periodic_pad(-v, 1))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_slices_are_rolls(self, width):
+        v = np.random.default_rng(width).normal(size=10)
+        p = periodic_pad(v, width)
+        for k in range(-width, width + 1):
+            assert np.array_equal(p[width + k: width + k + v.size], np.roll(v, -k))
+
+    def test_no_roll_outside_field_shift(self):
+        # Hot-path stencils read neighbours from one periodic_pad copy; only
+        # PeriodicField.shift, an arbitrary-cell translation, may roll.
+        def roll_sites(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = scope + (child.name,)
+                if (isinstance(child, ast.Attribute) and child.attr == "roll") or (
+                        isinstance(child, ast.alias) and child.name == "roll"):
+                    yield ".".join(scope)
+                yield from roll_sites(child, inner)
+
+        src = Path(rimflow.__file__).parent
+        sites = {
+            (path.name, site)
+            for path in sorted(src.glob("*.py"))
+            for site in roll_sites(ast.parse(path.read_text()), ())
+        }
+        assert sites == {("grid.py", "PeriodicField.shift")}
 
 
 def weighted_bands(n, seed, weight):

@@ -72,6 +72,12 @@ class TestForcing:
         # Interface samples average the two neighbouring nodal values.
         assert_allclose(w.wp_mid(), 0.5 * (w.wp + np.roll(w.wp, -1)), atol=0)
 
+    @pytest.mark.parametrize("n", [8, 10, 256])
+    def test_tabulated_interface_samples_bit_identical_to_roll(self, n):
+        g = Grid(n=n)
+        w = Forcing.tabulated(g, np.random.default_rng(n).normal(size=n))
+        assert np.array_equal(w.wp_mid(), 0.5 * (w.wp + np.roll(w.wp, -1)))
+
     def test_tabulated_accepts_consistent_analytic_derivatives(self):
         g = Grid(n=128)
         w = Forcing.tabulated(g, np.sin(g.x), wp=np.cos(g.x), wpp=-np.sin(g.x))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -39,6 +39,36 @@ def make_profile(grid, q, mu, chi):
     h = asymptotic_guess(q, grid)
     return SteadyProfile(h=h, q=q, mu=mu, chi=chi, residual_sup=math.inf,
                          mass=integrate(h))
+
+
+def scalar_moffatt_profile(mu, q, grid):
+    """Per-point reference for moffatt_profile: np.roots, polish, select."""
+    h = np.empty(grid.n)
+    for i, xi in enumerate(grid.x):
+        c = math.cos(xi)
+        if abs(c) < 1e-14:
+            h[i] = q
+            continue
+        roots = []
+        for z in np.roots([mu * c / 3.0, 0.0, -1.0, q]):
+            if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+                continue
+            r = float(z.real)
+            if r <= 0.0:
+                continue
+            for _ in range(2):
+                val = (mu * c / 3.0) * r**3 - r + q
+                der = mu * c * r**2 - 1.0
+                if der != 0.0:
+                    r -= val / der
+            if r > 0.0:
+                roots.append(r)
+        if c > 1e-14:
+            roots = [r for r in roots if mu * c * r * r < 1.0]
+        if not roots:
+            return None
+        h[i] = min(roots)
+    return h
 
 
 class TestThresholds:
@@ -137,6 +167,32 @@ class TestMoffattProfile:
         with pytest.raises(ValueError):
             moffatt_profile(1.0, 0.5, Grid(n=128, length=math.pi))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.floats(0.1, 5.0),
+        ratio=st.floats(0.05, 1.05),
+        n=st.sampled_from([8, 10, 12, 64, 66, 768]),
+    )
+    @example(mu=1.0, ratio=0.999, n=8)
+    @example(mu=2.5, ratio=1.0 - 1e-9, n=10)
+    @example(mu=2.5, ratio=1.0 + 1e-9, n=10)
+    def test_matches_scalar_reference(self, mu, ratio, n):
+        # At q = critical_flux(mu) the x = 0 root is a double root, so which
+        # side of the fold it lands on is decided by rounding.
+        assume(abs(ratio - 1.0) > 1e-12)
+        q = ratio * critical_flux(mu)
+        g = Grid(n=n)
+        ref = scalar_moffatt_profile(mu, q, g)
+        prof = moffatt_profile(mu, q, g)
+        assert (prof is None) == (ref is None)
+        if ref is None:
+            return
+        # Both polishes end within rounding of a root, but h**3 rounds
+        # differently in NumPy and in Python's float pow; an ulp in the
+        # cubic moves the root by that over |f'(h)| = |1 - mu c h^2|.
+        cond = np.maximum(1.0, 1.0 / np.abs(1.0 - mu * np.cos(g.x) * ref**2))
+        assert np.all(np.abs(prof.h.values - ref) <= 4.0 * np.spacing(ref) * cond)
+
 
 class TestAsymptoticGuess:
     def test_values(self):
@@ -232,6 +288,14 @@ class TestCapillaryStencil:
         bands = np.outer(stencil, np.ones(g.n))
         assert_allclose(dense_from_bands(bands) @ v, expect, atol=1e-12)
         assert_allclose(_apply_stencil(stencil, v), expect, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 10, 256])
+    def test_apply_stencil_bit_identical_to_roll(self, n):
+        rng = np.random.default_rng(n)
+        stencil, v = rng.normal(size=5), rng.normal(size=n)
+        expect = (stencil[0] * np.roll(v, 2) + stencil[1] * np.roll(v, 1)
+                  + stencil[3] * np.roll(v, -1) + stencil[4] * np.roll(v, -2))
+        assert np.array_equal(_apply_stencil(stencil, v), expect)
 
 
 class TestNewtonLinearAlgebra:
