@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicField, d1, integrate, periodic_pad
-from .model import Params, entropy_G
+from .grid import PeriodicField, gradient_sq, integrate, periodic_pad
+from .model import Params
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ def local_existence_time(h: PeriodicField, p: Params) -> float:
         return math.inf
     if float(np.min(h.values)) <= 0.0:
         return 0.0
-    hx = d1(h).values
-    v0 = float(h.grid.dx * np.sum(hx**2)) + 2.0 * (cc.c3 / p.a0) * integrate(
+    v0 = gradient_sq(h) + 2.0 * (cc.c3 / p.a0) * integrate(
         h.with_values(0.5 / h.values)
     )
     return 9.0 / (40.0 * cc.c9) * min(1.0, v0**-2)
@@ -175,8 +174,7 @@ def interpolation_check(h: PeriodicField) -> BoundReport:
         raise ValueError("interpolation bound applies to nonnegative fields")
     L = h.grid.length
     mass = integrate(h)
-    hx = d1(h).values
-    grad_sq = float(h.grid.dx * np.sum(hx**2))
+    grad_sq = gradient_sq(h)
     lhs = float(h.grid.dx * np.sum(h.values**2))
     rhs = 6.0 ** (2.0 / 3.0) * mass ** (4.0 / 3.0) * grad_sq ** (1.0 / 3.0) + mass**2 / L
     return BoundReport.check("interpolation", lhs, rhs, tolerance=1e-12 * max(1.0, abs(rhs)))

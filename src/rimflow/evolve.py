@@ -15,7 +15,8 @@ The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
 of the scheme.  The snapshot functionals (energy, h1, gradient_sq) use the
-centred gradient grid.d1, as model.energy does.
+centred gradient grid.d1, as model.energy does; gradient_sq is
+grid.gradient_sq, the form the bound monitors use.
 
 Time stepping is backward Euler (L-stable, first order) with an analytic
 pentadiagonal-plus-corners Jacobian solved by one banded LU with a
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DiagnosticsRecord
-from .grid import Grid, PeriodicField, cyclic_banded_solve, d1, periodic_pad
+from .grid import Grid, PeriodicField, cyclic_banded_solve, gradient_sq, periodic_pad
 from .model import (
     Params,
     RegularizationKnobs,
@@ -118,7 +119,6 @@ class Trajectory:
     sup_h_max: float
     k1_observed: float
     supcube_time_integral: float
-    dissipation3_cum: float
     final_state: Optional[EvolveState]
 
     @property
@@ -300,7 +300,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
     l2_sq = float(dx * np.sum(v * v))
-    grad_sq = float(dx * np.sum(d1(h).values ** 2))
+    grad_sq = gradient_sq(h)
     min_h = float(np.min(v))
     if min_h > 0.0:
         entropy0 = float(dx * np.sum(entropy_G(v, 0.0)))
@@ -371,7 +371,6 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             sup_h_max=sup_h_max,
             k1_observed=k1_obs,
             supcube_time_integral=supcube_int,
-            dissipation3_cum=diss3_cum,
             final_state=final_state,
         )
 

@@ -119,6 +119,11 @@ def d3(f: PeriodicField) -> PeriodicField:
     return f.with_values(out / (2.0 * dx**3))
 
 
+def gradient_sq(f: PeriodicField) -> float:
+    """Integral of the squared centred gradient, dx * sum(d1(f)^2)."""
+    return float(f.grid.dx * np.sum(d1(f).values ** 2))
+
+
 def integrate(f: PeriodicField) -> float:
     """Periodic rectangle rule, exact for trigonometric polynomials below the grid cutoff."""
     return float(f.grid.dx * np.sum(f.values))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, d1, d2, d3, integrate, periodic_pad
+from .grid import TWO_PI, Grid, PeriodicField, d1, d3, periodic_pad
 
 ALPHA_RANGE = (-0.5, 1.0)
 THETA_RANGE = (0.0, 0.4)
@@ -43,28 +43,26 @@ class RegularizationKnobs:
 
 
 class Forcing:
-    """Substrate forcing profile w with its first two derivatives on a grid.
+    """Substrate forcing profile w and its derivative w' on a grid.
 
-    Two kinds are supported: "sine" samples w = sin(x) and its derivatives
-    analytically (the domain must then be one full period long), and
-    "tabulated" carries arbitrary samples, deriving w' and w'' with the grid
-    operators when they are not supplied.
+    Two kinds are supported: "sine" samples w = sin(x) and w' analytically
+    (the domain must then be one full period long), and "tabulated" carries
+    arbitrary samples, deriving w' with the grid operator when it is not
+    supplied.  The flux form of the equation needs no higher derivative.
     """
 
-    def __init__(self, kind: str, grid: Grid, w: np.ndarray, wp: np.ndarray, wpp: np.ndarray):
+    def __init__(self, kind: str, grid: Grid, w: np.ndarray, wp: np.ndarray):
         self.kind = kind
         self.grid = grid
         self.w = np.asarray(w, dtype=float)
         self.wp = np.asarray(wp, dtype=float)
-        self.wpp = np.asarray(wpp, dtype=float)
-        for name, arr in (("w", self.w), ("w'", self.wp), ("w''", self.wpp)):
+        for name, arr in (("w", self.w), ("w'", self.wp)):
             if arr.shape != (grid.n,):
                 raise ValueError(f"forcing {name} needs {grid.n} samples")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"forcing {name} must be finite")
         self.w.flags.writeable = False
         self.wp.flags.writeable = False
-        self.wpp.flags.writeable = False
 
     @classmethod
     def sine(cls, grid: Grid) -> "Forcing":
@@ -73,40 +71,25 @@ class Forcing:
                 f"sine forcing needs a domain of length 2*pi, got {grid.length}"
             )
         x = grid.x
-        return cls("sine", grid, np.sin(x), np.cos(x), -np.sin(x))
+        return cls("sine", grid, np.sin(x), np.cos(x))
 
     @classmethod
-    def tabulated(
-        cls,
-        grid: Grid,
-        w,
-        wp=None,
-        wpp=None,
-    ) -> "Forcing":
+    def tabulated(cls, grid: Grid, w, wp=None) -> "Forcing":
         wf = PeriodicField(grid, w)
         dwp = d1(wf).values
-        dwpp = d2(wf).values
         if wp is None:
             wp = dwp
-        if wpp is None:
-            wpp = dwpp
         wp = np.asarray(wp, dtype=float)
-        wpp = np.asarray(wpp, dtype=float)
-        # Supplied derivatives must be consistent with the grid operators to
+        # A supplied derivative must be consistent with the grid operator to
         # the scheme's (second) order of accuracy.
-        dx2 = grid.dx**2
         curv3 = float(np.max(np.abs(d3(wf).values))) + 1.0
-        curv4 = float(np.max(np.abs(d2(PeriodicField(grid, dwpp)).values))) + 1.0
-        if float(np.max(np.abs(wp - dwp))) > dx2 * curv3 + 1e-10:
+        if float(np.max(np.abs(wp - dwp))) > grid.dx**2 * curv3 + 1e-10:
             raise ValueError("supplied w' is inconsistent with the discrete derivative of w")
-        if float(np.max(np.abs(wpp - dwpp))) > dx2 * curv4 + 1e-10:
-            raise ValueError("supplied w'' is inconsistent with the discrete derivative of w")
-        return cls("tabulated", grid, wf.values, wp, wpp)
+        return cls("tabulated", grid, wf.values, wp)
 
     @classmethod
     def constant(cls, grid: Grid, value: float = 0.0) -> "Forcing":
-        zero = np.zeros(grid.n)
-        return cls("tabulated", grid, np.full(grid.n, float(value)), zero, zero)
+        return cls("tabulated", grid, np.full(grid.n, float(value)), np.zeros(grid.n))
 
     def wp_mid(self) -> np.ndarray:
         """w' sampled at the cell interfaces x_{i+1/2}."""
@@ -220,10 +203,3 @@ def energy(h: PeriodicField, p: Params) -> float:
     hx = d1(h).values
     dens = p.a0 * hx**2 - p.a1 * h.values**2 - 2.0 * p.a2 * p.w.w * h.values
     return 0.5 * float(h.grid.dx * np.sum(dens))
-
-
-def entropy_integral(h: PeriodicField, epsilon: float) -> float:
-    """Integral of the touchdown entropy; +inf once the field touches zero."""
-    if float(np.min(h.values)) <= 0.0:
-        return math.inf
-    return integrate(h.with_values(entropy_G(h.values, epsilon)))

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rimflow import cli
+from rimflow.bounds import BoundReport
 from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config
 from rimflow.grid import Grid, write_field_csv
+from rimflow.steady import NoConvergence
 
 EVOLVE_TEMPLATE = """
 [run]
@@ -47,6 +51,53 @@ def write_cfg(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def single_error(capsys, kind):
+    """The one JSON line main printed on stderr, checked to name the error kind."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == kind
+    return record
+
+
+# Every value is numerically at most 4096, so a drawn [grid] n stays small:
+# with a [params] section, parse_config samples the forcing on the grid.
+FUZZ_TOKENS = (
+    "-1", "0", "1", "2", "7", "8", "64", "4096", "0.5", "1e-300", "-0.0", "nan", "inf",
+    "-inf", "1e999", "abc", "", "6.283185307179586", "0.1, 0.1000001", "1, 1", "0, 1",
+    "evolve", "steady", "sweep", "check", "constant", "trig", "file", "sine", "fixed_flux",
+    "fixed_mass", "params.a3", "grid.n", "run.seed",
+)
+
+
+FUZZ_BASES = {
+    "evolve": {"params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
+               "initial": {"kind": "constant", "value": "0.3"},
+               "evolve": {"t_end": "0.5"}},
+    "steady": {"steady": {"mu": "1", "targets": "0.2"}},
+    "check": {},
+}
+FUZZ_BASES["sweep"] = {**FUZZ_BASES["evolve"], "sweep": {"vary": "params.a3", "values": "0, 1"}}
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config of a drawn mode with up to four keys set to drawn tokens or removed."""
+    mode = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    sections = {"run": {"mode": mode}}
+    sections.update((name, dict(keys)) for name, keys in FUZZ_BASES[mode].items())
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(cli._SECTION_KEYS)))
+        key = draw(st.sampled_from(sorted(cli._SECTION_KEYS[name])))
+        value = draw(st.sampled_from((None,) + FUZZ_TOKENS))
+        if value is None:
+            sections.get(name, {}).pop(key, None)
+        else:
+            sections.setdefault(name, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
 
 
 class TestParseConfig:
@@ -116,6 +167,14 @@ class TestParseConfig:
         text = "[run]\nmode = steady\n[steady]\nmu = 1.0\n"
         with pytest.raises(ConfigError, match="targets"):
             parse_config(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_texts())
+    def test_fuzzed_configs_raise_only_config_errors(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
     def test_sweep_vary_must_name_known_key(self, tmp_path):
         text = EVOLVE_TEMPLATE.format(out=tmp_path).replace(
@@ -281,6 +340,19 @@ class TestModeAndParseErrors:
         assert main(["evolve", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,needle", [
+        ("n = 7", "grid size must be even"),
+        ("length = -1", "grid length must be positive and finite"),
+        ("length = inf", "grid length must be positive and finite"),
+    ])
+    def test_bad_grid_values_are_config_errors(self, tmp_path, capsys, line, needle):
+        text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\n{}\n"
+                "[steady]\nmu = 1.0\ntargets = 0.2\n").format(tmp_path / "out", line)
+        with pytest.raises(ConfigError, match=r"\[grid\] " + needle):
+            parse_config(text)
+        assert main(["steady", write_cfg(tmp_path, text)]) == 2
+        assert needle in single_error(capsys, "ConfigError")["message"]
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["evolve", str(tmp_path / "nope.ini")]) == 1
 
@@ -372,6 +444,16 @@ class TestSweepCommand:
             assert (sub / "diagnostics.csv").exists()
 
 
+    @pytest.mark.parametrize("values", ["0.1, 0.1000001", "1, 1"])
+    def test_values_sharing_a_directory_are_config_errors(self, tmp_path, capsys, values):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        text += f"[sweep]\nvary = params.a3\nvalues = {values}\nworkers = 1\n"
+        with pytest.raises(ConfigError, match="share the output directory"):
+            parse_config(text)
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        single_error(capsys, "ConfigError")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", [0, -5])
     def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):
         text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
@@ -439,3 +521,20 @@ class TestCheckCommand:
         assert main(["check", cfg, "--output-dir", str(b), "--seed", "3"]) == 0
         assert (a / "check_reports.json").read_bytes() == \
             (b / "check_reports.json").read_bytes()
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad value"),
+        OSError("disk full"),
+        NoConvergence("no convergence", residual_sup=1.0, iterations=3),
+    ], ids=lambda e: type(e).__name__)
+    def test_battery_error_exits_one_without_reports(self, tmp_path, capsys, monkeypatch, exc):
+        def failing_battery(seed):
+            yield BoundReport.check("first", 0.0, 1.0), True
+            raise exc
+
+        monkeypatch.setattr(cli, "_check_battery", failing_battery)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"[run]\nmode = check\noutput_dir = {out}\n")
+        assert main(["check", cfg]) == 1
+        single_error(capsys, type(exc).__name__)
+        assert not (out / "check_reports.json").exists()

@@ -347,7 +347,6 @@ class TestRun:
         diss = [r.dissipation_cum for r in traj.records]
         assert diss[0] == 0.0
         assert all(b >= a for a, b in zip(diss, diss[1:]))
-        assert traj.dissipation3_cum >= 0.0
         assert traj.supcube_time_integral > 0.0
         assert math.isfinite(traj.k1_observed)
 
@@ -363,6 +362,21 @@ class TestRecord:
         assert rec.l2 == pytest.approx(math.sqrt(2.0 * math.pi * c**2 + math.pi), abs=1e-10)
         assert rec.h1 == pytest.approx(math.sqrt(2.0 * math.pi * (c**2 + 1.0)), abs=g.dx**2)
         assert rec.min_h == pytest.approx(c - 1.0, abs=1e-12)
+
+    def test_entropy_of_constant_field(self):
+        # Both entropies of h = c are L G(c), G(z) = 1/(2z) + eps/(6 z^2).
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=1.0, knobs=RegularizationKnobs(epsilon=0.2))
+        rec = _record(g.constant(0.5), 0.0, make_params(g), cfg, 0.0)
+        assert rec.entropy_eps == pytest.approx(g.length * (0.5 / 0.5 + 0.2 / (6 * 0.25)),
+                                                rel=1e-14)
+        assert rec.entropy0 == pytest.approx(g.length * (0.5 / 0.5), rel=1e-14)
+
+    def test_entropies_blow_up_at_touchdown(self):
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=1.0, knobs=RegularizationKnobs(epsilon=0.1))
+        rec = _record(g.field(np.maximum(np.sin(g.x), 0.0)), 0.0, make_params(g), cfg, 0.0)
+        assert rec.entropy0 == rec.entropy_eps == math.inf
 
     @settings(max_examples=20, deadline=None)
     @given(

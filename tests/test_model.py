@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rimflow.grid import Grid, PeriodicField, d1, d2, integrate
+from rimflow.grid import Grid, PeriodicField, d1, integrate
 from rimflow.model import (
     Forcing,
     Params,
@@ -13,7 +13,6 @@ from rimflow.model import (
     alpha_entropy,
     energy,
     entropy_G,
-    entropy_integral,
     from_physical,
     mobility,
     mobility_derivative,
@@ -48,7 +47,6 @@ class TestForcing:
         w = Forcing.sine(g)
         assert_allclose(w.w, np.sin(g.x), atol=0)
         assert_allclose(w.wp, np.cos(g.x), atol=0)
-        assert_allclose(w.wpp, -np.sin(g.x), atol=0)
         assert w.sup_w == 1.0
         assert w.sup_wp == 1.0
         assert w.l2_wp == pytest.approx(math.sqrt(math.pi), abs=1e-12)
@@ -68,7 +66,6 @@ class TestForcing:
         w = Forcing.tabulated(g, vals)
         f = PeriodicField(g, vals)
         assert_allclose(w.wp, d1(f).values, atol=0)
-        assert_allclose(w.wpp, d2(f).values, atol=0)
         # Interface samples average the two neighbouring nodal values.
         assert_allclose(w.wp_mid(), 0.5 * (w.wp + np.roll(w.wp, -1)), atol=0)
 
@@ -80,7 +77,7 @@ class TestForcing:
 
     def test_tabulated_accepts_consistent_analytic_derivatives(self):
         g = Grid(n=128)
-        w = Forcing.tabulated(g, np.sin(g.x), wp=np.cos(g.x), wpp=-np.sin(g.x))
+        w = Forcing.tabulated(g, np.sin(g.x), wp=np.cos(g.x))
         assert w.kind == "tabulated"
 
     def test_tabulated_rejects_inconsistent_derivative(self):
@@ -230,14 +227,3 @@ class TestEnergyAndIntegrals:
         p = Params(1.0, 0.0, 0.0, 0.0, Forcing.sine(Grid(n=64)))
         with pytest.raises(ValueError):
             energy(Grid(n=32).constant(1.0), p)
-
-    def test_entropy_integral_constant(self):
-        g = Grid(n=32)
-        h = g.constant(0.5)
-        expect = g.length * (0.5 / 0.5 + 0.2 / (6 * 0.25))
-        assert entropy_integral(h, 0.2) == pytest.approx(expect, rel=1e-14)
-
-    def test_entropy_integral_blows_up_at_touchdown(self):
-        g = Grid(n=32)
-        h = g.field(np.maximum(np.sin(g.x), 0.0))
-        assert entropy_integral(h, 0.1) == math.inf
