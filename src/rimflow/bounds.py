@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import PeriodicField, gradient_sq, integrate, periodic_pad
+from .grid import PeriodicField, gradient_sq, integrate, periodic_pad, write_csv
 from .model import Params
 
 
@@ -33,25 +34,11 @@ class DiagnosticsRecord:
     dissipation_cum: float
 
 
-DIAGNOSTICS_COLUMNS = (
-    "t",
-    "mass",
-    "l2",
-    "h1",
-    "min_h",
-    "energy",
-    "entropy0",
-    "entropy_eps",
-    "gradient_sq",
-    "dissipation_cum",
-)
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(DIAGNOSTICS_COLUMNS) + "\n")
-        for r in records:
-            fh.write(",".join(f"{getattr(r, c):.17g}" for c in DIAGNOSTICS_COLUMNS) + "\n")
+    write_csv(path, DIAGNOSTICS_COLUMNS, [astuple(r) for r in records])
 
 
 @dataclass(frozen=True)
@@ -72,31 +59,19 @@ class BoundReport:
         return cls(name=name, lhs=lhs, rhs=rhs, satisfied=ok, slack=rhs - lhs)
 
 
-def write_reports_json(reports: Sequence[BoundReport], path) -> None:
-    payload = [asdict(r) for r in reports]
+def write_json(path, payload) -> None:
+    """The one JSON format of the output trees: sorted keys, indent 2, final newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-class BConstants(NamedTuple):
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-    b5: float
+def write_reports_json(reports: Sequence[BoundReport], path) -> None:
+    write_json(path, [asdict(r) for r in reports])
 
 
-class CConstants(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    c8: float
-    c9: float
+BConstants = namedtuple("BConstants", "b1 b2 b3 b4 b5")
+CConstants = namedtuple("CConstants", "c1 c2 c3 c4 c5 c6 c7 c8 c9")
 
 
 def b_constants(p: float, r: float, omega_length: float) -> BConstants:

@@ -31,6 +31,7 @@ from .bounds import (
     interpolation_check,
     local_existence_time,
     write_diagnostics_csv,
+    write_json,
     write_reports_json,
 )
 from .evolve import EvolveConfig, StepFailure, run
@@ -50,24 +51,16 @@ from .steady import (
 )
 
 OUTPUT_DIR_ENV = "RIMFLOW_OUTPUT_DIR"
+# Largest [grid] n: 8 MB per field; a larger n would fail as a MemoryError.
+MAX_GRID_N = 1 << 20
 
 _SECTION_KEYS = {
     "run": {"mode", "output_dir", "seed"},
     "params": {"a0", "a1", "a2", "a3", "chi", "mu", "forcing"},
     "grid": {"n", "length", "origin"},
     "initial": {"kind", "value", "mean", "cos", "sin", "path"},
-    "evolve": {
-        "t_end",
-        "dt_init",
-        "dt_min",
-        "dt_max",
-        "newton_tol",
-        "newton_max_iter",
-        "snapshots",
-        "delta",
-        "epsilon",
-        "theta",
-    },
+    "evolve": {"t_end", "dt_init", "dt_min", "dt_max", "newton_tol", "newton_max_iter", "snapshots",
+               "delta", "epsilon", "theta"},
     "steady": {"mode", "targets", "mu", "chi", "tol", "max_newton"},
     "sweep": {"vary", "values", "workers"},
 }
@@ -171,6 +164,11 @@ def _get(sec, section: str, key: str, default=None, kind=float):
         raise ConfigError(f"[{section}] {key}: not {what}: {sec[key]!r}") from None
 
 
+def _given(sec, section: str, kinds: dict) -> dict:
+    """sec[key] converted by kinds[key], for the keys sec sets; the spec's defaults fill the rest."""
+    return {key: _get(sec, section, key, kind=kind) for key, kind in kinds.items() if key in sec}
+
+
 @contextlib.contextmanager
 def _section(name: str):
     """Report a ValueError raised while building section [name] as a ConfigError."""
@@ -221,9 +219,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode {mode!r} requires section(s) {sorted(missing)}")
 
     sec = cp["grid"] if "grid" in cp else {}
+    n = _get(sec, "grid", "n", default=256, kind=int)
+    if n > MAX_GRID_N:
+        raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {n}")
     with _section("grid"):
         grid = Grid(
-            n=_get(sec, "grid", "n", default=256, kind=int),
+            n=n,
             length=_get(sec, "grid", "length", default=TWO_PI),
             origin=_get(sec, "grid", "origin", default=0.0),
         )
@@ -287,20 +288,14 @@ def parse_config(text: str) -> RunConfig:
         if "snapshots" in sec:
             snap = _floats(sec["snapshots"])
         with _section("evolve"):
-            knobs = RegularizationKnobs(
-                delta=_get(sec, "evolve", "delta", default=0.0),
-                epsilon=_get(sec, "evolve", "epsilon", default=1e-8),
-                theta=_get(sec, "evolve", "theta", default=0.3),
-            )
+            knobs = RegularizationKnobs(**_given(sec, "evolve", {"delta": float, "epsilon": float,
+                                                                 "theta": float}))
             evolve_cfg = EvolveConfig(
                 t_end=_get(sec, "evolve", "t_end"),
-                dt_init=_get(sec, "evolve", "dt_init", default=1e-6),
-                dt_min=_get(sec, "evolve", "dt_min", default=1e-13),
-                dt_max=_get(sec, "evolve", "dt_max", default=0.1),
-                newton_tol=_get(sec, "evolve", "newton_tol", default=1e-10),
-                newton_max_iter=_get(sec, "evolve", "newton_max_iter", default=12, kind=int),
                 snapshot_times=snap,
                 knobs=knobs,
+                **_given(sec, "evolve", {"dt_init": float, "dt_min": float, "dt_max": float,
+                                         "newton_tol": float, "newton_max_iter": int}),
             )
 
     steady_spec = None
@@ -317,8 +312,7 @@ def parse_config(text: str) -> RunConfig:
             targets=targets,
             mu=_get(sec, "steady", "mu"),
             chi=_get(sec, "steady", "chi", default=0.0),
-            tol=_get(sec, "steady", "tol", default=1e-10),
-            max_newton=_get(sec, "steady", "max_newton", default=30, kind=int),
+            **_given(sec, "steady", {"tol": float, "max_newton": int}),
         )
 
     sweep_spec = None
@@ -358,15 +352,9 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
     header = {"version": __version__, "mode": cfg.mode, "config": cfg.raw, "seed": cfg.seed}
-    _write_json(out / "manifest.json", {**header, **entries})
+    write_json(out / "manifest.json", {**header, **entries})
 
 
 def _emit_error(exc: Exception) -> None:
@@ -457,16 +445,8 @@ def cmd_steady(cfg: RunConfig) -> int:
         fname = f"profile_{i:04d}.csv"
         write_field_csv(prof.h, prof_dir / fname, value_name="h")
         rep = solvability_residuals(prof)
-        index.append(
-            {
-                "index": i,
-                "q": prof.q,
-                "mass": prof.mass,
-                "residual_sup": prof.residual_sup,
-                "beta": rep.beta,
-                "file": f"profiles/{fname}",
-            }
-        )
+        index.append({"index": i, "q": prof.q, "mass": prof.mass, "residual_sup": prof.residual_sup,
+                      "beta": rep.beta, "file": f"profiles/{fname}"})
     _write_manifest(out, cfg, profiles=index)
     return 0
 
@@ -504,7 +484,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]
-    _write_json(
+    write_json(
         out / "sweep_index.json",
         {"version": __version__, "vary": spec.vary, "seed": cfg.seed, "runs": results},
     )
@@ -584,11 +564,7 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the config file")
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument(
-            "--snapshots",
-            default=None,
-            help="comma-separated snapshot times (evolve mode)",
-        )
+        p.add_argument("--snapshots", default=None, help="comma-separated snapshot times (evolve mode)")
     args = parser.parse_args(argv)
 
     try:
@@ -618,12 +594,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        return {
-            "evolve": cmd_evolve,
-            "steady": cmd_steady,
-            "sweep": cmd_sweep,
-            "check": cmd_check,
-        }[cfg.mode](cfg)
+        command = {"evolve": cmd_evolve, "steady": cmd_steady, "sweep": cmd_sweep, "check": cmd_check}
+        return command[cfg.mode](cfg)
     except (OSError, ValueError, StepFailure, BranchLost, NoConvergence) as exc:
         _emit_error(exc)
         return 1

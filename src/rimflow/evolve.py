@@ -18,13 +18,17 @@ of the scheme.  The snapshot functionals (energy, h1, gradient_sq) use the
 centred gradient grid.d1, as model.energy does; gradient_sq is
 grid.gradient_sq, the form the bound monitors use.
 
-Time stepping is backward Euler (L-stable, first order) with an analytic
-pentadiagonal-plus-corners Jacobian solved by one banded LU with a
-low-rank correction for the periodic corners, Newton damping on residual
-growth, and adaptive step control: grow by 1.2x on success up to
-dt_max, halve on failure, fail the run when dt underflows dt_min.  There is
-no positivity clamp; a step whose minimum undershoots -10x the Newton
-tolerance is rejected instead.
+Time stepping is backward Euler (L-stable, first order), solved by the
+shared damped simplified-Newton solver rimflow.newton.newton on an analytic
+pentadiagonal-plus-corners Jacobian.  Its CyclicBandedFactor (one banded
+LU, the periodic corners added by a cached rank-4 correction) is kept
+across steps while dt is unchanged and the reused factor keeps contracting
+the residual by 0.3 a step; a new dt (a rejection, a step growth or a
+snapshot landing) or a poorer step refactors (see rimflow.newton).  Step
+control grows dt by 1.2x on success up to dt_max, halves it on failure,
+and fails the run when dt underflows dt_min.  There is no positivity
+clamp; a step whose minimum undershoots -10x the Newton tolerance is
+rejected instead.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DiagnosticsRecord
-from .grid import Grid, PeriodicField, cyclic_banded_solve, gradient_sq, periodic_pad
+from .grid import Grid, PeriodicField, gradient_sq, periodic_pad
 from .model import (
     Params,
     RegularizationKnobs,
@@ -44,9 +48,9 @@ from .model import (
     mobility,
     mobility_derivative,
 )
+from .newton import NewtonStats, newton
 
 DT_GROWTH = 1.2
-MAX_DAMPINGS = 4
 STEADY_RATE = 1e-9
 STEADY_RUN_LENGTH = 10
 # No double-precision vector can push the residual of the implicit system
@@ -55,7 +59,6 @@ STEADY_RUN_LENGTH = 10
 # floored at a small multiple of this representable limit; the configured
 # tolerance applies whenever it is attainable.
 NEWTON_FLOOR_SAFETY = 4.0
-_MACH_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,11 @@ class EvolveState:
     t: float
     h: PeriodicField
     dt: float
-    newton_iters_last: int = 0
+    newton: Optional[NewtonStats] = None
+
+    @property
+    def newton_iters_last(self) -> int:
+        return self.newton.iterations if self.newton is not None else 0
 
 
 class StepFailure(RuntimeError):
@@ -116,7 +123,7 @@ class Trajectory:
     termination: str
     config: EvolveConfig
     step_energies: list
-    sup_h_max: float
+    newton_tol_effective: float  # largest tolerance in force over accepted steps
     k1_observed: float
     supcube_time_integral: float
     final_state: Optional[EvolveState]
@@ -132,10 +139,6 @@ class Trajectory:
     @property
     def step_count(self) -> int:
         return len(self.step_energies)
-
-    @property
-    def newton_tol_effective(self) -> float:
-        return self.config.newton_tol * max(1.0, self.sup_h_max)
 
 
 def initial_lift(h0: PeriodicField, knobs: RegularizationKnobs) -> PeriodicField:
@@ -157,6 +160,7 @@ class _System:
         self.knobs = knobs
         self.dx = grid.dx
         self.wp_mid = params.w.wp_mid()
+        self.factor, self.factor_dt = None, None  # kept by step() while dt holds
 
     def interface_values(self, u: np.ndarray):
         dx = self.dx
@@ -211,60 +215,14 @@ def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicFie
     return PeriodicField(mid_grid, sysm.interface_flux(h.values))
 
 
-def _newton(sysm: _System, hold: np.ndarray, dt: float, tol: float, max_iter: int):
-    """Damped Newton for the backward Euler system.
-
-    Returns (u, iters, ok, res_sup, diverged, tol_used) where tol_used is the
-    configured tolerance raised, if necessary, to the representable residual
-    floor of the current Jacobian.
-    """
-    n = hold.size
-    u = hold.copy()
-    r = sysm.residual(u, hold, dt)
-    res = float(np.max(np.abs(r)))
-    tol_used = tol
-    for it in range(max_iter):
-        if not math.isfinite(res):
-            return u, it, False, res, True, tol_used
-        if res <= tol_used:
-            return u, it, True, res, False, tol_used
-        J = sysm.jacobian(u, dt)
-        row_norm = float(np.max(np.sum(np.abs(J), axis=0)))
-        floor = NEWTON_FLOOR_SAFETY * _MACH_EPS * row_norm * max(1.0, float(np.max(np.abs(u))))
-        tol_used = max(tol, floor)
-        try:
-            du = -cyclic_banded_solve(J, r)
-        except np.linalg.LinAlgError:
-            return u, it, False, res, True, tol_used
-        if not np.all(np.isfinite(du)):
-            return u, it, False, res, True, tol_used
-        # Project out the mass defect: the flux divergence has zero column
-        # sums, so the exact Newton direction keeps sum(u + du - hold) at
-        # zero; this removes the linear solver's rounding along that mode.
-        du -= np.sum((u - hold) + du) / n
-        lam = 1.0
-        u_try = u + du
-        r_try = sysm.residual(u_try, hold, dt)
-        res_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else math.inf
-        dampings = 0
-        while res_try >= res and dampings < MAX_DAMPINGS:
-            lam *= 0.5
-            dampings += 1
-            u_try = u + lam * du
-            r_try = sysm.residual(u_try, hold, dt)
-            res_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else math.inf
-        u, r, res = u_try, r_try, res_try
-    ok = res <= tol_used
-    return u, max_iter, ok, res, False, tol_used
-
-
 def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_System] = None) -> EvolveState:
     """One adaptive backward Euler step from state.t using trial size state.dt.
 
     Halves dt on Newton failure or on a positivity undershoot beyond
     -10x the effective Newton tolerance; raises StepFailure when dt would
     drop below dt_min.  On success the returned state carries the grown
-    trial size min(1.2 dt, dt_max) for the next attempt.
+    trial size min(1.2 dt, dt_max) for the next attempt.  The Jacobian
+    factor is kept on _system from call to call while dt is unchanged.
     """
     sysm = _system if _system is not None else _System(state.h.grid, p, cfg.knobs)
     hold = state.h.values
@@ -272,19 +230,30 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
     dt = state.dt
     if not (dt > 0.0):
         raise ValueError("step size must be positive")
-    last_res = math.nan
-    diverged = False
+
+    def direction(lu, u, r):
+        # Project out the mass defect: every Jacobian of the flux divergence,
+        # reused or not, has zero column sums, so the exact step keeps
+        # sum(u + du - hold) at zero; this removes rounding along that mode.
+        du = -lu.solve(r)
+        return du - np.sum((u - hold) + du) / hold.size
+
     while True:
-        u, iters, ok, res, diverged, tol_used = _newton(sysm, hold, dt, tol, cfg.newton_max_iter)
-        if ok and float(np.min(u)) >= -10.0 * tol_used:
+        if dt != sysm.factor_dt:
+            sysm.factor, sysm.factor_dt = None, dt
+        u, stats, sysm.factor = newton(
+            lambda u: sysm.residual(u, hold, dt), lambda u: sysm.jacobian(u, dt), hold,
+            tol, cfg.newton_max_iter, sysm.factor, direction, floor=NEWTON_FLOOR_SAFETY,
+        )
+        if stats.failure is None and float(np.min(u)) >= -10.0 * stats.tol_used:
             break
-        last_res = res
         dt *= 0.5
         if dt < cfg.dt_min:
+            diverged = stats.failure not in (None, "budget")
             raise StepFailure(
                 f"step size underflow below dt_min={cfg.dt_min} at t={state.t}"
                 + (" (diverged Newton iterate)" if diverged else ""),
-                residual_sup=last_res,
+                residual_sup=stats.residual,
                 t=state.t,
                 dt=dt,
                 diverged=diverged,
@@ -293,7 +262,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
         t=state.t + dt,
         h=state.h.with_values(u),
         dt=min(dt * DT_GROWTH, cfg.dt_max),
-        newton_iters_last=iters,
+        newton=stats,
     )
 
 
@@ -343,7 +312,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     diss_cum = 0.0
     diss3_cum = 0.0
     supcube_int = 0.0
-    sup_h_max = 0.0
+    tol_effective = 0.0
     step_energies: list = []
     snapshots = [Snapshot(0.0, h, _record(h, 0.0, p, cfg, diss_cum))]
 
@@ -363,16 +332,9 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     termination = "t_end"
 
     def build(final_state, term):
-        return Trajectory(
-            snapshots=snapshots,
-            termination=term,
-            config=cfg,
-            step_energies=step_energies,
-            sup_h_max=sup_h_max,
-            k1_observed=k1_obs,
-            supcube_time_integral=supcube_int,
-            final_state=final_state,
-        )
+        return Trajectory(snapshots=snapshots, termination=term, config=cfg, step_energies=step_energies,
+                          newton_tol_effective=tol_effective, k1_observed=k1_obs,
+                          supcube_time_integral=supcube_int, final_state=final_state)
 
     while pending:
         target = pending[0]
@@ -398,9 +360,8 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         g = p.a0 * t3 + p.a1 * t1 + p.a2 * sysm.wp_mid
         diss_cum += dt_used * float(dx * np.sum(fvals * g**2))
         diss3_cum += dt_used * float(dx * np.sum(fvals * t3**2))
-        sup_h = float(np.max(np.abs(u)))
-        sup_h_max = max(sup_h_max, sup_h)
-        supcube_int += dt_used * sup_h**3
+        tol_effective = max(tol_effective, new_state.newton.tol_used)
+        supcube_int += dt_used * float(np.max(np.abs(u)))**3
         k1_obs = max(k1_obs, k1_current(u, t1))
         step_energies.append(energy(new_state.h, p))
         rate = float(np.max(np.abs(u - state.h.values))) / dt_used

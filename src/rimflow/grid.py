@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,27 +93,23 @@ def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((v[..., -width:], v, v[..., :width]), axis=-1)
 
 
-def _as_values(f: PeriodicField) -> tuple[np.ndarray, float]:
-    return f.values, f.grid.dx
-
-
 def d1(f: PeriodicField) -> PeriodicField:
     """Centered first derivative, second order."""
-    v, dx = _as_values(f)
+    v, dx = f.values, f.grid.dx
     p = periodic_pad(v, 1)
     return f.with_values((p[2:] - p[:-2]) / (2.0 * dx))
 
 
 def d2(f: PeriodicField) -> PeriodicField:
     """Centered second derivative, second order."""
-    v, dx = _as_values(f)
+    v, dx = f.values, f.grid.dx
     p = periodic_pad(v, 1)
     return f.with_values((p[2:] - 2.0 * v + p[:-2]) / dx**2)
 
 
 def d3(f: PeriodicField) -> PeriodicField:
     """Centered third derivative, second order."""
-    v, dx = _as_values(f)
+    v, dx = f.values, f.grid.dx
     p = periodic_pad(v, 2)
     out = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4])
     return f.with_values(out / (2.0 * dx**3))
@@ -129,56 +125,72 @@ def integrate(f: PeriodicField) -> float:
     return float(f.grid.dx * np.sum(f.values))
 
 
-def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for a pentadiagonal matrix with periodic corners.
+class CyclicBandedFactor:
+    """LU factorization of a pentadiagonal matrix with periodic corners.
 
-    bands has shape (5, n) with bands[k][i] = A[i, (i + k - 2) mod n]; rhs
-    has shape (n,) or (n, m).  The six corner entries that wrap around the
-    period are split off as A = B + P K P^T, where B is the plain band, P
-    holds the unit columns e_0, e_1, e_{n-2}, e_{n-1} and K is the 4x4
-    corner block.  One banded LAPACK solve gives B^{-1} [rhs, P], and the
-    Woodbury identity with the capacitance I + P^T B^{-1} P K adds the
-    corners back.  Raises np.linalg.LinAlgError when B or the capacitance
-    is singular; det A = det B det(capacitance).
+    bands has shape (5, n) with bands[k][i] = A[i, (i + k - 2) mod n].  The
+    six corner entries that wrap around the period are split off as
+    A = B + P K P^T, where B is the plain band, P holds the unit columns
+    e_0, e_1, e_{n-2}, e_{n-1} and K is the 4x4 corner block.  One dgbtrf
+    factors B; W = B^{-1} P and the Woodbury correction
+    G = W K (I + P^T W K)^{-1} are formed once, so solve() is one banded
+    back-substitution and one (n x 4)(4 x m) update.  Raises
+    np.linalg.LinAlgError when B or the 4x4 capacitance is singular;
+    det A = det B det(capacitance).  row_norm is ||A||_inf.
     """
-    n = bands.shape[1]
-    if bands.shape != (5, n) or n < 5:
-        raise ValueError(f"need bands of shape (5, n) with n >= 5, got {bands.shape}")
-    rhs = np.asarray(rhs, dtype=float)
-    m = 1 if rhs.ndim == 1 else rhs.shape[1]
-    # LAPACK band storage: ab[4 + i - j, j] = B[i, j], rows 0-1 for fill-in.
-    # Fortran order lets dgbsv work in place instead of copying ab and b.
-    ab = np.zeros((7, n), order="F")
-    ab[2, 2:] = bands[4, :-2]
-    ab[3, 1:] = bands[3, :-1]
-    ab[4] = bands[2]
-    ab[5, :-1] = bands[1, 1:]
-    ab[6, :-2] = bands[0, 2:]
-    corner_idx = np.array([0, 1, n - 2, n - 1])
-    b = np.zeros((n, m + 4), order="F")
-    b[:, :m] = rhs.reshape(n, m)
-    b[corner_idx, np.arange(m, m + 4)] = 1.0
-    _, _, x, info = dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular banded matrix")
-    if info < 0:
-        raise ValueError(f"dgbsv: illegal argument {-info}")
-    corners = np.zeros((4, 4))
-    corners[0, 2], corners[0, 3], corners[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
-    corners[2, 0], corners[3, 0], corners[3, 1] = bands[4, n - 2], bands[3, n - 1], bands[4, n - 1]
-    y, w = x[:, :m], x[:, m:]
-    capacitance = np.eye(4) + w[corner_idx, :] @ corners
-    y -= w @ (corners @ np.linalg.solve(capacitance, y[corner_idx, :]))
-    return y.reshape(rhs.shape)
+
+    def __init__(self, bands: np.ndarray):
+        n = bands.shape[1]
+        if bands.shape != (5, n) or n < 5:
+            raise ValueError(f"need bands of shape (5, n) with n >= 5, got {bands.shape}")
+        # LAPACK band storage: ab[4 + i - j, j] = B[i, j], rows 0-1 for fill-in.
+        ab = np.zeros((7, n), order="F")
+        ab[2, 2:] = bands[4, :-2]
+        ab[3, 1:] = bands[3, :-1]
+        ab[4] = bands[2]
+        ab[5, :-1] = bands[1, 1:]
+        ab[6, :-2] = bands[0, 2:]
+        self.lu, self.piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular banded matrix")
+        self.n, self.corner_idx = n, np.array([0, 1, n - 2, n - 1])
+        p = np.zeros((n, 4), order="F")
+        p[self.corner_idx, np.arange(4)] = 1.0
+        w, _ = dgbtrs(self.lu, 2, 2, p, self.piv, overwrite_b=1)
+        corners = np.zeros((4, 4))
+        corners[0, 2], corners[0, 3], corners[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
+        corners[2, 0], corners[3, 0], corners[3, 1] = bands[4, n - 2], bands[3, n - 1], bands[4, n - 1]
+        capacitance = np.eye(4) + w[self.corner_idx, :] @ corners
+        self.correction = w @ (corners @ np.linalg.inv(capacitance))
+        self.row_norm = float(np.max(np.sum(np.abs(bands), axis=0)))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for rhs of shape (n,) or (n, m)."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[:1] != (self.n,):
+            raise ValueError(f"rhs needs {self.n} rows, got shape {rhs.shape}")
+        b = np.array(rhs.reshape(self.n, -1), order="F")
+        y, _ = dgbtrs(self.lu, 2, 2, b, self.piv, overwrite_b=1)
+        y -= self.correction @ y[self.corner_idx, :]
+        return y.reshape(rhs.shape)
+
+
+def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for the cyclic pentadiagonal A of CyclicBandedFactor(bands)."""
+    return CyclicBandedFactor(bands).solve(rhs)
+
+
+def write_csv(path, columns: Sequence[str], rows) -> None:
+    """A header line, then one line per row, every value to 17 significant digits, in one write."""
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n" + (line * (len(cells) // len(columns))) % tuple(cells))
 
 
 def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:
     """Serialize as CSV rows "x,value" with full (17 significant digit) precision."""
-    x = f.grid.x
-    with open(path, "w") as fh:
-        fh.write(f"x,{value_name}\n")
-        for xi, vi in zip(x, f.values):
-            fh.write(f"{xi:.17g},{vi:.17g}\n")
+    write_csv(path, ("x", value_name), np.column_stack((f.grid.x, f.values)))
 
 
 def read_field_csv(path) -> PeriodicField:

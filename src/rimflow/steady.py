@@ -10,18 +10,21 @@ fold.  With surface tension the profile solves the periodic ODE
 
     h - (mu/3) h^3 cos x + (chi/3) h^3 (h_x + h_xxx) = q,
 
-discretized with the centered grid operators and solved by damped Newton,
-either at fixed flux q or at fixed mass with q as the extra unknown.
+discretized with the centered grid operators and solved by the shared
+damped simplified-Newton solver (rimflow.newton), either at fixed flux q or
+at fixed mass with q as the extra unknown.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, cyclic_banded_solve, integrate, periodic_pad
+from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, periodic_pad, write_csv
+from .newton import newton
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
 
@@ -215,110 +218,81 @@ def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _capillary_lhs(v, q, mu, chi, cosx, stencil) -> np.ndarray:
-    return v - (mu / 3.0) * v**3 * cosx + (chi / 3.0) * v**3 * _apply_stencil(stencil, v) - q
+    v3 = v**3
+    return v - (mu / 3.0) * v3 * cosx + (chi / 3.0) * v3 * _apply_stencil(stencil, v) - q
 
 
-def _capillary_newton(
-    h_init: np.ndarray,
-    q_init: float,
-    mu: float,
-    chi: float,
-    grid: Grid,
-    step: ContinuationStep,
-) -> tuple[np.ndarray, float, float, int]:
-    """Damped Newton; returns (h, q, residual_sup, iterations) or raises."""
-    stencil = _capillary_stencil(grid)
-    cosx = np.cos(grid.x)
-    dx = grid.dx
-    fixed_mass = step.mode == "fixed_mass"
-    u = h_init.copy()
-    q = q_init if fixed_mass else step.target
-
-    def residual(u, q):
-        r = _capillary_lhs(u, q, mu, chi, cosx, stencil)
-        if fixed_mass:
-            return r, dx * float(np.sum(u)) - step.target
-        return r, 0.0
-
-    def sup_res(r, rm):
-        return max(float(np.max(np.abs(r))), abs(rm))
-
-    r, rm = residual(u, q)
-    res = sup_res(r, rm)
-    last_iter = 0
-    for it in range(step.max_newton):
-        last_iter = it
-        if not math.isfinite(res):
-            raise NoConvergence("Newton iterate diverged", residual_sup=res, iterations=it)
-        if res <= step.tol:
-            return u, q, res, it
-        bands = np.outer(stencil, (chi / 3.0) * u**3)
-        bands[2] += 1.0 - mu * cosx * u**2 + chi * u**2 * _apply_stencil(stencil, u)
-        try:
-            if fixed_mass:
-                du, dq = _bordered_solve(bands, r, rm, dx)
-            else:
-                du, dq = -cyclic_banded_solve(bands, r), 0.0
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular Jacobian", residual_sup=res, iterations=it)
-        if not np.all(np.isfinite(du)):
-            raise NoConvergence("Newton direction not finite", residual_sup=res, iterations=it)
-        lam = 1.0
-        for _ in range(5):
-            u_try = u + lam * du
-            q_try = q + lam * dq
-            r_try, rm_try = residual(u_try, q_try)
-            res_try = sup_res(r_try, rm_try) if np.all(np.isfinite(r_try)) else math.inf
-            if res_try < res:
-                break
-            lam *= 0.5
-        u, q, r, rm, res = u_try, q_try, r_try, rm_try, res_try
-        if float(np.min(u)) <= 0.0:
-            raise BranchLost(
-                f"iterate turned nonpositive (min {float(np.min(u)):.3e})",
-                min_h=float(np.min(u)),
-            )
-    if res <= step.tol:
-        return u, q, res, last_iter
-    raise NoConvergence(
-        f"no convergence after {step.max_newton} iterations (residual {res:.3e})",
-        residual_sup=res,
-        iterations=step.max_newton,
-    )
+def _capillary_bands(v, mu, chi, cosx, stencil) -> np.ndarray:
+    """Jacobian of _capillary_lhs in v as (5, n) bands: [k][i] = d lhs_i / d v_{i+k-2}."""
+    bands = np.outer(stencil, (chi / 3.0) * v**3)
+    bands[2] += 1.0 - mu * cosx * v**2 + chi * v**2 * _apply_stencil(stencil, v)
+    return bands
 
 
-def _bordered_solve(bands: np.ndarray, r: np.ndarray, rm: float, dx: float) -> tuple[np.ndarray, float]:
-    """Newton step (du, dq) of the mass-bordered system.
+def _bordered_solve(lu: CyclicBandedFactor, b: np.ndarray, r: np.ndarray, dx: float) -> np.ndarray:
+    """Newton step [du; dq] of the mass-bordered system.
 
-    Solves [[J, -1], [dx 1^T, 0]] [du; dq] = -[r; rm] by eliminating the
-    border: with J [a, b] = [r, 1], du = dq b - a and dx sum(du) = -rm.
+    Solves [[J, -1], [dx 1^T, 0]] [du; dq] = -r, r = [r_h; r_m], by
+    eliminating the border: with a = J^{-1} r_h and b = J^{-1} 1,
+    du = dq b - a and dx sum(du) = -r_m.
     """
-    sol = cyclic_banded_solve(bands, np.column_stack([r, np.ones_like(r)]))
-    a, b = sol[:, 0], sol[:, 1]
+    a = lu.solve(r[:-1])
     denom = dx * float(np.sum(b))
     if denom == 0.0:
         raise np.linalg.LinAlgError("singular bordered system")
-    dq = (dx * float(np.sum(a)) - rm) / denom
-    return dq * b - a, dq
+    dq = (dx * float(np.sum(a)) - r[-1]) / denom
+    return np.append(dq * b - a, dq)
+
+
+_FAILURES = {"diverged": "Newton iterate diverged", "singular": "singular Jacobian",
+             "direction": "Newton direction not finite"}
 
 
 def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfile:
     """Solve the capillary steady equation starting from init's profile.
 
     mode "fixed_flux" solves for h at q = target; "fixed_mass" solves for
-    (h, q) with the mass constraint integrate(h) = target.
+    z = [h; q], with the mass defect integrate(h) - target as the last
+    residual entry and the border eliminated in each step (_bordered_solve,
+    J^{-1} 1 computed once per factorization).  The shared Newton solver
+    must bring the residual to step.tol itself: no floor.  Raises BranchLost
+    when an iterate turns nonpositive, NoConvergence on any other failure.
     """
     if not (init.chi > 0.0):
         raise ValueError("capillary solve needs chi > 0")
     grid = init.h.grid
     _require_full_period(grid)
-    u, q, res, _ = _capillary_newton(
-        init.h.values, init.q, init.mu, init.chi, grid, step
-    )
-    prof = PeriodicField(grid, u)
-    return SteadyProfile(
-        h=prof, q=q, mu=init.mu, chi=init.chi, residual_sup=res, mass=integrate(prof)
-    )
+    mu, chi, n, dx = init.mu, init.chi, grid.n, grid.dx
+    stencil, cosx = _capillary_stencil(grid), np.cos(grid.x)
+    fixed_mass = step.mode == "fixed_mass"
+
+    def residual(z):
+        if not fixed_mass:
+            return _capillary_lhs(z, step.target, mu, chi, cosx, stencil)
+        r = _capillary_lhs(z[:n], z[n], mu, chi, cosx, stencil)
+        return np.append(r, dx * float(np.sum(z[:n])) - step.target)
+
+    ones_solution = functools.lru_cache(maxsize=1)(lambda lu: lu.solve(np.ones(n)))
+
+    def bordered(lu, z, r):
+        return _bordered_solve(lu, ones_solution(lu), r, dx)
+
+    def accept(z):
+        min_h = float(np.min(z[:n]))
+        if min_h <= 0.0:
+            raise BranchLost(f"iterate turned nonpositive (min {min_h:.3e})", min_h=min_h)
+
+    z, stats, _ = newton(residual, lambda z: _capillary_bands(z[:n], mu, chi, cosx, stencil),
+                         np.append(init.h.values, init.q) if fixed_mass else init.h.values,
+                         step.tol, step.max_newton, direction=bordered if fixed_mass else None,
+                         accept=accept)
+    if stats.failure is not None:
+        message = _FAILURES.get(stats.failure, f"no convergence after {step.max_newton} "
+                                f"iterations (residual {stats.residual:.3e})")
+        raise NoConvergence(message, residual_sup=stats.residual, iterations=stats.iterations)
+    prof = PeriodicField(grid, z[:n])
+    q = float(z[n]) if fixed_mass else step.target
+    return SteadyProfile(h=prof, q=q, mu=mu, chi=chi, residual_sup=stats.residual, mass=integrate(prof))
 
 
 @dataclass(frozen=True)
@@ -392,18 +366,6 @@ def continue_branch(
 
 
 def write_branch_csv(profiles: Sequence[SteadyProfile], path) -> None:
-    cols = ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, pr in enumerate(profiles):
-            beta = pr.q**2 * pr.mu / 3.0
-            row = (
-                i,
-                pr.q,
-                pr.mass,
-                float(np.min(pr.h.values)),
-                float(np.max(pr.h.values)),
-                pr.residual_sup,
-                beta,
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = [(i, pr.q, pr.mass, float(np.min(pr.h.values)), float(np.max(pr.h.values)),
+             pr.residual_sup, pr.q**2 * pr.mu / 3.0) for i, pr in enumerate(profiles)]
+    write_csv(path, ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta"), rows)

@@ -340,6 +340,18 @@ class TestReportsAndWriters:
         assert data[1]["satisfied"] is False
         assert data[1]["slack"] == pytest.approx(-2.0)
 
+    def test_one_json_writer(self, tmp_path):
+        # Reports and the CLI's manifests share one writer and one format;
+        # the CLI keeps write_reports_json importable under its own name.
+        from rimflow import bounds, cli
+        assert cli.write_json is bounds.write_json
+        assert cli.write_reports_json is bounds.write_reports_json
+        path = tmp_path / "reports.json"
+        report = BoundReport.check("alpha", 1.0, 2.0)
+        write_reports_json([report], path)
+        expect = [{"lhs": 1.0, "name": "alpha", "rhs": 2.0, "satisfied": True, "slack": 1.0}]
+        assert path.read_text() == json.dumps(expect, indent=2, sort_keys=True) + "\n"
+
     def test_diagnostics_csv_roundtrip(self, tmp_path):
         rec = DiagnosticsRecord(t=0.5, mass=2.0, l2=1.0, h1=1.5, min_h=0.1,
                                 energy=-3.0, entropy0=4.0, entropy_eps=4.1,
@@ -352,3 +364,6 @@ class TestReportsAndWriters:
         for col in DIAGNOSTICS_COLUMNS:
             assert float(rows[0][col]) == pytest.approx(getattr(rec, col),
                                                         rel=1e-15)
+        # The bulk writer gives the bytes of one formatted line per record.
+        line = ",".join(f"{getattr(rec, c):.17g}" for c in DIAGNOSTICS_COLUMNS)
+        assert path.read_text() == ",".join(DIAGNOSTICS_COLUMNS) + "\n" + line + "\n"

@@ -62,10 +62,11 @@ def single_error(capsys, kind):
     return record
 
 
-# Every value is numerically at most 4096, so a drawn [grid] n stays small:
-# with a [params] section, parse_config samples the forcing on the grid.
+# parse_config samples the forcing on the grid when there is a [params]
+# section; a huge [grid] n must be refused before that (MAX_GRID_N).
 FUZZ_TOKENS = (
-    "-1", "0", "1", "2", "7", "8", "64", "4096", "0.5", "1e-300", "-0.0", "nan", "inf",
+    "-1", "0", "1", "2", "7", "8", "64", "4096", "1000000000000000", "0.5", "1e-300", "-0.0",
+    "nan", "inf",
     "-inf", "1e999", "abc", "", "6.283185307179586", "0.1, 0.1000001", "1, 1", "0, 1",
     "evolve", "steady", "sweep", "check", "constant", "trig", "file", "sine", "fixed_flux",
     "fixed_mass", "params.a3", "grid.n", "run.seed",
@@ -352,6 +353,28 @@ class TestModeAndParseErrors:
             parse_config(text)
         assert main(["steady", write_cfg(tmp_path, text)]) == 2
         assert needle in single_error(capsys, "ConfigError")["message"]
+
+    @pytest.mark.parametrize("n", [cli.MAX_GRID_N + 2, 10**15, 2**70])
+    def test_huge_grid_is_config_error_before_sampling(self, tmp_path, capsys, monkeypatch, n):
+        # Nothing of size n may be built: sampling the forcing would fail the test.
+        class NoForcing:
+            @staticmethod
+            def sine(grid):
+                raise AssertionError(f"forcing sampled on n={grid.n}")
+
+        monkeypatch.setattr(cli, "Forcing", NoForcing)
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("n = 64", f"n = {n}")
+        with pytest.raises(ConfigError, match=rf"\[grid\] n: at most {cli.MAX_GRID_N}, got {n}"):
+            parse_config(text)
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+        assert "at most" in single_error(capsys, "ConfigError")["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_grid_parses(self):
+        # A steady config builds no field at parse time, so the bound itself
+        # is accepted without allocating it.
+        text = f"[run]\nmode = steady\n[grid]\nn = {cli.MAX_GRID_N}\n[steady]\nmu = 1.0\ntargets = 0.2\n"
+        assert parse_config(text).grid.n == cli.MAX_GRID_N
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["evolve", str(tmp_path / "nope.ini")]) == 1

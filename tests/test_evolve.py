@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import rimflow.evolve
 from rimflow.evolve import (
+    NEWTON_FLOOR_SAFETY,
     EvolveConfig,
     EvolveState,
     StepFailure,
     _System,
-    _newton,
     _record,
     flux,
     initial_lift,
@@ -20,6 +21,7 @@ from rimflow.evolve import (
     step,
 )
 from rimflow.grid import Grid, PeriodicField, integrate
+from rimflow.newton import newton
 from rimflow.model import (
     Forcing,
     Params,
@@ -181,6 +183,33 @@ class TestJacobian:
         scale = np.max(np.abs(J))
         assert np.max(np.abs(J - fd)) <= 1e-5 * scale
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 24]),
+        a=st.tuples(st.floats(0.1, 3.0), st.floats(-20.0, 20.0), st.floats(-10.0, 10.0),
+                    st.floats(-5.0, 5.0)),
+        eps=st.sampled_from([0.0, 1e-3, 0.1]),
+        delta=st.sampled_from([0.0, 0.05]),
+        dt=st.floats(1e-4, 1e-1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bands_match_finite_differences_on_random_data(self, n, a, eps, delta, dt, seed,
+                                                           dense_from_bands):
+        # A reused factor hides a wrong Jacobian as slow convergence, so the
+        # bands are checked against the residual directly.
+        g = Grid(n=n)
+        p = make_params(g, a=a)
+        sysm = _System(g, p, RegularizationKnobs(delta=delta, epsilon=eps))
+        u = random_positive(g, seed, mean=0.5, amp=0.2).values
+        hold = random_positive(g, seed + 1).values
+        J = dense_from_bands(sysm.jacobian(u, dt))
+        eta = 1e-6
+        fd = np.column_stack([
+            (sysm.residual(u + eta * e, hold, dt) - sysm.residual(u - eta * e, hold, dt)) / (2 * eta)
+            for e in np.eye(n)
+        ])
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
     def test_column_sums_vanish_off_identity(self, dense_from_bands):
         # The divergence part of the Jacobian has zero column sums, so the
         # full matrix's column sums are exactly one.
@@ -192,7 +221,8 @@ class TestJacobian:
 
     def test_singular_jacobian_reports_diverged(self):
         # A zero column makes the banded factorization hit an exact zero
-        # pivot; Newton then stops and reports a diverged iterate.
+        # pivot; Newton then stops at the factor step with a singular
+        # failure, which step() reports as a diverged iterate.
         g = Grid(n=32)
         p = make_params(g)
         sysm = _System(g, p, RegularizationKnobs(epsilon=1e-6))
@@ -206,10 +236,16 @@ class TestJacobian:
 
         sysm.jacobian = singular
         hold = random_positive(g, 3).values
-        u, iters, ok, res, diverged, _ = _newton(sysm, hold, 0.01, 1e-10, 12)
-        assert not ok and diverged
-        assert iters == 0
+        u, stats, factor = newton(lambda u: sysm.residual(u, hold, 0.01),
+                                  lambda u: sysm.jacobian(u, 0.01), hold, 1e-10, 12)
+        assert stats.failure == "singular"
+        assert stats.iterations == stats.factorizations == 0
+        assert factor is None
         assert np.array_equal(u, hold)
+        cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
+        with pytest.raises(StepFailure) as exc:
+            step(EvolveState(0.0, g.field(hold), 0.01), p, cfg, _system=sysm)
+        assert exc.value.diverged
 
 
 class TestStep:
@@ -336,6 +372,36 @@ class TestRun:
         assert traj.newton_tol_effective >= cfg.newton_tol
         assert traj.final_state is not None
         assert traj.final_state.t == pytest.approx(0.5, abs=1e-12)
+
+    def test_effective_tolerance_is_the_floor_in_force(self, monkeypatch):
+        # On the drift data the representable-residual floor, not the
+        # configured 1e-10, decides convergence.  A one-step solve takes its
+        # floor from the kept factor and the start iterate hold; the
+        # reported tolerance is the largest tol_used of the accepted steps.
+        g = Grid(n=256)
+        p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
+        cfg = EvolveConfig(t_end=20.0, dt_max=0.05, knobs=RegularizationKnobs(epsilon=1e-4))
+        floors, accepted = [], []
+
+        def recording_newton(residual, bands, hold, tol, *args, **kwargs):
+            u, stats, factor = newton(residual, bands, hold, tol, *args, **kwargs)
+            if stats.failure is None and stats.iterations == 1 and factor is not None:
+                floors.append(NEWTON_FLOOR_SAFETY * np.finfo(float).eps * factor.row_norm
+                              * max(1.0, float(np.max(np.abs(hold)))))
+                assert stats.tol_used == max(tol, floors[-1])
+            return u, stats, factor
+
+        def recording_step(*args, **kwargs):
+            state = step(*args, **kwargs)
+            accepted.append(state.newton.tol_used)
+            return state
+
+        monkeypatch.setattr(rimflow.evolve, "newton", recording_newton)
+        monkeypatch.setattr(rimflow.evolve, "step", recording_step)
+        traj = run(g.constant(0.3), p, cfg)
+        assert traj.newton_tol_effective == max(accepted) >= max(floors)
+        sup_h = max(float(np.max(s.field.values)) for s in traj.snapshots)
+        assert max(floors) > 100.0 * cfg.newton_tol * sup_h
 
     def test_dissipation_accumulates(self):
         g = Grid(n=64)

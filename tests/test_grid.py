@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import rimflow
 
 from rimflow.grid import (
     TWO_PI,
+    CyclicBandedFactor,
     Grid,
     PeriodicField,
     d1,
@@ -24,6 +26,7 @@ from rimflow.grid import (
     integrate,
     periodic_pad,
     read_field_csv,
+    write_csv,
     write_field_csv,
 )
 
@@ -233,6 +236,39 @@ class TestCyclicBandedSolve:
         with pytest.raises(np.linalg.LinAlgError):
             cyclic_banded_solve(bands, np.ones(n))
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 64, 768]),
+        widths=st.lists(st.sampled_from([None, 1, 2, 5]), min_size=2, max_size=5),
+        weight=st.floats(1.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_factor_serves_many_right_hand_sides(self, n, widths, weight, seed,
+                                                     dense_from_bands):
+        # The factor step runs once; every later solve, 1-D or (n, k), must
+        # still match a dense solve, and the bands handed in stay untouched.
+        bands = weighted_bands(n, seed, weight)
+        kept = bands.copy()
+        lu = CyclicBandedFactor(bands)
+        dense = dense_from_bands(bands)
+        assert lu.row_norm == pytest.approx(np.max(np.sum(np.abs(dense), axis=1)), rel=1e-15)
+        rng = np.random.default_rng(seed + 2)
+        for k in widths:
+            rhs = rng.normal(size=n if k is None else (n, k))
+            kept_rhs = rhs.copy()
+            x = lu.solve(rhs)
+            assert x.shape == rhs.shape
+            expect = np.linalg.solve(dense, rhs)
+            assert np.max(np.abs(x - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+            assert np.array_equal(rhs, kept_rhs)
+        assert np.array_equal(bands, kept)
+
+    def test_solve_rejects_wrong_length(self):
+        lu = CyclicBandedFactor(weighted_bands(16, 0, 2.0))
+        for rhs in (np.ones(15), np.ones(17), np.ones((15, 2))):
+            with pytest.raises(ValueError):
+                lu.solve(rhs)
+
     def test_rejects_short_bands(self):
         with pytest.raises(ValueError):
             cyclic_banded_solve(np.ones((5, 4)), np.ones(4))
@@ -270,6 +306,35 @@ class TestCsvRoundTrip:
         back = read_field_csv(path)
         assert back.grid.compatible(g, tol=1e-9)
         assert_allclose(back.values, f.values, rtol=0, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.sampled_from([8, 10, 64, 768]),
+        length=st.floats(1e-3, 1e3),
+        origin=st.floats(-1e3, 1e3),
+    )
+    def test_roundtrip_is_bit_exact_on_random_fields(self, tmp_path_factory, data, n, length,
+                                                     origin):
+        g = Grid(n=n, length=length, origin=origin)
+        v = data.draw(arrays(np.float64, n, elements=st.floats(allow_nan=False,
+                                                               allow_infinity=False)))
+        f = PeriodicField(g, v)
+        path = tmp_path_factory.mktemp("csv") / "field.csv"
+        write_field_csv(f, path, value_name="h")
+        # The bulk writer gives the bytes of one formatted line per sample.
+        rows = "".join(f"{xi:.17g},{vi:.17g}\n" for xi, vi in zip(g.x, f.values))
+        assert path.read_text() == "x,h\n" + rows
+        back = read_field_csv(path)
+        assert np.array_equal(back.values, f.values)
+        assert back.grid.compatible(g, tol=1e-9)
+
+    def test_write_csv_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, ("step", "a"), [(0, 0.1), (1, -2.5e-300), (2, math.inf)])
+        assert path.read_text() == "step,a\n0,0.10000000000000001\n1,-2.5e-300\n2,inf\n"
+        write_csv(path, ("step", "a"), [])
+        assert path.read_text() == "step,a\n"
 
     def test_rejects_nonuniform_x(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,11 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import rimflow.newton
 import rimflow.steady
-from rimflow.grid import Grid, PeriodicField, cyclic_banded_solve, d1, d3, integrate
+from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, d3, integrate
+from rimflow.newton import newton
 from rimflow.steady import (
     _apply_stencil,
     _bordered_solve,
+    _capillary_bands,
+    _capillary_lhs,
     _capillary_stencil,
     _derivative_stencil,
     FLUX_BOUND_RATIO,
@@ -298,6 +302,34 @@ class TestCapillaryStencil:
         assert np.array_equal(_apply_stencil(stencil, v), expect)
 
 
+class TestCapillaryJacobian:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 32]),
+        mu=st.floats(0.1, 5.0),
+        chi=st.floats(0.1, 5.0),
+        q=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bands_match_finite_differences_on_random_data(self, n, mu, chi, q, seed,
+                                                           dense_from_bands):
+        # The Newton solver reuses factors of these bands, which would hide
+        # an error in them as slower convergence: check them directly.
+        g = Grid(n=n)
+        rng = np.random.default_rng(seed)
+        v = q + np.abs(sum(rng.normal() * 0.2 / k * np.cos(k * g.x + rng.normal())
+                           for k in range(1, 4)))
+        stencil, cosx = _capillary_stencil(g), np.cos(g.x)
+        J = dense_from_bands(_capillary_bands(v, mu, chi, cosx, stencil))
+        eta = 1e-6
+        fd = np.column_stack([
+            (_capillary_lhs(v + eta * e, q, mu, chi, cosx, stencil)
+             - _capillary_lhs(v - eta * e, q, mu, chi, cosx, stencil)) / (2 * eta)
+            for e in np.eye(n)
+        ])
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+
 class TestNewtonLinearAlgebra:
     @settings(max_examples=12, deadline=None)
     @given(n=st.sampled_from([8, 10, 64, 768]), seed=st.integers(0, 2**32 - 1))
@@ -309,7 +341,9 @@ class TestNewtonLinearAlgebra:
         r = rng.normal(size=n)
         rm = float(rng.normal())
         dx = 2.0 * math.pi / n
-        du, dq = _bordered_solve(bands, r, rm, dx)
+        lu = CyclicBandedFactor(bands)
+        step = _bordered_solve(lu, lu.solve(np.ones(n)), np.append(r, rm), dx)
+        du, dq = step[:n], step[n]
         full = np.zeros((n + 1, n + 1))
         full[:n, :n] = dense_from_bands(bands)
         full[:n, n] = -1.0
@@ -319,15 +353,47 @@ class TestNewtonLinearAlgebra:
         assert np.max(np.abs(du - expect[:n])) <= 1e-11 * scale
         assert abs(dq - expect[n]) <= 1e-11 * scale
 
+    def test_fixed_mass_steps_match_dense_bordered_solves(self, monkeypatch, dense_from_bands):
+        # Every step, with a fresh or a reused factor, solves the bordered
+        # system of the factored bands: J^{-1} 1 is cached per factor.
+        g = Grid(n=64)
+        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
+        factored, steps = [], []
+
+        def checking_newton(residual, bands, z0, tol, max_iter, direction=None, **kwargs):
+            def recording_bands(z):
+                factored.append(bands(z))
+                return factored[-1]
+
+            def checked_direction(lu, z, r):
+                dz = direction(lu, z, r)
+                full = np.zeros((g.n + 1, g.n + 1))
+                full[:g.n, :g.n] = dense_from_bands(factored[-1])
+                full[:g.n, g.n] = -1.0
+                full[g.n, :g.n] = g.dx
+                expect = np.linalg.solve(full, -r)
+                assert np.max(np.abs(dz - expect)) <= 1e-8 * np.max(np.abs(expect))
+                steps.append(dz)
+                return dz
+
+            return newton(residual, recording_bands, z0, tol, max_iter,
+                          direction=checked_direction, **kwargs)
+
+        monkeypatch.setattr(rimflow.steady, "newton", checking_newton)
+        prof = capillary_solve(init, ContinuationStep("fixed_mass", 1.5 * init.mass))
+        assert prof.mass == pytest.approx(1.5 * init.mass, rel=1e-12)
+        assert len(steps) > len(factored) >= 2
+
     @pytest.mark.parametrize("mode", ["fixed_flux", "fixed_mass"])
     def test_singular_jacobian_raises(self, mode, monkeypatch):
-        # A zero column in the Jacobian bands is an exact zero pivot.
-        def singular(bands, rhs):
+        # A zero column in the Jacobian bands is an exact zero pivot of the
+        # factor step.
+        def singular(bands):
             bands = bands.copy()
             bands[np.arange(5), (9 - np.arange(5)) % bands.shape[1]] = 0.0
-            return cyclic_banded_solve(bands, rhs)
+            return CyclicBandedFactor(bands)
 
-        monkeypatch.setattr(rimflow.steady, "cyclic_banded_solve", singular)
+        monkeypatch.setattr(rimflow.newton, "CyclicBandedFactor", singular)
         g = Grid(n=64)
         init = make_profile(g, 0.1, mu=3.0, chi=3.0)
         target = 0.1 if mode == "fixed_flux" else init.mass
