@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
-from dataclasses import asdict, astuple, dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, asdict
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,11 +33,22 @@ class DiagnosticsRecord:
     dissipation_cum: float
 
 
-DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+DIAGNOSTICS_COLUMNS = (
+    "t",
+    "mass",
+    "l2",
+    "h1",
+    "min_h",
+    "energy",
+    "entropy0",
+    "entropy_eps",
+    "gradient_sq",
+    "dissipation_cum",
+)
 
 
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
-    write_csv(path, DIAGNOSTICS_COLUMNS, [astuple(r) for r in records])
+    write_csv(path, DIAGNOSTICS_COLUMNS, [[getattr(r, c) for c in DIAGNOSTICS_COLUMNS] for r in records])
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,24 @@ def write_reports_json(reports: Sequence[BoundReport], path) -> None:
     write_json(path, [asdict(r) for r in reports])
 
 
-BConstants = namedtuple("BConstants", "b1 b2 b3 b4 b5")
-CConstants = namedtuple("CConstants", "c1 c2 c3 c4 c5 c6 c7 c8 c9")
+class BConstants(NamedTuple):
+    b1: float
+    b2: float
+    b3: float
+    b4: float
+    b5: float
+
+
+class CConstants(NamedTuple):
+    c1: float
+    c2: float
+    c3: float
+    c4: float
+    c5: float
+    c6: float
+    c7: float
+    c8: float
+    c9: float
 
 
 def b_constants(p: float, r: float, omega_length: float) -> BConstants:

@@ -59,8 +59,18 @@ _SECTION_KEYS = {
     "params": {"a0", "a1", "a2", "a3", "chi", "mu", "forcing"},
     "grid": {"n", "length", "origin"},
     "initial": {"kind", "value", "mean", "cos", "sin", "path"},
-    "evolve": {"t_end", "dt_init", "dt_min", "dt_max", "newton_tol", "newton_max_iter", "snapshots",
-               "delta", "epsilon", "theta"},
+    "evolve": {
+        "t_end",
+        "dt_init",
+        "dt_min",
+        "dt_max",
+        "newton_tol",
+        "newton_max_iter",
+        "snapshots",
+        "delta",
+        "epsilon",
+        "theta",
+    },
     "steady": {"mode", "targets", "mu", "chi", "tol", "max_newton"},
     "sweep": {"vary", "values", "workers"},
 }
@@ -162,11 +172,6 @@ def _get(sec, section: str, key: str, default=None, kind=float):
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"[{section}] {key}: not {what}: {sec[key]!r}") from None
-
-
-def _given(sec, section: str, kinds: dict) -> dict:
-    """sec[key] converted by kinds[key], for the keys sec sets; the spec's defaults fill the rest."""
-    return {key: _get(sec, section, key, kind=kind) for key, kind in kinds.items() if key in sec}
 
 
 @contextlib.contextmanager
@@ -288,14 +293,20 @@ def parse_config(text: str) -> RunConfig:
         if "snapshots" in sec:
             snap = _floats(sec["snapshots"])
         with _section("evolve"):
-            knobs = RegularizationKnobs(**_given(sec, "evolve", {"delta": float, "epsilon": float,
-                                                                 "theta": float}))
+            knobs = RegularizationKnobs(
+                delta=_get(sec, "evolve", "delta", default=0.0),
+                epsilon=_get(sec, "evolve", "epsilon", default=1e-8),
+                theta=_get(sec, "evolve", "theta", default=0.3),
+            )
             evolve_cfg = EvolveConfig(
                 t_end=_get(sec, "evolve", "t_end"),
+                dt_init=_get(sec, "evolve", "dt_init", default=1e-6),
+                dt_min=_get(sec, "evolve", "dt_min", default=1e-13),
+                dt_max=_get(sec, "evolve", "dt_max", default=0.1),
+                newton_tol=_get(sec, "evolve", "newton_tol", default=1e-10),
+                newton_max_iter=_get(sec, "evolve", "newton_max_iter", default=12, kind=int),
                 snapshot_times=snap,
                 knobs=knobs,
-                **_given(sec, "evolve", {"dt_init": float, "dt_min": float, "dt_max": float,
-                                         "newton_tol": float, "newton_max_iter": int}),
             )
 
     steady_spec = None
@@ -312,7 +323,8 @@ def parse_config(text: str) -> RunConfig:
             targets=targets,
             mu=_get(sec, "steady", "mu"),
             chi=_get(sec, "steady", "chi", default=0.0),
-            **_given(sec, "steady", {"tol": float, "max_newton": int}),
+            tol=_get(sec, "steady", "tol", default=1e-10),
+            max_newton=_get(sec, "steady", "max_newton", default=30, kind=int),
         )
 
     sweep_spec = None
@@ -445,8 +457,16 @@ def cmd_steady(cfg: RunConfig) -> int:
         fname = f"profile_{i:04d}.csv"
         write_field_csv(prof.h, prof_dir / fname, value_name="h")
         rep = solvability_residuals(prof)
-        index.append({"index": i, "q": prof.q, "mass": prof.mass, "residual_sup": prof.residual_sup,
-                      "beta": rep.beta, "file": f"profiles/{fname}"})
+        index.append(
+            {
+                "index": i,
+                "q": prof.q,
+                "mass": prof.mass,
+                "residual_sup": prof.residual_sup,
+                "beta": rep.beta,
+                "file": f"profiles/{fname}",
+            }
+        )
     _write_manifest(out, cfg, profiles=index)
     return 0
 
@@ -564,7 +584,11 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the config file")
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--snapshots", default=None, help="comma-separated snapshot times (evolve mode)")
+        p.add_argument(
+            "--snapshots",
+            default=None,
+            help="comma-separated snapshot times (evolve mode)",
+        )
     args = parser.parse_args(argv)
 
     try:
@@ -594,8 +618,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        command = {"evolve": cmd_evolve, "steady": cmd_steady, "sweep": cmd_sweep, "check": cmd_check}
-        return command[cfg.mode](cfg)
+        return {
+            "evolve": cmd_evolve,
+            "steady": cmd_steady,
+            "sweep": cmd_sweep,
+            "check": cmd_check,
+        }[cfg.mode](cfg)
     except (OSError, ValueError, StepFailure, BranchLost, NoConvergence) as exc:
         _emit_error(exc)
         return 1

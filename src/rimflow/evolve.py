@@ -332,9 +332,16 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     termination = "t_end"
 
     def build(final_state, term):
-        return Trajectory(snapshots=snapshots, termination=term, config=cfg, step_energies=step_energies,
-                          newton_tol_effective=tol_effective, k1_observed=k1_obs,
-                          supcube_time_integral=supcube_int, final_state=final_state)
+        return Trajectory(
+            snapshots=snapshots,
+            termination=term,
+            config=cfg,
+            step_energies=step_energies,
+            newton_tol_effective=tol_effective,
+            k1_observed=k1_obs,
+            supcube_time_integral=supcube_int,
+            final_state=final_state,
+        )
 
     while pending:
         target = pending[0]

@@ -93,23 +93,27 @@ def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((v[..., -width:], v, v[..., :width]), axis=-1)
 
 
+def _as_values(f: PeriodicField) -> tuple[np.ndarray, float]:
+    return f.values, f.grid.dx
+
+
 def d1(f: PeriodicField) -> PeriodicField:
     """Centered first derivative, second order."""
-    v, dx = f.values, f.grid.dx
+    v, dx = _as_values(f)
     p = periodic_pad(v, 1)
     return f.with_values((p[2:] - p[:-2]) / (2.0 * dx))
 
 
 def d2(f: PeriodicField) -> PeriodicField:
     """Centered second derivative, second order."""
-    v, dx = f.values, f.grid.dx
+    v, dx = _as_values(f)
     p = periodic_pad(v, 1)
     return f.with_values((p[2:] - 2.0 * v + p[:-2]) / dx**2)
 
 
 def d3(f: PeriodicField) -> PeriodicField:
     """Centered third derivative, second order."""
-    v, dx = f.values, f.grid.dx
+    v, dx = _as_values(f)
     p = periodic_pad(v, 2)
     out = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4])
     return f.with_values(out / (2.0 * dx**3))

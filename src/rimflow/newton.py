@@ -65,8 +65,9 @@ def newton(
     iterate and may raise.  With floor > 0 each step raises the tolerance
     in force to max(tol, floor * eps * ||J||_inf * max(1, sup|z|)), the
     residual that rounding alone leaves, from the factored J and the
-    iterate the step starts from.  The start itself is held to tol, so a
-    slow change below the floor is still taken, not frozen at z0.
+    iterate the step starts from, once that step is kept.  The start itself
+    is held to tol, also after a discarded step, so a slow change below the
+    floor is still taken, not frozen at z0.
     """
     z = z0.copy()
     r = residual(z)
@@ -87,9 +88,10 @@ def newton(
             if factor is None:
                 factor, fresh = CyclicBandedFactor(bands(z)), True
                 factorizations += 1
+            step_tol = tol
             if floor > 0.0:
                 bound = floor * _MACH_EPS * factor.row_norm * max(1.0, float(np.max(np.abs(z))))
-                tol_used = max(tol, bound)
+                step_tol = max(tol, bound)
             dz = direction(factor, z, r) if direction else -factor.solve(r)
         except np.linalg.LinAlgError:
             failure = "singular"
@@ -109,6 +111,7 @@ def newton(
         if not fresh and rate > REFACTOR_RATE:
             factor = None  # poor contraction: drop the step, refactor here
             continue
+        tol_used = step_tol  # the floor applies from the first kept step on
         if not fresh and res_try * rate ** (max_iter - iters) > tol_used:
             factor = None  # too slow for the budget left: refactor at the new iterate
         fresh = False

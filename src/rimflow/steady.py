@@ -366,6 +366,10 @@ def continue_branch(
 
 
 def write_branch_csv(profiles: Sequence[SteadyProfile], path) -> None:
-    rows = [(i, pr.q, pr.mass, float(np.min(pr.h.values)), float(np.max(pr.h.values)),
-             pr.residual_sup, pr.q**2 * pr.mu / 3.0) for i, pr in enumerate(profiles)]
-    write_csv(path, ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta"), rows)
+    cols = ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta")
+    rows = []
+    for i, pr in enumerate(profiles):
+        beta = pr.q**2 * pr.mu / 3.0
+        min_h, max_h = float(np.min(pr.h.values)), float(np.max(pr.h.values))
+        rows.append((i, pr.q, pr.mass, min_h, max_h, pr.residual_sup, beta))
+    write_csv(path, cols, rows)

@@ -134,3 +134,23 @@ def test_floor_raises_the_tolerance_to_the_representable_residual():
     assert stats.residual <= stats.tol_used
     _, unfloored, _ = newton(residual, bands, np.zeros(n), 1e-300, 30)
     assert unfloored.failure == "budget"
+
+
+def test_discarded_reused_step_does_not_accept_a_start_below_only_the_floor():
+    # The start meets the floor of a handed-in factor but not tol.  The
+    # reused factor (of -J) points uphill, so its step is discarded; the
+    # start must still be held to tol and a fresh step taken from it,
+    # not returned unchanged as converged.
+    n = 32
+    residual, bands, _ = cubic_system(n, 5)
+    z_star, _, _ = newton(residual, bands, np.zeros(n), 1e-13, 30)
+    uphill = CyclicBandedFactor(-bands(z_star))
+    z0 = z_star + 1e-11 * np.cos(np.arange(n))
+    floor = 1e6
+    bound = floor * EPS * uphill.row_norm * max(1.0, float(np.max(np.abs(z0))))
+    tol = 1e-14
+    assert tol < float(np.max(np.abs(residual(z0)))) <= bound
+    z, stats, factor = newton(residual, bands, z0, tol, 30, factor=uphill, floor=floor)
+    assert stats.failure is None and stats.factorizations == 1 and factor is not uphill
+    assert not np.array_equal(z, z0)
+    assert stats.residual <= stats.tol_used
