@@ -1,11 +1,13 @@
 """Command line front end: evolve / steady / sweep / check over sectioned config files.
 
-Config files are INI-style (configparser syntax).  Every key is validated
-against a per-section whitelist; unknown sections or keys are errors, as are
-missing required keys.  All outputs are deterministic functions of the config
-and the seed: CSV numbers are written with 17 significant digits and JSON is
-emitted with sorted keys and no timestamps, so identical inputs give
-bit-identical output trees.
+Config files are INI-style (configparser syntax).  One schema, _SECTION_KEYS,
+names every section's keys and the type each is read as; unknown sections or
+keys are errors, as are missing required keys.  A key that is left out takes
+the default of the dataclass field it sets, and each value is checked there.
+All outputs are deterministic functions of the config and the seed: CSV
+numbers are written with 17 significant digits and JSON is emitted with
+sorted keys and no timestamps, so identical inputs give bit-identical output
+trees.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +37,7 @@ from .bounds import (
     write_reports_json,
 )
 from .evolve import EvolveConfig, StepFailure, run
-from .grid import TWO_PI, Grid, PeriodicField, d1, integrate, read_field_csv, write_field_csv
+from .grid import Grid, PeriodicField, d1, integrate, read_field_csv, write_field_csv
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     BranchLost,
@@ -54,26 +56,28 @@ OUTPUT_DIR_ENV = "RIMFLOW_OUTPUT_DIR"
 # Largest [grid] n: 8 MB per field; a larger n would fail as a MemoryError.
 MAX_GRID_N = 1 << 20
 
+
+def _floats(text: str) -> tuple:
+    """A comma-separated list of numbers; empty items are skipped."""
+    return tuple(float(s) for s in text.split(",") if s.strip())
+
+
+# {section: {key: type}}: the whitelist, and how each given key is read.
 _SECTION_KEYS = {
-    "run": {"mode", "output_dir", "seed"},
-    "params": {"a0", "a1", "a2", "a3", "chi", "mu", "forcing"},
-    "grid": {"n", "length", "origin"},
-    "initial": {"kind", "value", "mean", "cos", "sin", "path"},
-    "evolve": {
-        "t_end",
-        "dt_init",
-        "dt_min",
-        "dt_max",
-        "newton_tol",
-        "newton_max_iter",
-        "snapshots",
-        "delta",
-        "epsilon",
-        "theta",
-    },
-    "steady": {"mode", "targets", "mu", "chi", "tol", "max_newton"},
-    "sweep": {"vary", "values", "workers"},
+    "run": {"mode": str, "output_dir": str, "seed": int},
+    "params": {"a0": float, "a1": float, "a2": float, "a3": float, "chi": float, "mu": float,
+               "forcing": str},
+    "grid": {"n": int, "length": float, "origin": float},
+    "initial": {"kind": str, "value": float, "mean": float, "cos": _floats, "sin": _floats,
+                "path": str},
+    "evolve": {"t_end": float, "dt_init": float, "dt_min": float, "dt_max": float,
+               "newton_tol": float, "newton_max_iter": int, "snapshots": _floats,
+               "delta": float, "epsilon": float, "theta": float},
+    "steady": {"mode": str, "targets": _floats, "mu": float, "chi": float, "tol": float,
+               "max_newton": int},
+    "sweep": {"vary": str, "values": _floats, "workers": int},
 }
+_TYPE_NAMES = {float: "a number", int: "an integer", _floats: "a comma-separated list of numbers"}
 
 # mode -> (required sections, optional sections) besides [run].
 _MODE_SECTIONS = {
@@ -83,6 +87,9 @@ _MODE_SECTIONS = {
     "check": (set(), set()),
 }
 _MODES = tuple(_MODE_SECTIONS)
+_SWEEP_SECTIONS = set.union(*_MODE_SECTIONS["evolve"])
+# [initial] kind -> the key that kind requires.
+_INITIAL_KINDS = {"constant": "value", "trig": "mean", "file": "path"}
 
 
 class ConfigError(ValueError):
@@ -91,12 +98,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class InitialData:
+    """[initial]: a constant value, a mean plus cos/sin coefficients, or a field CSV path."""
+
     kind: str
-    value: float = 0.0
-    mean: float = 0.0
-    cos_coeffs: tuple = ()
-    sin_coeffs: tuple = ()
+    value: Optional[float] = None
+    mean: Optional[float] = None
+    cos: tuple = ()
+    sin: tuple = ()
     path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _INITIAL_KINDS:
+            raise ValueError(f"kind must be constant, trig, or file, got {self.kind!r}")
+        key = _INITIAL_KINDS[self.kind]
+        if getattr(self, key) is None:
+            raise ValueError(f"kind={self.kind} requires key {key!r}")
 
     def build(self, grid: Grid) -> PeriodicField:
         if self.kind == "constant":
@@ -104,19 +120,17 @@ class InitialData:
         elif self.kind == "trig":
             x = grid.x
             v = np.full(grid.n, self.mean)
-            for k, c in enumerate(self.cos_coeffs, start=1):
+            for k, c in enumerate(self.cos, start=1):
                 v += c * np.cos(k * x)
-            for k, c in enumerate(self.sin_coeffs, start=1):
+            for k, c in enumerate(self.sin, start=1):
                 v += c * np.sin(k * x)
             f = PeriodicField(grid, v)
-        elif self.kind == "file":
+        else:
             f = read_field_csv(self.path)
             if not f.grid.compatible(grid, tol=1e-9):
                 raise ConfigError(
                     "[initial] path: sampled grid does not match the [grid] section"
                 )
-        else:
-            raise ConfigError(f"[initial] kind: unknown kind {self.kind!r}")
         if float(np.min(f.values)) < 0.0:
             raise ConfigError("[initial] evaluated initial data must be nonnegative")
         return f
@@ -124,54 +138,88 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SteadySpec:
-    mode: str
+    """[steady]: one ContinuationStep per target, built (and so checked) with the spec."""
+
     targets: tuple
     mu: float
-    chi: float
-    tol: float = 1e-10
-    max_newton: int = 30
+    chi: float = 0.0
+    mode: str = "fixed_flux"
+    tol: float = ContinuationStep.tol
+    max_newton: int = ContinuationStep.max_newton
+    steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.targets:
+            raise ValueError("targets must not be empty")
+        for name in ("mu", "chi"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        if self.chi == 0.0 and self.mode == "fixed_mass":
+            raise ValueError("chi=0 profiles support only fixed_flux targets")
+        steps = tuple(ContinuationStep(self.mode, t, self.max_newton, self.tol) for t in self.targets)
+        object.__setattr__(self, "steps", steps)
+
+
+def _sweep_dir(vary: str, value: float) -> str:
+    """Output subdirectory of one sweep run."""
+    return f"{vary.split('.', 1)[1]}={value:g}"
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """[sweep]: one evolve run per value of the key vary names, each in its own directory."""
+
     vary: str
     values: tuple
     workers: int = 2
+
+    def __post_init__(self) -> None:
+        # Each run's config gets repr(value), so only a number key an evolve run reads can vary.
+        section, _, key = self.vary.partition(".")
+        if section not in _SWEEP_SECTIONS or _SECTION_KEYS[section].get(key) is not float:
+            raise ValueError(f"vary: unknown target {self.vary!r} (use section.key naming a "
+                             f"number in {sorted(_SWEEP_SECTIONS)}, e.g. params.a3)")
+        if not self.values:
+            raise ValueError("values must not be empty")
+        # Two values with one directory name would write one tree twice.
+        dirs = [_sweep_dir(self.vary, v) for v in self.values]
+        shared = next((d for i, d in enumerate(dirs) if d in dirs[:i]), None)
+        if shared is not None:
+            raise ValueError(f"values: two runs share the output directory {shared!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
-    output_dir: str
-    seed: int
     grid: Grid
     params: Optional[Params]
     initial: Optional[InitialData]
     evolve: Optional[EvolveConfig]
     steady: Optional[SteadySpec]
     sweep: Optional[SweepSpec]
+    output_dir: str = "out"
+    seed: int = 0
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _floats(text: str) -> tuple:
-    items = [s.strip() for s in text.split(",") if s.strip()]
+def _value(section: str, key: str, text: str):
+    """text read as the schema type of [section] key."""
+    kind = _SECTION_KEYS[section][key]
     try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ConfigError(f"could not parse float list {text!r}: {exc}") from None
-
-
-def _get(sec, section: str, key: str, default=None, kind=float):
-    """sec[key] converted by kind (float or int); default when absent, required if None."""
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"[{section}] missing required key {key!r}")
-        return default
-    try:
-        return kind(sec[key])
+        return kind(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{section}] {key}: not {what}: {sec[key]!r}") from None
+        raise ConfigError(f"[{section}] {key}: not {_TYPE_NAMES[kind]}: {text!r}") from None
+
+
+def _read(cp, section: str, *required: str) -> dict:
+    """{key: value} for the keys given in [section]; each of required must be given."""
+    sec = cp[section] if section in cp else {}
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
+    return {key: _value(section, key, text) for key, text in sec.items()}
 
 
 @contextlib.contextmanager
@@ -183,11 +231,6 @@ def _section(name: str):
         raise
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
-
-
-def _sweep_dir(vary: str, value: float) -> str:
-    """Output subdirectory of one sweep run."""
-    return f"{vary.split('.', 1)[1]}={value:g}"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -207,12 +250,10 @@ def parse_config(text: str) -> RunConfig:
 
     if "run" not in cp:
         raise ConfigError("missing required section [run]")
-    run_sec = cp["run"]
-    mode = run_sec.get("mode")
+    run_keys = _read(cp, "run")
+    mode = run_keys.get("mode")
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {_MODES}, got {mode!r}")
-    output_dir = run_sec.get("output_dir", "out")
-    seed = _get(run_sec, "run", "seed", default=0, kind=int)
 
     required, optional = _MODE_SECTIONS[mode]
     present = set(cp.sections()) - {"run"}
@@ -223,144 +264,61 @@ def parse_config(text: str) -> RunConfig:
     if missing:
         raise ConfigError(f"mode {mode!r} requires section(s) {sorted(missing)}")
 
-    sec = cp["grid"] if "grid" in cp else {}
-    n = _get(sec, "grid", "n", default=256, kind=int)
-    if n > MAX_GRID_N:
-        raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {n}")
     with _section("grid"):
-        grid = Grid(
-            n=n,
-            length=_get(sec, "grid", "length", default=TWO_PI),
-            origin=_get(sec, "grid", "origin", default=0.0),
-        )
+        grid = Grid(**_read(cp, "grid"))
+    if grid.n > MAX_GRID_N:
+        raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {grid.n}")
 
     params = None
     if "params" in cp:
-        sec = cp["params"]
-        has_a = any(k in sec for k in ("a0", "a1", "a2", "a3"))
-        has_phys = any(k in sec for k in ("chi", "mu"))
-        if has_a and has_phys:
+        physical = any(k in cp["params"] for k in ("chi", "mu"))
+        if physical and any(k in cp["params"] for k in ("a0", "a1", "a2", "a3")):
             raise ConfigError("[params] give either a0..a3 or chi/mu, not both")
+        keys = _read(cp, "params", *(("chi", "mu") if physical else ("a0", "a1", "a2", "a3")))
+        forcing = keys.pop("forcing", "sine")
         with _section("params"):
-            if has_phys:
-                params = from_physical(
-                    _get(sec, "params", "chi"),
-                    _get(sec, "params", "mu"),
-                    grid=grid,
-                )
+            if physical:
+                params = from_physical(grid=grid, **keys)
+            elif forcing in ("sine", "constant"):
+                params = Params(**keys, w=getattr(Forcing, forcing)(grid))
             else:
-                forcing_kind = sec.get("forcing", "sine")
-                if forcing_kind == "sine":
-                    forcing = Forcing.sine(grid)
-                elif forcing_kind == "constant":
-                    forcing = Forcing.constant(grid)
-                else:
-                    raise ConfigError(
-                        f"[params] forcing: unknown kind {forcing_kind!r} (use sine or constant)"
-                    )
-                params = Params(
-                    a0=_get(sec, "params", "a0"),
-                    a1=_get(sec, "params", "a1"),
-                    a2=_get(sec, "params", "a2"),
-                    a3=_get(sec, "params", "a3"),
-                    w=forcing,
-                )
+                raise ValueError(f"forcing: unknown kind {forcing!r} (use sine or constant)")
 
     initial = None
     if "initial" in cp:
-        sec = cp["initial"]
-        kind = sec.get("kind")
-        if kind == "constant":
-            initial = InitialData(kind="constant", value=_get(sec, "initial", "value"))
-        elif kind == "trig":
-            initial = InitialData(
-                kind="trig",
-                mean=_get(sec, "initial", "mean"),
-                cos_coeffs=_floats(sec.get("cos", "")),
-                sin_coeffs=_floats(sec.get("sin", "")),
-            )
-        elif kind == "file":
-            if "path" not in sec:
-                raise ConfigError("[initial] kind=file requires key 'path'")
-            initial = InitialData(kind="file", path=sec["path"])
-        else:
-            raise ConfigError(f"[initial] kind must be constant, trig, or file, got {kind!r}")
+        with _section("initial"):
+            initial = InitialData(**_read(cp, "initial", "kind"))
 
     evolve_cfg = None
     if "evolve" in cp:
-        sec = cp["evolve"]
-        snap = None
-        if "snapshots" in sec:
-            snap = _floats(sec["snapshots"])
+        keys = _read(cp, "evolve", "t_end")
+        if "snapshots" in keys:
+            keys["snapshot_times"] = keys.pop("snapshots")
         with _section("evolve"):
             knobs = RegularizationKnobs(
-                delta=_get(sec, "evolve", "delta", default=0.0),
-                epsilon=_get(sec, "evolve", "epsilon", default=1e-8),
-                theta=_get(sec, "evolve", "theta", default=0.3),
+                **{f.name: keys.pop(f.name) for f in fields(RegularizationKnobs) if f.name in keys}
             )
-            evolve_cfg = EvolveConfig(
-                t_end=_get(sec, "evolve", "t_end"),
-                dt_init=_get(sec, "evolve", "dt_init", default=1e-6),
-                dt_min=_get(sec, "evolve", "dt_min", default=1e-13),
-                dt_max=_get(sec, "evolve", "dt_max", default=0.1),
-                newton_tol=_get(sec, "evolve", "newton_tol", default=1e-10),
-                newton_max_iter=_get(sec, "evolve", "newton_max_iter", default=12, kind=int),
-                snapshot_times=snap,
-                knobs=knobs,
-            )
+            evolve_cfg = EvolveConfig(**keys, knobs=knobs)
 
     steady_spec = None
     if "steady" in cp:
-        sec = cp["steady"]
-        smode = sec.get("mode", "fixed_flux")
-        if smode not in ("fixed_flux", "fixed_mass"):
-            raise ConfigError(f"[steady] mode must be fixed_flux or fixed_mass, got {smode!r}")
-        targets = _floats(sec.get("targets", ""))
-        if not targets:
-            raise ConfigError("[steady] missing or empty key 'targets'")
-        steady_spec = SteadySpec(
-            mode=smode,
-            targets=targets,
-            mu=_get(sec, "steady", "mu"),
-            chi=_get(sec, "steady", "chi", default=0.0),
-            tol=_get(sec, "steady", "tol", default=1e-10),
-            max_newton=_get(sec, "steady", "max_newton", default=30, kind=int),
-        )
+        with _section("steady"):
+            steady_spec = SteadySpec(**_read(cp, "steady", "targets", "mu"))
 
     sweep_spec = None
     if "sweep" in cp:
-        sec = cp["sweep"]
-        vary = sec.get("vary")
-        if not vary or "." not in vary:
-            raise ConfigError("[sweep] vary must be 'section.key', e.g. params.a3")
-        vsection, vkey = vary.split(".", 1)
-        if vsection not in _SECTION_KEYS or vkey not in _SECTION_KEYS[vsection]:
-            raise ConfigError(f"[sweep] vary: unknown target {vary!r}")
-        values = _floats(sec.get("values", ""))
-        if not values:
-            raise ConfigError("[sweep] missing or empty key 'values'")
-        # Two values with one directory name would write one tree twice.
-        dirs = [_sweep_dir(vary, v) for v in values]
-        shared = next((d for i, d in enumerate(dirs) if d in dirs[:i]), None)
-        if shared is not None:
-            raise ConfigError(f"[sweep] values: two runs share the output directory {shared!r}")
-        workers = _get(sec, "sweep", "workers", default=2, kind=int)
-        if workers < 1:
-            raise ConfigError(f"[sweep] workers must be at least 1, got {workers}")
-        sweep_spec = SweepSpec(vary=vary, values=values, workers=workers)
+        with _section("sweep"):
+            sweep_spec = SweepSpec(**_read(cp, "sweep", "vary", "values"))
 
-    raw = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(
-        mode=mode,
-        output_dir=output_dir,
-        seed=seed,
+        **run_keys,
         grid=grid,
         params=params,
         initial=initial,
         evolve=evolve_cfg,
         steady=steady_spec,
         sweep=sweep_spec,
-        raw=raw,
+        raw={s: dict(cp[s]) for s in cp.sections()},
     )
 
 
@@ -397,9 +355,9 @@ def _run_reports(traj, params) -> list[BoundReport]:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    h0 = cfg.initial.build(cfg.grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h0 = cfg.initial.build(cfg.grid)
     try:
         traj = run(h0, cfg.params, cfg.evolve)
     except StepFailure as exc:
@@ -431,8 +389,6 @@ def cmd_steady(cfg: RunConfig) -> int:
     spec = cfg.steady
     grid = cfg.grid
     if spec.chi == 0.0:
-        if spec.mode != "fixed_flux":
-            raise ConfigError("[steady] chi=0 profiles support only fixed_flux targets")
         profiles = []
         for q in spec.targets:
             prof = moffatt_profile(spec.mu, q, grid)
@@ -447,8 +403,7 @@ def cmd_steady(cfg: RunConfig) -> int:
             q0 = first / grid.length
             h0 = grid.constant(q0)
         init = SteadyProfile(h=h0, q=q0, mu=spec.mu, chi=spec.chi, residual_sup=math.inf, mass=0.0)
-        steps = [ContinuationStep(spec.mode, t, spec.max_newton, spec.tol) for t in spec.targets]
-        profiles = continue_branch(capillary_solve(init, steps[0]), steps[1:])
+        profiles = continue_branch(capillary_solve(init, spec.steps[0]), spec.steps[1:])
     write_branch_csv(profiles, out / "branch.csv")
     prof_dir = out / "profiles"
     prof_dir.mkdir(exist_ok=True)
@@ -592,12 +547,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        _emit_error(exc)
-        return 1
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text())
         if cfg.mode != args.command:
             raise ConfigError(
                 f"config declares mode {cfg.mode!r} but was invoked as {args.command!r}"
@@ -606,24 +556,22 @@ def main(argv=None) -> int:
         if args.snapshots is not None:
             if evolve_cfg is None:
                 raise ConfigError("--snapshots only applies to configs with an [evolve] section")
-            evolve_cfg = replace(evolve_cfg, snapshot_times=_floats(args.snapshots))
+            evolve_cfg = replace(evolve_cfg, snapshot_times=_value("evolve", "snapshots", args.snapshots))
         cfg = replace(
             cfg,
             output_dir=args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir,
             seed=cfg.seed if args.seed is None else args.seed,
             evolve=evolve_cfg,
         )
-    except ConfigError as exc:
-        _emit_error(exc)
-        return 2
-
-    try:
         return {
             "evolve": cmd_evolve,
             "steady": cmd_steady,
             "sweep": cmd_sweep,
             "check": cmd_check,
         }[cfg.mode](cfg)
+    except ConfigError as exc:
+        _emit_error(exc)
+        return 2
     except (OSError, ValueError, StepFailure, BranchLost, NoConvergence) as exc:
         _emit_error(exc)
         return 1

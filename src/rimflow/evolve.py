@@ -121,7 +121,6 @@ class Snapshot:
 class Trajectory:
     snapshots: list
     termination: str
-    config: EvolveConfig
     step_energies: list
     newton_tol_effective: float  # largest tolerance in force over accepted steps
     k1_observed: float
@@ -155,7 +154,6 @@ class _System:
     def __init__(self, grid: Grid, params: Params, knobs: RegularizationKnobs):
         if not grid.compatible(params.grid):
             raise ValueError("state grid and forcing grid differ")
-        self.grid = grid
         self.params = params
         self.knobs = knobs
         self.dx = grid.dx
@@ -335,7 +333,6 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         return Trajectory(
             snapshots=snapshots,
             termination=term,
-            config=cfg,
             step_energies=step_energies,
             newton_tol_effective=tol_effective,
             k1_observed=k1_obs,

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 class Grid:
     """Uniform periodic grid with n cells covering [origin, origin + length)."""
 
-    n: int
+    n: int = 256
     length: float = TWO_PI
     origin: float = 0.0
 
@@ -177,11 +177,6 @@ class CyclicBandedFactor:
         y, _ = dgbtrs(self.lu, 2, 2, b, self.piv, overwrite_b=1)
         y -= self.correction @ y[self.corner_idx, :]
         return y.reshape(rhs.shape)
-
-
-def cyclic_banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for the cyclic pentadiagonal A of CyclicBandedFactor(bands)."""
-    return CyclicBandedFactor(bands).solve(rhs)
 
 
 def write_csv(path, columns: Sequence[str], rows) -> None:

@@ -32,10 +32,9 @@ class RegularizationKnobs:
     theta: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        for name in ("delta", "epsilon"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if not (THETA_RANGE[0] < self.theta < THETA_RANGE[1]):
             raise ValueError(
                 f"theta must lie in ({THETA_RANGE[0]}, {THETA_RANGE[1]}), got {self.theta}"
@@ -140,7 +139,7 @@ def from_physical(chi: float, mu: float, grid: Optional[Grid] = None) -> Params:
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if grid is None:
-        grid = Grid(n=256)
+        grid = Grid()
     return Params(a0=chi / 3.0, a1=chi / 3.0, a2=-mu / 3.0, a3=1.0, w=Forcing.sine(grid))
 
 

@@ -67,11 +67,13 @@ class ContinuationStep:
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed_flux", "fixed_mass"):
-            raise ValueError(f"unknown continuation mode {self.mode!r}")
-        if not (self.target > 0.0):
-            raise ValueError("continuation target must be positive")
-        if self.max_newton < 1 or not (self.tol > 0.0):
-            raise ValueError("invalid Newton budget or tolerance")
+            raise ValueError(f"mode must be fixed_flux or fixed_mass, got {self.mode!r}")
+        if not (0.0 < self.target < math.inf):
+            raise ValueError(f"continuation target must be positive and finite, got {self.target}")
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
+        if not (self.tol > 0.0):
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 def critical_flux(mu: float) -> float:

@@ -1,18 +1,21 @@
 """End-to-end command line runs against temporary output trees."""
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rimflow import cli
 from rimflow.bounds import BoundReport
 from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config
+from rimflow.evolve import EvolveConfig
 from rimflow.grid import Grid, write_field_csv
-from rimflow.steady import NoConvergence
+from rimflow.model import RegularizationKnobs
+from rimflow.steady import ContinuationStep, NoConvergence
 
 EVOLVE_TEMPLATE = """
 [run]
@@ -81,6 +84,13 @@ FUZZ_BASES = {
     "check": {},
 }
 FUZZ_BASES["sweep"] = {**FUZZ_BASES["evolve"], "sweep": {"vary": "params.a3", "values": "0, 1"}}
+
+
+def knob_text(key, value):
+    """A valid evolve config with one [evolve] regularization knob set to value."""
+    return ("[run]\nmode = evolve\n[params]\na0 = 1\na1 = 16\na2 = 0\na3 = 0\n"
+            "[initial]\nkind = constant\nvalue = 0.3\n"
+            f"[evolve]\nt_end = 0.5\n{key} = {value}\n")
 
 
 @st.composite
@@ -171,6 +181,10 @@ class TestParseConfig:
 
     @settings(max_examples=300, deadline=None)
     @given(text=config_texts())
+    @example(text=knob_text("epsilon", "nan"))
+    @example(text=knob_text("epsilon", "inf"))
+    @example(text=knob_text("delta", "nan"))
+    @example(text=knob_text("delta", "inf"))
     def test_fuzzed_configs_raise_only_config_errors(self, text):
         try:
             parse_config(text)
@@ -183,6 +197,114 @@ class TestParseConfig:
         text += "[sweep]\nvary = params.zeta\nvalues = 1, 2\n"
         with pytest.raises(ConfigError, match="unknown target"):
             parse_config(text)
+
+
+# (section, key) -> (config text, value it must reach) for every key in the
+# schema, none of them at its default.  grid.length stays 2*pi where the sine
+# forcing of chi/mu needs it.
+EVERY_KEY = {
+    "grid": {"n": ("64", 64), "length": ("4.0", 4.0), "origin": ("0.25", 0.25)},
+    "params": {"a0": ("2", 2.0), "a1": ("3", 3.0), "a2": ("-1", -1.0), "a3": ("0.5", 0.5),
+               "forcing": ("constant", "constant")},
+    "initial": {"kind": ("trig", "trig"), "value": ("0.4", 0.4), "mean": ("0.35", 0.35),
+                "cos": ("0.01, 0.02", (0.01, 0.02)), "sin": ("0.03", (0.03,)),
+                "path": ("h0.csv", "h0.csv")},
+    "evolve": {"t_end": ("0.5", 0.5), "dt_init": ("2e-6", 2e-6), "dt_min": ("1e-12", 1e-12),
+               "dt_max": ("0.02", 0.02), "newton_tol": ("1e-9", 1e-9),
+               "newton_max_iter": ("9", 9), "snapshots": ("0.1, 0.2", (0.1, 0.2)),
+               "delta": ("1e-3", 1e-3), "epsilon": ("1e-5", 1e-5), "theta": ("0.2", 0.2)},
+    "steady": {"mode": ("fixed_mass", "fixed_mass"), "targets": ("0.8, 0.9", (0.8, 0.9)),
+               "mu": ("2", 2.0), "chi": ("3", 3.0), "tol": ("1e-9", 1e-9),
+               "max_newton": ("20", 20)},
+    "sweep": {"vary": ("params.chi", "params.chi"), "values": ("2, 4", (2.0, 4.0)),
+              "workers": ("1", 1)},
+}
+PHYSICAL = {"chi": ("6", 6.0), "mu": ("1.5", 1.5)}
+MODE_SECTIONS = {"evolve": ("grid", "params", "initial", "evolve"), "steady": ("grid", "steady"),
+                 "sweep": ("grid", "params", "initial", "evolve", "sweep"), "check": ()}
+# The fewest keys each mode accepts.
+REQUIRED = {"params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
+            "initial": {"kind": "constant", "value": "0.3"}, "evolve": {"t_end": "0.5"},
+            "steady": {"mu": "1", "targets": "0.2"}, "sweep": {"vary": "params.a3", "values": "0"}}
+# The dataclass a key sets when it is left out.
+OWNER = {"run": cli.RunConfig, "grid": Grid, "initial": cli.InitialData, "evolve": EvolveConfig,
+         "steady": cli.SteadySpec, "sweep": cli.SweepSpec}
+
+
+def reached(cfg, section, key):
+    """The RunConfig field that [section] key sets."""
+    if section == "run":
+        return getattr(cfg, key)
+    if section == "evolve" and key == "snapshots":
+        return cfg.evolve.snapshot_times
+    if section == "evolve" and key in ("delta", "epsilon", "theta"):
+        return getattr(cfg.evolve.knobs, key)
+    return getattr(getattr(cfg, section), key)
+
+
+def field_default(cls, name):
+    f = {f.name: f for f in dataclasses.fields(cls)}[name]
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
+
+
+def render(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+class TestSchema:
+    @pytest.mark.parametrize("mode", sorted(MODE_SECTIONS))
+    def test_every_key_reaches_its_field(self, mode):
+        run = {"mode": (mode, mode), "output_dir": ("elsewhere", "elsewhere"), "seed": ("7", 7)}
+        given = {"run": run, **{s: dict(EVERY_KEY[s]) for s in MODE_SECTIONS[mode]}}
+        if mode == "sweep":
+            # The other form of [params]; its sine forcing needs a 2*pi domain.
+            given["params"] = PHYSICAL
+            given["grid"]["length"] = (repr(2.0 * math.pi), 2.0 * math.pi)
+        cfg = parse_config(render({s: {k: t for k, (t, _) in kv.items()} for s, kv in given.items()}))
+        for section, keys in given.items():
+            for key, (_, value) in keys.items():
+                if section != "params":
+                    assert reached(cfg, section, key) == value, (section, key)
+        if mode == "evolve":
+            assert (cfg.params.a0, cfg.params.a1, cfg.params.a2, cfg.params.a3) == (2.0, 3.0, -1.0, 0.5)
+            assert not np.any(cfg.params.w.w) and not np.any(cfg.params.w.wp)
+        if mode == "sweep":
+            assert (cfg.params.a0, cfg.params.a2) == (2.0, -0.5)
+        if mode == "steady":
+            assert cfg.steady.steps == (ContinuationStep("fixed_mass", 0.8, 20, 1e-9),
+                                        ContinuationStep("fixed_mass", 0.9, 20, 1e-9))
+
+    def test_every_schema_key_is_covered(self):
+        covered = {s: set(EVERY_KEY[s]) for s in EVERY_KEY}
+        covered["params"] |= set(PHYSICAL)
+        covered["run"] = {"mode", "output_dir", "seed"}
+        assert covered == {s: set(keys) for s, keys in cli._SECTION_KEYS.items()}
+
+    @pytest.mark.parametrize("mode", sorted(MODE_SECTIONS))
+    def test_left_out_keys_take_the_dataclass_defaults(self, mode):
+        given = {"run": {"mode": mode},
+                 **{s: REQUIRED[s] for s in MODE_SECTIONS[mode] if s in REQUIRED}}
+        cfg = parse_config(render(given))
+        checked = 0
+        for section in ("run", *MODE_SECTIONS[mode]):
+            for key in cli._SECTION_KEYS[section]:
+                if section == "params" or key in given.get(section, {}):
+                    continue
+                if section == "evolve" and key in ("delta", "epsilon", "theta"):
+                    default = field_default(RegularizationKnobs, key)
+                elif section == "evolve" and key == "snapshots":
+                    default = field_default(EvolveConfig, "snapshot_times")
+                else:
+                    default = field_default(OWNER[section], key)
+                assert reached(cfg, section, key) == default, (section, key)
+                checked += 1
+        assert checked >= 2
+        if mode == "steady":
+            assert cfg.steady.steps == (ContinuationStep("fixed_flux", 0.2),)
+        if mode in ("evolve", "sweep"):
+            assert cfg.params.w.kind == "sine"
+            assert cfg.evolve.knobs == RegularizationKnobs()
 
 
 class TestEvolveCommand:
@@ -288,7 +410,7 @@ epsilon = 0.0
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
             f"kind = file\npath = {field_path}")
         cfg = write_cfg(tmp_path, text)
-        assert main(["evolve", cfg]) == 1
+        assert main(["evolve", cfg]) == 2
         assert "does not match" in capsys.readouterr().err
 
     def test_negative_initial_data_fails(self, tmp_path, capsys):
@@ -296,7 +418,7 @@ epsilon = 0.0
         text = EVOLVE_TEMPLATE.format(out=out).replace(
             "mean = 0.3", "mean = 0.001")
         cfg = write_cfg(tmp_path, text)
-        assert main(["evolve", cfg]) == 1
+        assert main(["evolve", cfg]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
 
@@ -376,6 +498,34 @@ class TestModeAndParseErrors:
         text = f"[run]\nmode = steady\n[grid]\nn = {cli.MAX_GRID_N}\n[steady]\nmu = 1.0\ntargets = 0.2\n"
         assert parse_config(text).grid.n == cli.MAX_GRID_N
 
+    @pytest.mark.parametrize("mode,section,key,value,needle", [
+        ("evolve", "evolve", "epsilon", "nan", "[evolve] epsilon must be nonnegative and finite"),
+        ("evolve", "evolve", "delta", "inf", "[evolve] delta must be nonnegative and finite"),
+        ("evolve", "initial", "value", "-0.5", "[initial] evaluated initial data must be nonnegative"),
+        ("steady", "steady", "mode", "fixed_mass", "[steady] chi=0 profiles support only fixed_flux"),
+        ("steady", "steady", "tol", "-1", "[steady] tol must be positive"),
+        ("steady", "steady", "max_newton", "0", "[steady] max_newton must be at least 1"),
+        ("steady", "steady", "chi", "-2", "[steady] chi must be nonnegative and finite"),
+        ("steady", "steady", "targets", "-0.1", "[steady] continuation target must be positive"),
+        ("steady", "steady", "targets", "nan", "[steady] continuation target must be positive"),
+    ])
+    def test_bad_values_exit_two(self, tmp_path, capsys, mode, section, key, value, needle):
+        out = tmp_path / "out"
+        sections = {
+            "evolve": {"run": {"mode": "evolve", "output_dir": out}, "grid": {"n": "32"},
+                       "params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
+                       "initial": {"kind": "trig", "mean": "0.5", "cos": "0.1"},
+                       "evolve": {"t_end": "0.01"}},
+            "steady": {"run": {"mode": "steady", "output_dir": out},
+                       "steady": {"mu": "1", "targets": "0.2"}},
+        }[mode]
+        if key == "value":
+            sections["initial"] = {"kind": "constant"}
+        sections[section][key] = value
+        assert main([mode, write_cfg(tmp_path, render(sections))]) == 2
+        assert needle in single_error(capsys, "ConfigError")["message"]
+        assert not out.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["evolve", str(tmp_path / "nope.ini")]) == 1
 
@@ -443,7 +593,7 @@ class TestSteadyCommand:
         text = ("[run]\nmode = steady\noutput_dir = {}\n"
                 "[steady]\nmode = fixed_mass\nmu = 1.0\ntargets = 1.5\n").format(out)
         cfg = write_cfg(tmp_path, text)
-        assert main(["steady", cfg]) == 1
+        assert main(["steady", cfg]) == 2
         assert "fixed_flux" in capsys.readouterr().err
 
 
@@ -476,6 +626,22 @@ class TestSweepCommand:
         assert main(["sweep", write_cfg(tmp_path, text)]) == 2
         single_error(capsys, "ConfigError")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("vary", ["grid.n", "run.seed", "initial.kind", "steady.mu",
+                                      "sweep.workers", "evolve.newton_max_iter"])
+    def test_vary_must_name_a_number_an_evolve_run_reads(self, tmp_path, capsys, vary):
+        # Every run would fail: "64.0" is no integer, and an evolve run has no [steady].
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        text += f"[sweep]\nvary = {vary}\nvalues = 64, 128\nworkers = 1\n"
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        assert "unknown target" in single_error(capsys, "ConfigError")["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("vary", ["params.a1", "grid.origin", "initial.mean", "evolve.epsilon"])
+    def test_vary_accepts_number_keys(self, tmp_path, vary):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        text += f"[sweep]\nvary = {vary}\nvalues = 0, 1\n"
+        assert parse_config(text).sweep.vary == vary
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):

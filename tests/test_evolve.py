@@ -272,6 +272,28 @@ class TestStep:
         out = step(state, p, cfg)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        a=st.tuples(st.floats(0.1, 3.0), st.floats(-20.0, 20.0), st.floats(-10.0, 10.0),
+                    st.floats(-5.0, 5.0)),
+        forcing=st.sampled_from(["sine", "constant"]),
+        dt=st.floats(1e-4, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mass_conserved_per_step_on_random_data(self, n, a, forcing, dt, seed):
+        g = Grid(n=n)
+        p = make_params(g, a=a, forcing=forcing)
+        cfg = EvolveConfig(t_end=1.0, dt_init=dt, dt_max=dt,
+                           knobs=RegularizationKnobs(epsilon=1e-6))
+        h = random_positive(g, seed)
+        # The flux differences telescope: their sum is zero up to the rounding
+        # of n differences and their summation.
+        div = _System(g, p, cfg.knobs).divergence(h.values)
+        assert abs(np.sum(div)) <= 2 * n * np.finfo(float).eps * np.sum(np.abs(div))
+        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg)
+        assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_translation_equivariance(self, seed):
         # Shifting the state and the forcing together commutes with stepping

@@ -21,7 +21,6 @@ from rimflow.grid import (
     PeriodicField,
     d1,
     d2,
-    cyclic_banded_solve,
     d3,
     integrate,
     periodic_pad,
@@ -217,7 +216,7 @@ class TestCyclicBandedSolve:
         bands = weighted_bands(n, seed, weight)
         rng = np.random.default_rng(seed + 1)
         rhs = rng.normal(size=n if nrhs is None else (n, nrhs))
-        x = cyclic_banded_solve(bands, rhs)
+        x = CyclicBandedFactor(bands).solve(rhs)
         assert x.shape == rhs.shape
         expect = np.linalg.solve(dense_from_bands(bands), rhs)
         assert np.max(np.abs(x - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
@@ -234,7 +233,7 @@ class TestCyclicBandedSolve:
         j = column % n
         bands[np.arange(5), (j + 2 - np.arange(5)) % n] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            cyclic_banded_solve(bands, np.ones(n))
+            CyclicBandedFactor(bands).solve(np.ones(n))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -271,9 +270,9 @@ class TestCyclicBandedSolve:
 
     def test_rejects_short_bands(self):
         with pytest.raises(ValueError):
-            cyclic_banded_solve(np.ones((5, 4)), np.ones(4))
+            CyclicBandedFactor(np.ones((5, 4))).solve(np.ones(4))
         with pytest.raises(ValueError):
-            cyclic_banded_solve(np.ones((3, 16)), np.ones(16))
+            CyclicBandedFactor(np.ones((3, 16))).solve(np.ones(16))
 
     def test_import_leaves_out_scipy_sparse(self):
         src = Path(rimflow.__file__).resolve().parents[1]

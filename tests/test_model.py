@@ -40,6 +40,12 @@ class TestKnobs:
         with pytest.raises(ValueError):
             RegularizationKnobs(**kwargs)
 
+    @pytest.mark.parametrize("name", ["delta", "epsilon", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RegularizationKnobs(**{name: value})
+
 
 class TestForcing:
     def test_sine_samples(self):
