@@ -213,9 +213,9 @@ def _value(section: str, key: str, text: str):
         raise ConfigError(f"[{section}] {key}: not {_TYPE_NAMES[kind]}: {text!r}") from None
 
 
-def _read(cp, section: str, *required: str) -> dict:
+def _read(raw: dict, section: str, *required: str) -> dict:
     """{key: value} for the keys given in [section]; each of required must be given."""
-    sec = cp[section] if section in cp else {}
+    sec = raw.get(section, {})
     for key in required:
         if key not in sec:
             raise ConfigError(f"[{section}] missing required key {key!r}")
@@ -235,28 +235,32 @@ def _section(name: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a sectioned key/value config into a RunConfig."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    return _build({s: dict(cp[s]) for s in cp.sections()})
 
-    for section in cp.sections():
+
+def _build(raw: dict) -> RunConfig:
+    """Validate {section: {key: text}} into a RunConfig."""
+    for section in raw:
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
+        for key in raw[section]:
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    if "run" not in cp:
+    if "run" not in raw:
         raise ConfigError("missing required section [run]")
-    run_keys = _read(cp, "run")
+    run_keys = _read(raw, "run")
     mode = run_keys.get("mode")
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {_MODES}, got {mode!r}")
 
     required, optional = _MODE_SECTIONS[mode]
-    present = set(cp.sections()) - {"run"}
+    present = set(raw) - {"run"}
     extra = present - required - optional
     if extra:
         raise ConfigError(f"mode {mode!r} does not accept section(s) {sorted(extra)}")
@@ -265,16 +269,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode {mode!r} requires section(s) {sorted(missing)}")
 
     with _section("grid"):
-        grid = Grid(**_read(cp, "grid"))
+        grid = Grid(**_read(raw, "grid"))
     if grid.n > MAX_GRID_N:
         raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {grid.n}")
 
     params = None
-    if "params" in cp:
-        physical = any(k in cp["params"] for k in ("chi", "mu"))
-        if physical and any(k in cp["params"] for k in ("a0", "a1", "a2", "a3")):
+    if "params" in raw:
+        physical = any(k in raw["params"] for k in ("chi", "mu"))
+        if physical and any(k in raw["params"] for k in ("a0", "a1", "a2", "a3")):
             raise ConfigError("[params] give either a0..a3 or chi/mu, not both")
-        keys = _read(cp, "params", *(("chi", "mu") if physical else ("a0", "a1", "a2", "a3")))
+        if physical and "forcing" in raw["params"]:
+            raise ConfigError("[params] forcing: the chi/mu form always uses sine forcing")
+        keys = _read(raw, "params", *(("chi", "mu") if physical else ("a0", "a1", "a2", "a3")))
         forcing = keys.pop("forcing", "sine")
         with _section("params"):
             if physical:
@@ -285,13 +291,13 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"forcing: unknown kind {forcing!r} (use sine or constant)")
 
     initial = None
-    if "initial" in cp:
+    if "initial" in raw:
         with _section("initial"):
-            initial = InitialData(**_read(cp, "initial", "kind"))
+            initial = InitialData(**_read(raw, "initial", "kind"))
 
     evolve_cfg = None
-    if "evolve" in cp:
-        keys = _read(cp, "evolve", "t_end")
+    if "evolve" in raw:
+        keys = _read(raw, "evolve", "t_end")
         if "snapshots" in keys:
             keys["snapshot_times"] = keys.pop("snapshots")
         with _section("evolve"):
@@ -301,14 +307,21 @@ def parse_config(text: str) -> RunConfig:
             evolve_cfg = EvolveConfig(**keys, knobs=knobs)
 
     steady_spec = None
-    if "steady" in cp:
+    if "steady" in raw:
         with _section("steady"):
-            steady_spec = SteadySpec(**_read(cp, "steady", "targets", "mu"))
+            steady_spec = SteadySpec(**_read(raw, "steady", "targets", "mu"))
 
     sweep_spec = None
-    if "sweep" in cp:
+    if "sweep" in raw:
         with _section("sweep"):
-            sweep_spec = SweepSpec(**_read(cp, "sweep", "vary", "values"))
+            sweep_spec = SweepSpec(**_read(raw, "sweep", "vary", "values"))
+        # Every run's config must be valid before the sweep writes anything.
+        for v in sweep_spec.values:
+            run_dir = _sweep_dir(sweep_spec.vary, v)
+            try:
+                _sweep_run(raw, sweep_spec.vary, v, run_dir)
+            except ConfigError as exc:
+                raise ConfigError(f"[sweep] run {run_dir}: {exc}") from None
 
     return RunConfig(
         **run_keys,
@@ -318,8 +331,17 @@ def parse_config(text: str) -> RunConfig:
         evolve=evolve_cfg,
         steady=steady_spec,
         sweep=sweep_spec,
-        raw={s: dict(cp[s]) for s in cp.sections()},
+        raw=raw,
     )
+
+
+def _sweep_run(raw: dict, vary: str, value: float, out_dir: str) -> RunConfig:
+    """The evolve run of one sweep value: the sweep's sections with vary set to value."""
+    section, key = vary.split(".", 1)
+    sections = {s: dict(kv) for s, kv in raw.items() if s != "sweep"}
+    sections.setdefault(section, {})[key] = repr(value)
+    sections["run"].update(mode="evolve", output_dir=out_dir)
+    return _build(sections)
 
 
 def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
@@ -362,15 +384,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
         traj = run(h0, cfg.params, cfg.evolve)
     except StepFailure as exc:
         _emit_error(exc)
-        traj = exc.trajectory
-        if traj is not None:
-            _write_outputs(out, traj, cfg, termination="failed")
+        _write_outputs(out, exc.trajectory, cfg)
         return 1
-    _write_outputs(out, traj, cfg, termination=traj.termination)
+    _write_outputs(out, traj, cfg)
     return 0
 
 
-def _write_outputs(out: Path, traj, cfg: RunConfig, termination: str) -> None:
+def _write_outputs(out: Path, traj, cfg: RunConfig) -> None:
     snap_dir = out / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     index = []
@@ -380,7 +400,7 @@ def _write_outputs(out: Path, traj, cfg: RunConfig, termination: str) -> None:
         index.append({"index": i, "t": snap.t, "file": f"snapshots/{fname}"})
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
     write_reports_json(_run_reports(traj, cfg.params), out / "bound_reports.json")
-    _write_manifest(out, cfg, termination=termination, snapshots=index)
+    _write_manifest(out, cfg, termination=traj.termination, snapshots=index)
 
 
 def cmd_steady(cfg: RunConfig) -> int:
@@ -428,16 +448,7 @@ def cmd_steady(cfg: RunConfig) -> int:
 
 def _sweep_worker(args) -> dict:
     raw, vary, value, out_dir = args
-    section, key = vary.split(".", 1)
-    raw = {s: dict(kv) for s, kv in raw.items() if s != "sweep"}
-    raw.setdefault(section, {})[key] = repr(value)
-    raw["run"]["mode"] = "evolve"
-    raw["run"]["output_dir"] = out_dir
-    text = "\n".join(
-        f"[{s}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items()) for s, kv in raw.items()
-    )
-    sub = parse_config(text)
-    code = cmd_evolve(sub)
+    code = cmd_evolve(_sweep_run(raw, vary, value, out_dir))
     manifest_path = Path(out_dir) / "manifest.json"
     termination = None
     if manifest_path.exists():

@@ -161,19 +161,20 @@ class _System:
         self.factor, self.factor_dt = None, None  # kept by step() while dt holds
 
     def interface_values(self, u: np.ndarray):
+        """(m, t1, t3, g): interface mean, gradient, third derivative and driving term."""
+        p = self.params
         dx = self.dx
         pad = periodic_pad(u, 2)
         up1, up2, um1 = pad[3:-1], pad[4:], pad[1:-3]
         m = 0.5 * (u + up1)
         t1 = (up1 - u) / dx
         t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
-        return m, t1, t3
+        g = p.a0 * t3 + p.a1 * t1 + p.a2 * self.wp_mid
+        return m, t1, t3, g
 
     def interface_flux(self, u: np.ndarray) -> np.ndarray:
-        p = self.params
-        m, t1, t3 = self.interface_values(u)
-        g = p.a0 * t3 + p.a1 * t1 + p.a2 * self.wp_mid
-        return mobility(m, self.knobs) * g + p.a3 * m
+        m, _, _, g = self.interface_values(u)
+        return mobility(m, self.knobs) * g + self.params.a3 * m
 
     def divergence(self, u: np.ndarray) -> np.ndarray:
         F = self.interface_flux(u)
@@ -186,8 +187,7 @@ class _System:
         """Residual Jacobian as (5, n) bands: [k][i] = dR_i/du_{i+k-2}."""
         p = self.params
         dx = self.dx
-        m, t1, t3 = self.interface_values(u)
-        g = p.a0 * t3 + p.a1 * t1 + p.a2 * self.wp_mid
+        m, _, _, g = self.interface_values(u)
         f = mobility(m, self.knobs)
         fp = mobility_derivative(m, self.knobs)
         half_fp_g = 0.5 * fp * g
@@ -295,24 +295,12 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     for 10 consecutive accepted steps.  A StepFailure raised by the stepper
     propagates with the partial trajectory attached to the exception.
     """
-    h = initial_lift(h0, cfg.knobs)
-    sysm = _System(h.grid, p, cfg.knobs)
-    dx = h.grid.dx
+    state = EvolveState(t=0.0, h=initial_lift(h0, cfg.knobs), dt=cfg.dt_init)
+    sysm = _System(state.h.grid, p, cfg.knobs)
+    dx = sysm.dx
     a_ratio = p.a1 / p.a0
-
-    if cfg.snapshot_times is None:
-        snap_times = [cfg.t_end]
-    else:
-        snap_times = sorted({float(t) for t in cfg.snapshot_times if 0.0 < t <= cfg.t_end})
-        if not snap_times or snap_times[-1] < cfg.t_end:
-            snap_times.append(cfg.t_end)
-
     diss_cum = 0.0
     diss3_cum = 0.0
-    supcube_int = 0.0
-    tol_effective = 0.0
-    step_energies: list = []
-    snapshots = [Snapshot(0.0, h, _record(h, 0.0, p, cfg, diss_cum))]
 
     def k1_current(u: np.ndarray, t1: np.ndarray) -> float:
         if float(np.min(u)) <= 0.0:
@@ -321,70 +309,57 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         ent = float(dx * np.sum(entropy_G(u, cfg.knobs.epsilon)))
         return grad + a_ratio * (a_ratio + 2.0 * cfg.knobs.delta) * ent + p.a0 * diss3_cum
 
-    k1_obs = k1_current(h.values, sysm.interface_values(h.values)[1])
+    traj = Trajectory(
+        snapshots=[],
+        termination="t_end",
+        step_energies=[],
+        newton_tol_effective=0.0,
+        k1_observed=k1_current(state.h.values, sysm.interface_values(state.h.values)[1]),
+        supcube_time_integral=0.0,
+        final_state=state,
+    )
 
-    state = EvolveState(t=0.0, h=h, dt=cfg.dt_init)
-    nominal_dt = cfg.dt_init
-    pending = list(snap_times)
+    # A requested time within 1e-14 (relative) of the next target, or of t = 0,
+    # is dropped: no step fits between them, so both would record one state.
+    # Merging here, not at record time, keeps targets close but apart.
+    given = () if cfg.snapshot_times is None else cfg.snapshot_times
+    asked = sorted({float(t) for t in given if 1e-14 < t < cfg.t_end})
+    targets = [t for t, later in zip(asked, asked[1:] + [cfg.t_end]) if later - t > 1e-14 * max(1.0, later)]
+
     steady_run = 0
-    termination = "t_end"
+    for target in [0.0, *targets, cfg.t_end]:
+        # Every target but t = 0 is ahead of the state, and gets at least one step.
+        landed = state.t >= target
+        while not landed and steady_run < STEADY_RUN_LENGTH:
+            dt_try = min(state.dt, target - state.t)
+            try:
+                new = step(replace(state, dt=dt_try), p, cfg, _system=sysm)
+            except StepFailure as exc:
+                traj.termination, exc.trajectory = "failed", traj
+                raise
 
-    def build(final_state, term):
-        return Trajectory(
-            snapshots=snapshots,
-            termination=term,
-            step_energies=step_energies,
-            newton_tol_effective=tol_effective,
-            k1_observed=k1_obs,
-            supcube_time_integral=supcube_int,
-            final_state=final_state,
-        )
+            # Per-step accounting, evaluated at the accepted implicit state.
+            dt_used = new.t - state.t
+            u = new.h.values
+            m, t1, t3, g = sysm.interface_values(u)
+            f = mobility(m, cfg.knobs)
+            diss_cum += dt_used * float(dx * np.sum(f * g**2))
+            diss3_cum += dt_used * float(dx * np.sum(f * t3**2))
+            traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)
+            traj.supcube_time_integral += dt_used * float(np.max(np.abs(u)))**3
+            traj.k1_observed = max(traj.k1_observed, k1_current(u, t1))
+            traj.step_energies.append(energy(new.h, p))
+            rate = float(np.max(np.abs(u - state.h.values))) / dt_used
+            steady_run = steady_run + 1 if rate < STEADY_RATE else 0
 
-    while pending:
-        target = pending[0]
-        remaining = target - state.t
-        if remaining <= 1e-14 * max(1.0, target):
-            snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
-            pending.pop(0)
-            continue
-        dt_try = min(nominal_dt, remaining)
-        capped = dt_try < nominal_dt
-        attempt = replace(state, dt=dt_try)
-        try:
-            new_state = step(attempt, p, cfg, _system=sysm)
-        except StepFailure as exc:
-            exc.trajectory = build(state, "failed")
-            raise
-        dt_used = new_state.t - state.t
-        u = new_state.h.values
-
-        # Monitor accumulators, evaluated at the accepted implicit state.
-        m, t1, t3 = sysm.interface_values(u)
-        fvals = mobility(m, cfg.knobs)
-        g = p.a0 * t3 + p.a1 * t1 + p.a2 * sysm.wp_mid
-        diss_cum += dt_used * float(dx * np.sum(fvals * g**2))
-        diss3_cum += dt_used * float(dx * np.sum(fvals * t3**2))
-        tol_effective = max(tol_effective, new_state.newton.tol_used)
-        supcube_int += dt_used * float(np.max(np.abs(u)))**3
-        k1_obs = max(k1_obs, k1_current(u, t1))
-        step_energies.append(energy(new_state.h, p))
-        rate = float(np.max(np.abs(u - state.h.values))) / dt_used
-
-        if capped and abs(dt_used - dt_try) <= 1e-15 * max(1.0, dt_try):
-            pass  # snapshot landing, keep the nominal step size
-        else:
-            nominal_dt = new_state.dt
-
-        state = new_state
-        if abs(state.t - target) <= 1e-12 * max(1.0, target):
-            snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
-            pending.pop(0)
-
-        steady_run = steady_run + 1 if rate < STEADY_RATE else 0
+            # Rounding in the summed step sizes leaves up to 1e-12 at a landing.
+            landed = abs(new.t - target) <= 1e-12 * max(1.0, target)
+            # A step cut short to land on the target keeps the nominal size.
+            if dt_try < state.dt and landed:
+                new = replace(new, dt=state.dt)
+            state = traj.final_state = new
+        traj.snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
         if steady_run >= STEADY_RUN_LENGTH:
-            termination = "steady"
-            if abs(snapshots[-1].t - state.t) > 1e-12 * max(1.0, state.t):
-                snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
+            traj.termination = "steady"
             break
-
-    return build(state, termination)
+    return traj

@@ -117,7 +117,7 @@ def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.nda
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     z = np.linalg.eigvals(companion)
     h = z.real
-    ok = (np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z))) & (h > 0.0)
+    ok = np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z))
     a, mc = a[:, None], (mu * c)[:, None]
     for _ in range(2):
         val = a * h**3 - h + q

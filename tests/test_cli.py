@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from rimflow.evolve import EvolveConfig
 from rimflow.grid import Grid, write_field_csv
 from rimflow.model import RegularizationKnobs
 from rimflow.steady import ContinuationStep, NoConvergence
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EVOLVE_TEMPLATE = """
 [run]
@@ -162,6 +166,29 @@ class TestParseConfig:
                 "[initial]\nkind = constant\nvalue = 0.3\n[evolve]\nt_end = 0.1\n")
         with pytest.raises(ConfigError, match="not both"):
             parse_config(text)
+
+    def test_physical_form_rejects_forcing(self):
+        text = ("[run]\nmode = evolve\n[params]\nchi = 3\nmu = 3\nforcing = constant\n"
+                "[initial]\nkind = constant\nvalue = 0.3\n[evolve]\nt_end = 0.1\n")
+        with pytest.raises(ConfigError, match=r"\[params\] forcing"):
+            parse_config(text)
+
+    def test_readme_config_blocks_parse(self):
+        # The first block is a whole evolve config; the [steady] and [sweep]
+        # blocks parse under a [run] of their mode, the sweep on top of the
+        # first block's evolve sections.
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        sections = {}
+        for block in blocks:
+            for chunk in re.split(r"(?m)^(?=\[)", block):
+                if chunk.strip():
+                    sections[re.match(r"\[(\w+)\]", chunk).group(1)] = chunk
+        assert parse_config(blocks[0]).mode == "evolve"
+        steady = parse_config("[run]\nmode = steady\n" + sections["steady"])
+        assert steady.steady.targets == (0.1, 0.2, 0.3)
+        body = "".join(sections[s] for s in ("params", "initial", "evolve", "sweep"))
+        sweep = parse_config("[run]\nmode = sweep\n" + body)
+        assert sweep.sweep.values == (0.0, 1.0, 2.0, 3.0)
 
     def test_rejects_bad_number(self, tmp_path):
         text = EVOLVE_TEMPLATE.format(out=tmp_path).replace("a1 = 16.0", "a1 = wide")
@@ -635,6 +662,18 @@ class TestSweepCommand:
         text += f"[sweep]\nvary = {vary}\nvalues = 64, 128\nworkers = 1\n"
         assert main(["sweep", write_cfg(tmp_path, text)]) == 2
         assert "unknown target" in single_error(capsys, "ConfigError")["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("physical,vary", [(True, "params.a3"), (False, "params.chi")])
+    def test_vary_clashing_with_params_is_config_error(self, tmp_path, capsys, physical, vary):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
+        if physical:
+            text = re.sub(r"a0 = .*\na1 = .*\na2 = .*\na3 = .*\n", "chi = 3.0\nmu = 3.0\n", text)
+        text += f"[sweep]\nvary = {vary}\nvalues = 0.5, 1\nworkers = 1\n"
+        with pytest.raises(ConfigError, match="not both"):
+            parse_config(text)
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        single_error(capsys, "ConfigError")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("vary", ["params.a1", "grid.origin", "initial.mean", "evolve.epsilon"])

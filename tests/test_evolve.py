@@ -351,6 +351,30 @@ class TestRun:
         traj = run(random_positive(g, 7, mean=0.3, amp=0.02), p, cfg)
         assert [s.t for s in traj.snapshots] == pytest.approx([0.0, 0.25, 0.5], abs=1e-12)
 
+    @pytest.mark.parametrize("asked,want", [
+        ([0.1, math.nextafter(0.1, 1.0)], [0.0, 0.1, 0.2]),
+        ([math.nextafter(0.2, 0.0)], [0.0, 0.2]),
+        ([1e-15, 0.1], [0.0, 0.1, 0.2]),
+    ])
+    def test_near_duplicate_times_give_one_snapshot(self, asked, want):
+        # Times no step fits between are one snapshot, and t_end is always kept.
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=0.2, dt_init=1e-3, dt_max=0.01, snapshot_times=asked,
+                           knobs=RegularizationKnobs(epsilon=0.0))
+        traj = run(random_positive(g, 5, mean=0.3, amp=0.02), make_params(g), cfg)
+        times = [s.t for s in traj.snapshots]
+        assert times == pytest.approx(want, abs=1e-12)
+        assert times[-1] == pytest.approx(0.2, abs=1e-15)
+
+    def test_close_but_separate_times_give_two_snapshots(self):
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=0.2, dt_init=1e-3, dt_max=0.01, snapshot_times=[0.1, 0.1 + 1e-13],
+                           knobs=RegularizationKnobs(epsilon=0.0))
+        traj = run(random_positive(g, 5, mean=0.3, amp=0.02), make_params(g), cfg)
+        times = [s.t for s in traj.snapshots]
+        assert len(times) == 4 and times[1] < times[2]
+        assert times[1:3] == pytest.approx([0.1, 0.1 + 1e-13], abs=1e-15)
+
     def test_mass_conservation_along_run(self):
         g = Grid(n=64)
         p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))

@@ -1,5 +1,7 @@
-"""Source hygiene: every name a rimflow module imports is used in that module."""
+"""Source hygiene: every name a rimflow module imports is used in that module,
+and every module global the perfbench tracer wraps still exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,23 @@ def test_finds_module_and_function_level_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# Named by the tracer, gone from rimflow since the banded solver replaced it.
+DEAD_BINDINGS = {("rimflow.steady", "diff_matrix")}
+
+
+def tracer_bindings() -> tuple:
+    """(module, attr, span) triples of the tracer's BINDINGS table."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BINDINGS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no BINDINGS table in {TRACER}")
+
+
+def test_tracer_bindings_resolve():
+    # A refactor that renames or moves a traced global would silently drop its span.
+    absent = {(module, attr) for module, attr, _ in tracer_bindings()
+              if not hasattr(importlib.import_module(module), attr)}
+    assert absent == DEAD_BINDINGS

@@ -419,6 +419,32 @@ class TestSolvability:
         assert abs(rep.r0) <= 1e-8
         assert abs(rep.r1) <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(0.1, 10.0), ratio=st.floats(0.0, 0.95, exclude_min=True),
+           n=st.sampled_from([64, 128, 256, 768]))
+    @example(mu=1.0, ratio=1e-100, n=64)
+    def test_cubic_identities_on_random_subcritical_profiles(self, mu, ratio, n):
+        q = ratio * critical_flux(mu)
+        assume(q > 0.0)
+        prof = moffatt_profile(mu, q, Grid(n=n))
+        rep = solvability_residuals(prof)
+        assert abs(rep.r0) <= 1e-12
+        assert abs(rep.r1) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(mu=st.floats(0.5, 5.0), chi=st.floats(0.5, 5.0), ratio=st.floats(1e-3, 0.5))
+    def test_capillary_identities_on_random_flux_branches(self, mu, chi, ratio):
+        # Fixed-flux continuation up to q; criterion 9's tolerance.
+        g = Grid(n=128)
+        q = ratio * nonexistence_threshold(mu)
+        steps = [ContinuationStep("fixed_flux", f * q) for f in (0.25, 0.5, 0.75, 1.0)]
+        init = make_profile(g, steps[0].target, mu=mu, chi=chi)
+        prof = continue_branch(capillary_solve(init, steps[0]), steps[1:])[-1]
+        assert prof.q == q
+        rep = solvability_residuals(prof)
+        assert abs(rep.r0) <= 1e-6
+        assert abs(rep.r1) <= 1e-6
+
     def test_scaling_invariance(self):
         # (h, q, mu) -> (2h, 2q, mu/4) leaves y = h/q and beta unchanged,
         # and the doublings are exact in floating point.
