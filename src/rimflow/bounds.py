@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .grid import PeriodicField, gradient_sq, integrate, periodic_pad, write_csv
-from .model import Params
+from .model import Params, entropy_G
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,7 @@ class DiagnosticsRecord:
     dissipation_cum: float
 
 
-DIAGNOSTICS_COLUMNS = (
-    "t",
-    "mass",
-    "l2",
-    "h1",
-    "min_h",
-    "energy",
-    "entropy0",
-    "entropy_eps",
-    "gradient_sq",
-    "dissipation_cum",
-)
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
@@ -53,7 +42,7 @@ def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one monitored inequality lhs <= rhs (+ tolerance)."""
+    """Outcome of one monitored inequality lhs <= rhs (+ tolerance); a NaN side fails it."""
 
     name: str
     lhs: float
@@ -65,8 +54,7 @@ class BoundReport:
     def check(cls, name: str, lhs: float, rhs: float, tolerance: float = 0.0) -> "BoundReport":
         lhs = float(lhs)
         rhs = float(rhs)
-        ok = bool(lhs <= rhs + tolerance) or (math.isinf(rhs) and rhs > 0)
-        return cls(name=name, lhs=lhs, rhs=rhs, satisfied=ok, slack=rhs - lhs)
+        return cls(name=name, lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs + tolerance), slack=rhs - lhs)
 
 
 def write_json(path, payload) -> None:
@@ -154,7 +142,8 @@ def c_constants(p: Params, mass: float, delta: float) -> CConstants:
 def local_existence_time(h: PeriodicField, p: Params) -> float:
     """Guaranteed existence horizon T = 9/(40 c9) * min(1, v0^-2).
 
-    Here v0 = integral of h_x^2 + 2 (c3/a0) / (2h), evaluated at delta = 0.
+    Here v0 = integral of h_x^2 + 2 (c3/a0) G_0(h), G_0(h) = 1/(2h) the
+    entropy density at eps = 0, evaluated at delta = 0.
     Returns math.inf when c9 vanishes (the bound degenerates to no constraint)
     and 0.0 when the field touches zero, where the entropy term is infinite.
     """
@@ -163,9 +152,7 @@ def local_existence_time(h: PeriodicField, p: Params) -> float:
         return math.inf
     if float(np.min(h.values)) <= 0.0:
         return 0.0
-    v0 = gradient_sq(h) + 2.0 * (cc.c3 / p.a0) * integrate(
-        h.with_values(0.5 / h.values)
-    )
+    v0 = gradient_sq(h) + 2.0 * (cc.c3 / p.a0) * integrate(h.with_values(entropy_G(h.values, 0.0)))
     return 9.0 / (40.0 * cc.c9) * min(1.0, v0**-2)
 
 

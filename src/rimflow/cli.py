@@ -40,6 +40,7 @@ from .evolve import EvolveConfig, StepFailure, run
 from .grid import Grid, PeriodicField, d1, integrate, read_field_csv, write_field_csv
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
+    FLUX_BOUND_RATIO,
     BranchLost,
     ContinuationStep,
     NoConvergence,
@@ -233,14 +234,19 @@ def _section(name: str):
         raise ConfigError(f"[{name}] {exc}") from None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a sectioned key/value config into a RunConfig."""
+def _sections(text: str) -> dict:
+    """The config text as {section: {key: text}}; nothing is checked but the syntax."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
-    return _build({s: dict(cp[s]) for s in cp.sections()})
+    return {s: dict(cp[s]) for s in cp.sections()}
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a sectioned key/value config into a RunConfig."""
+    return _build(_sections(text))
 
 
 def _build(raw: dict) -> RunConfig:
@@ -351,7 +357,7 @@ def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
 
 def _emit_error(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("residual_sup", "iterations", "min_h", "t", "dt"):
+    for attr in ("residual_sup", "iterations", "min_h", "t", "dt", "diverged"):
         if hasattr(exc, attr):
             record[attr] = getattr(exc, attr)
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
@@ -521,7 +527,7 @@ def _check_battery(seed: int):
     rep = solvability_residuals(prof)
     yield BoundReport.check("steady_mean_identity", abs(rep.r0), 1e-6), True
     yield BoundReport.check("steady_weighted_identity", abs(rep.r1), 1e-6), True
-    yield BoundReport.check("steady_flux_bound", rep.beta, 8.0 / 27.0 + 1e-9), True
+    yield BoundReport.check("steady_flux_bound", rep.beta, FLUX_BOUND_RATIO + 1e-9), True
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -558,22 +564,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        raw = _sections(Path(args.config).read_text())
+        # The overrides are config edits: every run built from the sections,
+        # each sweep run included, sees them, and each manifest echoes them.
+        if args.seed is not None and "run" in raw:
+            raw["run"]["seed"] = str(args.seed)
+        if args.snapshots is not None:
+            if "evolve" not in raw:
+                raise ConfigError("--snapshots only applies to configs with an [evolve] section")
+            raw["evolve"]["snapshots"] = args.snapshots
+        cfg = _build(raw)
         if cfg.mode != args.command:
             raise ConfigError(
                 f"config declares mode {cfg.mode!r} but was invoked as {args.command!r}"
             )
-        evolve_cfg = cfg.evolve
-        if args.snapshots is not None:
-            if evolve_cfg is None:
-                raise ConfigError("--snapshots only applies to configs with an [evolve] section")
-            evolve_cfg = replace(evolve_cfg, snapshot_times=_value("evolve", "snapshots", args.snapshots))
-        cfg = replace(
-            cfg,
-            output_dir=args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir,
-            seed=cfg.seed if args.seed is None else args.seed,
-            evolve=evolve_cfg,
-        )
+        cfg = replace(cfg, output_dir=args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
         return {
             "evolve": cmd_evolve,
             "steady": cmd_steady,

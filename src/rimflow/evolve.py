@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DiagnosticsRecord
-from .grid import Grid, PeriodicField, gradient_sq, periodic_pad
+from .grid import Grid, PeriodicField, gradient_sq, integrate, periodic_pad
 from .model import (
     Params,
     RegularizationKnobs,
@@ -125,7 +125,6 @@ class Trajectory:
     newton_tol_effective: float  # largest tolerance in force over accepted steps
     k1_observed: float
     supcube_time_integral: float
-    final_state: Optional[EvolveState]
 
     @property
     def records(self) -> list:
@@ -264,19 +263,23 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
     )
 
 
+def _entropy(v: np.ndarray, dx: float, epsilon: float) -> float:
+    """dx * sum G_eps(v): the touchdown entropy of strictly positive samples v."""
+    return float(dx * np.sum(entropy_G(v, epsilon)))
+
+
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
     l2_sq = float(dx * np.sum(v * v))
     grad_sq = gradient_sq(h)
     min_h = float(np.min(v))
     if min_h > 0.0:
-        entropy0 = float(dx * np.sum(entropy_G(v, 0.0)))
-        entropy_eps = float(dx * np.sum(entropy_G(v, cfg.knobs.epsilon)))
+        entropy0, entropy_eps = _entropy(v, dx, 0.0), _entropy(v, dx, cfg.knobs.epsilon)
     else:
         entropy0 = entropy_eps = math.inf
     return DiagnosticsRecord(
         t=t,
-        mass=float(dx * np.sum(v)),
+        mass=integrate(h),
         l2=math.sqrt(l2_sq),
         h1=math.sqrt(l2_sq + grad_sq),
         min_h=min_h,
@@ -306,7 +309,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         if float(np.min(u)) <= 0.0:
             return math.inf
         grad = float(dx * np.sum(t1**2))
-        ent = float(dx * np.sum(entropy_G(u, cfg.knobs.epsilon)))
+        ent = _entropy(u, dx, cfg.knobs.epsilon)
         return grad + a_ratio * (a_ratio + 2.0 * cfg.knobs.delta) * ent + p.a0 * diss3_cum
 
     traj = Trajectory(
@@ -316,7 +319,6 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         newton_tol_effective=0.0,
         k1_observed=k1_current(state.h.values, sysm.interface_values(state.h.values)[1]),
         supcube_time_integral=0.0,
-        final_state=state,
     )
 
     # A requested time within 1e-14 (relative) of the next target, or of t = 0,
@@ -357,7 +359,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             # A step cut short to land on the target keeps the nominal size.
             if dt_try < state.dt and landed:
                 new = replace(new, dt=state.dt)
-            state = traj.final_state = new
+            state = new
         traj.snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
         if steady_run >= STEADY_RUN_LENGTH:
             traj.termination = "steady"

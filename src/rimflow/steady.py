@@ -188,13 +188,11 @@ def asymptotic_guess(q: float, grid: Grid) -> PeriodicField:
     return PeriodicField(grid, q + (q**3 / 3.0) * np.cos(grid.x))
 
 
-def capillary_residual(prof: SteadyProfile, grid: Optional[Grid] = None) -> PeriodicField:
+def capillary_residual(prof: SteadyProfile) -> PeriodicField:
     """Pointwise residual of the capillary steady equation under the grid operators."""
-    g = grid if grid is not None else prof.h.grid
-    if not g.compatible(prof.h.grid):
-        raise ValueError("profile grid and requested grid differ")
-    res = _capillary_lhs(prof.h.values, prof.q, prof.mu, prof.chi, np.cos(g.x), _capillary_stencil(g))
-    return PeriodicField(g, res)
+    g = prof.h.grid
+    return prof.h.with_values(_capillary_lhs(prof.h.values, prof.q, prof.mu, prof.chi, np.cos(g.x),
+                                             _capillary_stencil(g)))
 
 
 def _derivative_stencil(grid: Grid, order: int) -> np.ndarray:
@@ -336,22 +334,22 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
 def continue_branch(
     start: SteadyProfile, schedule: Sequence[ContinuationStep]
 ) -> list[SteadyProfile]:
-    """Walk a continuation schedule, bisecting into the last gap when the branch ends.
+    """Walk a continuation schedule, bisecting into the gap where the branch ends.
 
-    Returns the profiles actually obtained, starting with start.  Failure on
-    the very first step propagates; a later failure triggers bisection of the
-    parameter interval down to a relative increment of 2^-12, after which the
-    deepest reachable profile is the recorded branch endpoint.
+    Returns the profiles actually obtained, starting with start, which must
+    be a solved profile.  A failed step, the first one included, triggers
+    bisection of its parameter interval down to a relative increment of
+    2^-12, after which the deepest reachable profile is the recorded branch
+    endpoint.
     """
     profiles = [start]
-    for i, st in enumerate(schedule):
+    for st in schedule:
         cur = profiles[-1]
         try:
             profiles.append(capillary_solve(cur, st))
             continue
         except (BranchLost, NoConvergence):
-            if i == 0:
-                raise
+            pass
         lo = cur.q if st.mode == "fixed_flux" else cur.mass
         hi = st.target
         min_inc = abs(hi - lo) / 4096.0

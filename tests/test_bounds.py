@@ -328,6 +328,7 @@ class TestReportsAndWriters:
         assert not bad.satisfied and bad.slack == pytest.approx(-1.0)
         assert BoundReport.check("x", 1.0, 0.999, tolerance=0.01).satisfied
         assert BoundReport.check("x", math.inf, math.inf).satisfied
+        assert not BoundReport.check("x", math.nan, math.inf).satisfied
 
     def test_reports_json_roundtrip(self, tmp_path):
         reports = [BoundReport.check("alpha", 1.0, 2.0),

@@ -17,7 +17,7 @@ from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config
 from rimflow.evolve import EvolveConfig
 from rimflow.grid import Grid, write_field_csv
 from rimflow.model import RegularizationKnobs
-from rimflow.steady import ContinuationStep, NoConvergence
+from rimflow.steady import ContinuationStep, NoConvergence, nonexistence_threshold
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -410,8 +410,7 @@ epsilon = 0.0
 """.format(out=out)
         cfg = write_cfg(tmp_path, text)
         assert main(["evolve", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "StepFailure" in err
+        assert single_error(capsys, "StepFailure")["diverged"] is False
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "failed"
         assert (out / "diagnostics.csv").exists()
@@ -615,6 +614,19 @@ class TestSteadyCommand:
         assert main(["steady", cfg]) == 1
         assert "BranchLost" in capsys.readouterr().err
 
+    def test_first_gap_is_bisected(self, tmp_path):
+        # The branch ends between the first two targets: continuation bisects
+        # that gap and writes the branch up to its end.
+        out = tmp_path / "out"
+        text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\nn = 256\n"
+                "[steady]\nmu = 1\nchi = 1\ntargets = 0.0943, 1.4\n").format(out)
+        assert main(["steady", write_cfg(tmp_path, text)]) == 0
+        with open(out / "branch.csv") as fh:
+            qs = [float(r["q"]) for r in csv.DictReader(fh)]
+        assert len(qs) >= 2 and qs[0] == 0.0943
+        assert all(b > a for a, b in zip(qs, qs[1:]))
+        assert qs[-1] < nonexistence_threshold(1.0)
+
     def test_fixed_mass_without_capillarity_fails(self, tmp_path, capsys):
         out = tmp_path / "out"
         text = ("[run]\nmode = steady\noutput_dir = {}\n"
@@ -624,7 +636,56 @@ class TestSteadyCommand:
         assert "fixed_flux" in capsys.readouterr().err
 
 
+def sweep_text(out, workers) -> str:
+    """A two-value sweep over params.a3 to t_end = 0.01."""
+    text = EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve", "mode = sweep")
+    text = text.replace("t_end = 0.5", "t_end = 0.01")
+    return text + f"\n[sweep]\nvary = params.a3\nvalues = 0, 1\nworkers = {workers}\n"
+
+
+OVERRIDES = ["--seed", "7", "--snapshots", "0.002,0.004"]
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
 class TestSweepCommand:
+    def test_overrides_reach_every_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", write_cfg(tmp_path, sweep_text(out, 1)), *OVERRIDES]) == 0
+        assert json.loads((out / "sweep_index.json").read_text())["seed"] == 7
+        for sub in ("a3=0", "a3=1"):
+            manifest = json.loads((out / sub / "manifest.json").read_text())
+            assert manifest["seed"] == 7
+            assert manifest["config"]["run"]["seed"] == "7"
+            assert manifest["config"]["evolve"]["snapshots"] == "0.002,0.004"
+            assert [s["t"] for s in manifest["snapshots"]] == pytest.approx(
+                [0.0, 0.002, 0.004, 0.01], abs=1e-12)
+
+    def test_pool_and_serial_sweeps_write_the_same_tree(self, tmp_path, monkeypatch):
+        # A relative output_dir makes the trees comparable byte for byte:
+        # sweep_index.json records each run's directory as given.
+        sizes = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        trees = []
+        for workers in (2, 1):
+            cwd = tmp_path / f"workers{workers}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main(["sweep", write_cfg(cwd, sweep_text("out", workers)), *OVERRIDES]) == 0
+            trees.append(tree_bytes(cwd / "out"))
+        assert sizes == [2]
+        assert len(trees[0]) == 15  # sweep_index.json and 7 files per run
+        assert trees[0] == trees[1]
+
     def test_serial_sweep_over_drift(self, tmp_path):
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve",

@@ -416,8 +416,7 @@ class TestRun:
         assert traj.step_count == len(traj.step_energies) > 0
         assert len(traj.fields) == len(traj.records) == len(traj.snapshots)
         assert traj.newton_tol_effective >= cfg.newton_tol
-        assert traj.final_state is not None
-        assert traj.final_state.t == pytest.approx(0.5, abs=1e-12)
+        assert traj.snapshots[-1].t == pytest.approx(0.5, abs=1e-12)
 
     def test_effective_tolerance_is_the_floor_in_force(self, monkeypatch):
         # On the drift data the representable-residual floor, not the
@@ -553,5 +552,5 @@ class TestFailure:
         exc = exc_info.value
         assert exc.trajectory is not None
         assert exc.trajectory.termination == "failed"
-        assert exc.trajectory.final_state is not None
+        assert exc.trajectory.snapshots[-1].t == 0.0
         assert exc.dt < cfg.dt_min

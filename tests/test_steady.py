@@ -491,12 +491,19 @@ class TestContinueBranch:
         assert qs[-1] < thresh + 1e-9
         assert qs[-1] > 0.4
 
-    def test_first_step_failure_propagates(self):
+    def test_first_step_failure_bisects(self):
+        # start is a solved profile, so a failed first step bisects its gap
+        # just as a later one does.
         g = Grid(n=128)
         start = capillary_solve(make_profile(g, 0.05, mu=1.0, chi=3.0),
                                 ContinuationStep("fixed_flux", 0.05))
         with pytest.raises((BranchLost, NoConvergence)):
-            continue_branch(start, [ContinuationStep("fixed_flux", 1.5)])
+            capillary_solve(start, ContinuationStep("fixed_flux", 1.5))
+        branch = continue_branch(start, [ContinuationStep("fixed_flux", 1.5)])
+        qs = [p.q for p in branch]
+        assert branch[0] is start and len(branch) >= 2
+        assert all(b > a for a, b in zip(qs, qs[1:]))
+        assert 0.05 < qs[-1] < nonexistence_threshold(1.0)
 
     def test_later_failure_bisects_without_raising(self):
         g = Grid(n=128)
