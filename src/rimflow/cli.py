@@ -323,11 +323,10 @@ def _build(raw: dict) -> RunConfig:
             sweep_spec = SweepSpec(**_read(raw, "sweep", "vary", "values"))
         # Every run's config must be valid before the sweep writes anything.
         for v in sweep_spec.values:
-            run_dir = _sweep_dir(sweep_spec.vary, v)
             try:
-                _sweep_run(raw, sweep_spec.vary, v, run_dir)
+                _sweep_run(raw, sweep_spec.vary, v)
             except ConfigError as exc:
-                raise ConfigError(f"[sweep] run {run_dir}: {exc}") from None
+                raise ConfigError(f"[sweep] run {_sweep_dir(sweep_spec.vary, v)}: {exc}") from None
 
     return RunConfig(
         **run_keys,
@@ -341,12 +340,12 @@ def _build(raw: dict) -> RunConfig:
     )
 
 
-def _sweep_run(raw: dict, vary: str, value: float, out_dir: str) -> RunConfig:
+def _sweep_run(raw: dict, vary: str, value: float) -> RunConfig:
     """The evolve run of one sweep value: the sweep's sections with vary set to value."""
     section, key = vary.split(".", 1)
     sections = {s: dict(kv) for s, kv in raw.items() if s != "sweep"}
     sections.setdefault(section, {})[key] = repr(value)
-    sections["run"].update(mode="evolve", output_dir=out_dir)
+    sections["run"]["mode"] = "evolve"
     return _build(sections)
 
 
@@ -356,11 +355,14 @@ def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
 
 
 def _emit_error(exc: Exception) -> None:
+    """One strict-JSON line on stderr: a non-finite number is written as null."""
     record = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("residual_sup", "iterations", "min_h", "t", "dt", "diverged"):
         if hasattr(exc, attr):
-            record[attr] = getattr(exc, attr)
-    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+            value = getattr(exc, attr)
+            finite = not isinstance(value, float) or math.isfinite(value)
+            record[attr] = value if finite else None
+    print(json.dumps(record, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
 def _mass_drift(traj) -> float:
@@ -414,12 +416,15 @@ def cmd_steady(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = cfg.steady
     grid = cfg.grid
+    lost = None
     if spec.chi == 0.0:
         profiles = []
         for q in spec.targets:
             prof = moffatt_profile(spec.mu, q, grid)
             if prof is None:
-                raise BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
+                # Past the fold: the profiles before it are still written.
+                lost = BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
+                break
             profiles.append(prof)
     else:
         first = spec.targets[0]
@@ -449,26 +454,31 @@ def cmd_steady(cfg: RunConfig) -> int:
             }
         )
     _write_manifest(out, cfg, profiles=index)
+    if lost is not None:
+        _emit_error(lost)
+        return 1
     return 0
 
 
 def _sweep_worker(args) -> dict:
-    raw, vary, value, out_dir = args
-    code = cmd_evolve(_sweep_run(raw, vary, value, out_dir))
-    manifest_path = Path(out_dir) / "manifest.json"
+    """Run one sweep value under the sweep root; its index entry names the run's directory
+    relative to that root, so the tree does not depend on where the sweep is written."""
+    raw, vary, value, root = args
+    name = _sweep_dir(vary, value)
+    out_dir = Path(root) / name
+    code = cmd_evolve(replace(_sweep_run(raw, vary, value), output_dir=str(out_dir)))
+    manifest_path = out_dir / "manifest.json"
     termination = None
     if manifest_path.exists():
         termination = json.loads(manifest_path.read_text()).get("termination")
-    return {"value": value, "dir": out_dir, "exit_code": code, "termination": termination}
+    return {"value": value, "dir": name, "exit_code": code, "termination": termination}
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = cfg.sweep
-    jobs = []
-    for v in spec.values:
-        jobs.append((cfg.raw, spec.vary, v, str(out / _sweep_dir(spec.vary, v))))
+    jobs = [(cfg.raw, spec.vary, v, str(out)) for v in spec.values]
     # Never more processes than runs or cores, whatever the config asks for.
     workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:

@@ -23,8 +23,13 @@ shared damped simplified-Newton solver rimflow.newton.newton on an analytic
 pentadiagonal-plus-corners Jacobian.  Its CyclicBandedFactor (one banded
 LU, the periodic corners added by a cached rank-4 correction) is kept
 across steps while dt is unchanged and the reused factor keeps contracting
-the residual by 0.3 a step; a new dt (a rejection, a step growth or a
-snapshot landing) or a poorer step refactors (see rimflow.newton).  Step
+the residual by 0.3 a step, or lands within the tolerance; a new dt (a
+rejection, a step growth or a snapshot landing) or a poorer step refactors
+(see rimflow.newton).  Newton starts from the linear extrapolation
+h_n + (dt/dt_prev)(h_n - h_{n-1}) of the last accepted step, the standard
+starting value for implicit integrators (Hairer & Wanner, Solving ODEs II,
+IV.8), and corrects it at least once, so a prediction is never accepted
+as it stands; the first step of a run starts from h_n.  Step
 control grows dt by 1.2x on success up to dt_max, halves it on failure,
 and fails the run when dt underflows dt_min.  There is no positivity
 clamp; a step whose minimum undershoots -10x the Newton tolerance is
@@ -158,6 +163,7 @@ class _System:
         self.dx = grid.dx
         self.wp_mid = params.w.wp_mid()
         self.factor, self.factor_dt = None, None  # kept by step() while dt holds
+        self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
 
     def interface_values(self, u: np.ndarray):
         """(m, t1, t3, g): interface mean, gradient, third derivative and driving term."""
@@ -219,7 +225,9 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
     -10x the effective Newton tolerance; raises StepFailure when dt would
     drop below dt_min.  On success the returned state carries the grown
     trial size min(1.2 dt, dt_max) for the next attempt.  The Jacobian
-    factor is kept on _system from call to call while dt is unchanged.
+    factor is kept on _system from call to call while dt is unchanged, and
+    so is the last accepted step, from which Newton's start is extrapolated;
+    without _system each call starts from state.h.
     """
     sysm = _system if _system is not None else _System(state.h.grid, p, cfg.knobs)
     hold = state.h.values
@@ -238,9 +246,16 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
     while True:
         if dt != sysm.factor_dt:
             sysm.factor, sysm.factor_dt = None, dt
+        # Start from the linear extrapolation of the last accepted step, and
+        # correct that prediction at least once; a run's first step starts at hold.
+        u0, min_iter = hold, 0
+        if sysm.last_step is not None:
+            h_prev, dt_prev = sysm.last_step
+            u0, min_iter = hold + (dt / dt_prev) * (hold - h_prev), 1
         u, stats, sysm.factor = newton(
-            lambda u: sysm.residual(u, hold, dt), lambda u: sysm.jacobian(u, dt), hold,
+            lambda u: sysm.residual(u, hold, dt), lambda u: sysm.jacobian(u, dt), u0,
             tol, cfg.newton_max_iter, sysm.factor, direction, floor=NEWTON_FLOOR_SAFETY,
+            min_iter=min_iter,
         )
         if stats.failure is None and float(np.min(u)) >= -10.0 * stats.tol_used:
             break
@@ -255,6 +270,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
                 dt=dt,
                 diverged=diverged,
             )
+    sysm.last_step = (hold, dt)
     return EvolveState(
         t=state.t + dt,
         h=state.h.with_values(u),

@@ -3,15 +3,21 @@
 newton() keeps one CyclicBandedFactor of the Jacobian, possibly handed in
 from an earlier call, while it keeps contracting the residual.  A step with
 a reused factor that leaves the residual above REFACTOR_RATE times its
-previous value is discarded and taken again with a fresh factor, so each
-accepted step contracts by REFACTOR_RATE or is a damped Newton step.  A
-reused factor too slow to reach the tolerance in the steps left is
-refactored at the next iterate.  This is the simplified Newton (chord)
-method: Hairer & Wanner, Solving ODEs II, IV.8; Kelley, Solving Nonlinear
-Equations with Newton's Method (2003).  A step with a fresh factor tries
-the lengths 1, 1/2, ..., 1/2**MAX_DAMPINGS and takes the first that lowers
-the sup-norm residual, or else the last; a reused factor's step is taken
-whole, since a halved one cannot contract by REFACTOR_RATE < 1/2.
+previous value is discarded and taken again with a fresh factor, unless it
+lands within the tolerance in force and either lowers the residual or
+leaves no more than rounding does (_rounding): each accepted step
+contracts by REFACTOR_RATE, is a damped Newton step, or lands within the
+tolerance without going uphill.  A reused factor too slow to reach the
+tolerance in the steps left is refactored at the next iterate.  A caller
+that starts from a predicted iterate passes min_iter=1, so the prediction
+is corrected at least once even when its residual already meets the
+tolerance; only an exact zero residual is returned untouched.  This is
+the simplified Newton (chord) method: Hairer & Wanner, Solving ODEs II,
+IV.8; Kelley, Solving Nonlinear Equations with Newton's Method (2003).  A
+step with a fresh factor tries the lengths 1, 1/2, ..., 1/2**MAX_DAMPINGS
+and takes the first that lowers the sup-norm residual, or else the last; a
+reused factor's step is taken whole, since a halved one cannot contract
+by REFACTOR_RATE < 1/2.
 """
 from __future__ import annotations
 
@@ -47,6 +53,11 @@ def _sup(r: np.ndarray) -> float:
     return sup if math.isfinite(sup) else math.inf
 
 
+def _rounding(factor: CyclicBandedFactor, z: np.ndarray) -> float:
+    """eps * ||J||_inf * max(1, sup|z|): about the residual that rounding alone leaves at z."""
+    return _MACH_EPS * factor.row_norm * max(1.0, float(np.max(np.abs(z))))
+
+
 def newton(
     residual: Callable[[np.ndarray], np.ndarray],
     bands: Callable[[np.ndarray], np.ndarray],
@@ -57,6 +68,7 @@ def newton(
     direction: Optional[Callable] = None,
     accept: Optional[Callable[[np.ndarray], None]] = None,
     floor: float = 0.0,
+    min_iter: int = 0,
 ) -> tuple[np.ndarray, NewtonStats, Optional[CyclicBandedFactor]]:
     """Drive sup|residual(z)| to tol in at most max_iter steps: (z, stats, factor to keep).
 
@@ -67,19 +79,21 @@ def newton(
     residual that rounding alone leaves, from the factored J and the
     iterate the step starts from, once that step is kept.  The start itself
     is held to tol, also after a discarded step, so a slow change below the
-    floor is still taken, not frozen at z0.
+    floor is still taken, not frozen at z0.  At least min_iter steps are
+    kept before a residual within the tolerance ends the solve, unless the
+    residual is exactly zero.
     """
     z = z0.copy()
     r = residual(z)
     res = _sup(r)
-    iters = dampings = factorizations = 0
+    iters = dampings = factorizations = kept = 0
     fresh = False
     tol_used = tol
     failure = None
     while True:
         if not math.isfinite(res):
             failure = "diverged"
-        if failure is not None or res <= tol_used:
+        if failure is not None or res <= tol_used and (kept >= min_iter or res == 0.0):
             break
         if iters == max_iter:
             failure = "budget"
@@ -88,10 +102,7 @@ def newton(
             if factor is None:
                 factor, fresh = CyclicBandedFactor(bands(z)), True
                 factorizations += 1
-            step_tol = tol
-            if floor > 0.0:
-                bound = floor * _MACH_EPS * factor.row_norm * max(1.0, float(np.max(np.abs(z))))
-                step_tol = max(tol, bound)
+            step_tol = max(tol, floor * _rounding(factor, z)) if floor > 0.0 else tol
             dz = direction(factor, z, r) if direction else -factor.solve(r)
         except np.linalg.LinAlgError:
             failure = "singular"
@@ -108,13 +119,18 @@ def newton(
                 break
         dampings += k
         rate = res_try / res
-        if not fresh and rate > REFACTOR_RATE:
-            factor = None  # poor contraction: drop the step, refactor here
-            continue
+        # A reused step within the tolerance is kept if it lowered the
+        # residual or reached rounding level; an uphill one is not trusted.
+        landed = res_try <= step_tol and (res_try < res or res_try <= _rounding(factor, z))
+        if not fresh and not landed:
+            if rate > REFACTOR_RATE:
+                factor = None  # poor contraction: drop the step, refactor here
+                continue
+            if res_try * rate ** (max_iter - iters) > step_tol:
+                factor = None  # too slow for the budget left: refactor at the new iterate
         tol_used = step_tol  # the floor applies from the first kept step on
-        if not fresh and res_try * rate ** (max_iter - iters) > tol_used:
-            factor = None  # too slow for the budget left: refactor at the new iterate
         fresh = False
+        kept += 1
         z, r, res = z_try, r_try, res_try
         if accept is not None:
             accept(z)

@@ -614,6 +614,26 @@ class TestSteadyCommand:
         assert main(["steady", cfg]) == 1
         assert "BranchLost" in capsys.readouterr().err
 
+    def test_fold_past_the_first_target_keeps_the_profiles_before_it(self, tmp_path, capsys):
+        # q = 0.7 lies past the fold of mu = 1: the run fails there, but the
+        # q = 0.2 profile is written, and the error line is strict JSON.
+        out = tmp_path / "out"
+        text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\nn = 64\n"
+                "[steady]\nmu = 1\nchi = 0\ntargets = 0.2, 0.7\n").format(out)
+        assert main(["steady", write_cfg(tmp_path, text)]) == 1
+        with open(out / "branch.csv") as fh:
+            assert [float(r["q"]) for r in csv.DictReader(fh)] == [0.2]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["file"] for entry in manifest["profiles"]] == ["profiles/profile_0000.csv"]
+        assert (out / "profiles" / "profile_0000.csv").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        record = json.loads(line, parse_constant=reject)
+        assert record["error"] == "BranchLost" and record["min_h"] is None
+
     def test_first_gap_is_bisected(self, tmp_path):
         # The branch ends between the first two targets: continuation bisects
         # that gap and writes the branch up to its end.
@@ -664,8 +684,6 @@ class TestSweepCommand:
                 [0.0, 0.002, 0.004, 0.01], abs=1e-12)
 
     def test_pool_and_serial_sweeps_write_the_same_tree(self, tmp_path, monkeypatch):
-        # A relative output_dir makes the trees comparable byte for byte:
-        # sweep_index.json records each run's directory as given.
         sizes = []
 
         class CountingPool(cli.ProcessPoolExecutor):
@@ -685,6 +703,19 @@ class TestSweepCommand:
         assert sizes == [2]
         assert len(trees[0]) == 15  # sweep_index.json and 7 files per run
         assert trees[0] == trees[1]
+
+    def test_tree_does_not_depend_on_the_output_root(self, tmp_path, monkeypatch):
+        # sweep_index.json names each run's directory relative to the sweep
+        # root, and no run manifest echoes the root: a relative and an
+        # absolute --output-dir give the same bytes.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, sweep_text("out", 1))
+        assert main(["sweep", cfg, "--output-dir", "swA", *OVERRIDES]) == 0
+        assert main(["sweep", cfg, "--output-dir", str(tmp_path / "swB"), *OVERRIDES]) == 0
+        tree_a, tree_b = tree_bytes(tmp_path / "swA"), tree_bytes(tmp_path / "swB")
+        assert len(tree_a) == 15 and tree_a == tree_b
+        index = json.loads(tree_a["sweep_index.json"])
+        assert [r["dir"] for r in index["runs"]] == ["a3=0", "a3=1"]
 
     def test_serial_sweep_over_drift(self, tmp_path):
         out = tmp_path / "out"

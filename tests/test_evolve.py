@@ -291,8 +291,40 @@ class TestStep:
         # of n differences and their summation.
         div = _System(g, p, cfg.knobs).divergence(h.values)
         assert abs(np.sum(div)) <= 2 * n * np.finfo(float).eps * np.sum(np.abs(div))
-        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg)
+        # The second step on one _System starts from the extrapolated first.
+        sysm = _System(g, p, cfg.knobs)
+        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg, _system=sysm)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+        assert sysm.last_step is not None
+        out = step(out, p, cfg, _system=sysm)
+        assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+
+    def test_newton_starts_from_the_extrapolated_last_step(self, monkeypatch):
+        # Without a _System, or on its first step, Newton starts from h_n;
+        # after an accepted step it starts from h_n + (dt/dt_prev)(h_n - h_{n-1})
+        # and corrects that prediction at least once.
+        g = Grid(n=64)
+        p = make_params(g)
+        cfg = EvolveConfig(t_end=1.0, dt_init=1e-3, knobs=RegularizationKnobs(epsilon=1e-6))
+        starts = []
+
+        def recording_newton(residual, bands, z0, *args, **kwargs):
+            starts.append((z0, kwargs["min_iter"]))
+            return newton(residual, bands, z0, *args, **kwargs)
+
+        monkeypatch.setattr(rimflow.evolve, "newton", recording_newton)
+        state = EvolveState(t=0.0, h=random_positive(g, 4, mean=0.3, amp=0.05), dt=1e-3)
+        first = step(state, p, cfg)
+        step(first, p, cfg)
+        sysm = _System(g, p, cfg.knobs)
+        second = step(step(state, p, cfg, _system=sysm), p, cfg, _system=sysm)
+        (z_a, m_a), (z_b, m_b), (z_c, m_c), (z_d, m_d) = starts
+        assert np.array_equal(z_a, state.h.values) and np.array_equal(z_b, first.h.values)
+        assert np.array_equal(z_c, state.h.values) and m_a == m_b == m_c == 0
+        ratio = 1.2e-3 / 1e-3
+        assert_allclose(z_d, first.h.values + ratio * (first.h.values - state.h.values),
+                        rtol=1e-15, atol=0.0)
+        assert m_d == 1 and second.newton.iterations >= 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_translation_equivariance(self, seed):
@@ -421,18 +453,18 @@ class TestRun:
     def test_effective_tolerance_is_the_floor_in_force(self, monkeypatch):
         # On the drift data the representable-residual floor, not the
         # configured 1e-10, decides convergence.  A one-step solve takes its
-        # floor from the kept factor and the start iterate hold; the
+        # floor from the kept factor and the start iterate z0; the
         # reported tolerance is the largest tol_used of the accepted steps.
         g = Grid(n=256)
         p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
         cfg = EvolveConfig(t_end=20.0, dt_max=0.05, knobs=RegularizationKnobs(epsilon=1e-4))
         floors, accepted = [], []
 
-        def recording_newton(residual, bands, hold, tol, *args, **kwargs):
-            u, stats, factor = newton(residual, bands, hold, tol, *args, **kwargs)
+        def recording_newton(residual, bands, z0, tol, *args, **kwargs):
+            u, stats, factor = newton(residual, bands, z0, tol, *args, **kwargs)
             if stats.failure is None and stats.iterations == 1 and factor is not None:
                 floors.append(NEWTON_FLOOR_SAFETY * np.finfo(float).eps * factor.row_norm
-                              * max(1.0, float(np.max(np.abs(hold)))))
+                              * max(1.0, float(np.max(np.abs(z0)))))
                 assert stats.tol_used == max(tol, floors[-1])
             return u, stats, factor
 
@@ -447,6 +479,25 @@ class TestRun:
         assert traj.newton_tol_effective == max(accepted) >= max(floors)
         sup_h = max(float(np.max(s.field.values)) for s in traj.snapshots)
         assert max(floors) > 100.0 * cfg.newton_tol * sup_h
+
+    def test_four_droplet_newton_iterations_per_step(self, monkeypatch):
+        # Starting each solve from the extrapolated last step takes 1321
+        # Newton iterations for these 455 steps; starting from h_n took
+        # 2101 (4.62 a step).  Iterations are counted, not timed.
+        g = Grid(n=256)
+        p = make_params(g, a=(1.0, 16.0, 0.0, 0.0))
+        cfg = EvolveConfig(t_end=20.0, dt_init=1e-6, dt_max=0.05)
+        iterations = []
+
+        def counting_newton(*args, **kwargs):
+            u, stats, factor = newton(*args, **kwargs)
+            iterations.append(stats.iterations)
+            return u, stats, factor
+
+        monkeypatch.setattr(rimflow.evolve, "newton", counting_newton)
+        traj = run(g.field(0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x)), p, cfg)
+        assert traj.termination == "t_end"
+        assert sum(iterations) <= 3.5 * traj.step_count
 
     def test_dissipation_accumulates(self):
         g = Grid(n=64)

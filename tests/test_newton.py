@@ -154,3 +154,46 @@ def test_discarded_reused_step_does_not_accept_a_start_below_only_the_floor():
     assert stats.failure is None and stats.factorizations == 1 and factor is not uphill
     assert not np.array_equal(z, z0)
     assert stats.residual <= stats.tol_used
+
+
+def test_predicted_start_within_tolerance_is_corrected_once():
+    # min_iter=1 is how a caller marks z0 as a prediction: even a start
+    # that already meets tol gets one correcting step, and no more.
+    n = 32
+    residual, bands, _ = cubic_system(n, 13)
+    z_star, _, _ = newton(residual, bands, np.zeros(n), 1e-13, 30)
+    assert float(np.max(np.abs(residual(z_star)))) <= 1e-10
+    _, plain, _ = newton(residual, bands, z_star, 1e-10, 30)
+    assert plain.iterations == 0
+    z, stats, _ = newton(residual, bands, z_star, 1e-10, 30, min_iter=1)
+    assert stats.failure is None and stats.iterations == 1
+    assert stats.residual <= stats.tol_used
+
+
+def test_exact_zero_residual_start_is_not_corrected():
+    # A start with residual exactly 0 (a constant state, say) returns as is:
+    # no factor is made and no contraction rate divides by zero.
+    n = 16
+    z, stats, factor = newton(lambda z: z**3, lambda z: np.zeros((5, n)), np.zeros(n),
+                              1e-10, 30, min_iter=1)
+    assert stats.failure is None and stats.residual == 0.0
+    assert stats.iterations == stats.factorizations == 0 and factor is None
+    assert np.array_equal(z, np.zeros(n))
+
+
+def test_reused_step_landing_within_tolerance_is_kept():
+    # A factor of 2 J halves the residual: a contraction of 0.5, poorer than
+    # REFACTOR_RATE.  The step still lands within tol, so it is kept with
+    # its factor, not discarded and refactored.
+    n = 32
+    residual, bands, _ = cubic_system(n, 17)
+    z_star, _, _ = newton(residual, bands, np.zeros(n), 1e-14, 30)
+    half = CyclicBandedFactor(2.0 * bands(z_star))
+    z0 = z_star + 1e-9 * np.cos(np.arange(n))
+    res0 = float(np.max(np.abs(residual(z0))))
+    record = Recorder(residual)
+    z, stats, factor = newton(residual, bands, z0, 0.75 * res0, 30, factor=half, accept=record)
+    assert stats.failure is None and stats.residual <= 0.75 * res0
+    assert stats.residual > 0.3 * res0
+    assert stats.factorizations == 0 and factor is half
+    assert stats.iterations == len(record.sups) == 1
