@@ -6,38 +6,14 @@ against a bound that was computable before the run started.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import PeriodicField, gradient_sq, integrate, periodic_pad, write_csv
+from .grid import PeriodicField, gradient_sq, integrate, periodic_pad
 from .model import Params, entropy_G
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-snapshot scalar diagnostics of an evolution run."""
-
-    t: float
-    mass: float
-    l2: float
-    h1: float
-    min_h: float
-    energy: float
-    entropy0: float
-    entropy_eps: float
-    gradient_sq: float
-    dissipation_cum: float
-
-
-DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
-
-
-def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
-    write_csv(path, DIAGNOSTICS_COLUMNS, [[getattr(r, c) for c in DIAGNOSTICS_COLUMNS] for r in records])
 
 
 @dataclass(frozen=True)
@@ -55,17 +31,6 @@ class BoundReport:
         lhs = float(lhs)
         rhs = float(rhs)
         return cls(name=name, lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs + tolerance), slack=rhs - lhs)
-
-
-def write_json(path, payload) -> None:
-    """The one JSON format of the output trees: sorted keys, indent 2, final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_reports_json(reports: Sequence[BoundReport], path) -> None:
-    write_json(path, [asdict(r) for r in reports])
 
 
 class BConstants(NamedTuple):

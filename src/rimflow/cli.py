@@ -4,10 +4,12 @@ Config files are INI-style (configparser syntax).  One schema, _SECTION_KEYS,
 names every section's keys and the type each is read as; unknown sections or
 keys are errors, as are missing required keys.  A key that is left out takes
 the default of the dataclass field it sets, and each value is checked there.
-All outputs are deterministic functions of the config and the seed: CSV
-numbers are written with 17 significant digits and JSON is emitted with
-sorted keys and no timestamps, so identical inputs give bit-identical output
-trees.
+This module is the only one that reads or writes files: the config, an
+[initial] field CSV, and every file of the output trees.  The solver modules
+return values; nothing here reads back a file it wrote.  All outputs are
+deterministic functions of the config and the seed: CSV numbers are written
+with 17 significant digits and JSON is emitted with sorted keys and no
+timestamps, so identical inputs give bit-identical output trees.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,12 +34,9 @@ from .bounds import (
     gradient_bound_check,
     interpolation_check,
     local_existence_time,
-    write_diagnostics_csv,
-    write_json,
-    write_reports_json,
 )
-from .evolve import EvolveConfig, StepFailure, run
-from .grid import Grid, PeriodicField, d1, integrate, read_field_csv, write_field_csv
+from .evolve import DiagnosticsRecord, EvolveConfig, StepFailure, run
+from .grid import Grid, PeriodicField, d1, integrate
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     FLUX_BOUND_RATIO,
@@ -50,7 +49,6 @@ from .steady import (
     continue_branch,
     moffatt_profile,
     solvability_residuals,
-    write_branch_csv,
 )
 
 OUTPUT_DIR_ENV = "RIMFLOW_OUTPUT_DIR"
@@ -127,7 +125,10 @@ class InitialData:
                 v += c * np.sin(k * x)
             f = PeriodicField(grid, v)
         else:
-            f = read_field_csv(self.path)
+            try:
+                f = read_field_csv(self.path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"[initial] path: {exc}") from None
             if not f.grid.compatible(grid, tol=1e-9):
                 raise ConfigError(
                     "[initial] path: sampled grid does not match the [grid] section"
@@ -349,6 +350,63 @@ def _sweep_run(raw: dict, vary: str, value: float) -> RunConfig:
     return _build(sections)
 
 
+def write_csv(path, columns: Sequence[str], rows) -> None:
+    """A header line, then one line per row, every value to 17 significant digits, in one write."""
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n" + (line * (len(cells) // len(columns))) % tuple(cells))
+
+
+def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:
+    """Serialize as CSV rows "x,value" with full (17 significant digit) precision."""
+    write_csv(path, ("x", value_name), np.column_stack((f.grid.x, f.values)))
+
+
+def read_field_csv(path) -> PeriodicField:
+    """Read a field written by write_field_csv, reconstructing the grid from the x column."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"expected two CSV columns (x,value) in {path}")
+    x, v = data[:, 0], data[:, 1]
+    n = len(x)
+    if n < 8:
+        raise ValueError(f"too few samples ({n}) in {path}")
+    dx = x[1] - x[0]
+    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"non-uniform x column in {path}")
+    grid = Grid(n=n, length=float(n * dx), origin=float(x[0]))
+    return PeriodicField(grid, v)
+
+
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+
+
+def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
+    write_csv(path, DIAGNOSTICS_COLUMNS, [[getattr(r, c) for c in DIAGNOSTICS_COLUMNS] for r in records])
+
+
+def write_branch_csv(profiles: Sequence[SteadyProfile], path) -> None:
+    cols = ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta")
+    rows = []
+    for i, pr in enumerate(profiles):
+        beta = pr.q**2 * pr.mu / 3.0
+        min_h, max_h = float(np.min(pr.h.values)), float(np.max(pr.h.values))
+        rows.append((i, pr.q, pr.mass, min_h, max_h, pr.residual_sup, beta))
+    write_csv(path, cols, rows)
+
+
+def write_json(path, payload) -> None:
+    """The one JSON format of the output trees: sorted keys, indent 2, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_reports_json(reports: Sequence[BoundReport], path) -> None:
+    write_json(path, [asdict(r) for r in reports])
+
+
 def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
     header = {"version": __version__, "mode": cfg.mode, "config": cfg.raw, "seed": cfg.seed}
     write_json(out / "manifest.json", {**header, **entries})
@@ -385,20 +443,20 @@ def _run_reports(traj, params) -> list[BoundReport]:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    return _evolve(cfg)[0]
+
+
+def _evolve(cfg: RunConfig) -> tuple:
+    """(exit code, termination) of one evolve run; a failed run still writes its tree."""
     h0 = cfg.initial.build(cfg.grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    code = 0
     try:
         traj = run(h0, cfg.params, cfg.evolve)
     except StepFailure as exc:
         _emit_error(exc)
-        _write_outputs(out, exc.trajectory, cfg)
-        return 1
-    _write_outputs(out, traj, cfg)
-    return 0
-
-
-def _write_outputs(out: Path, traj, cfg: RunConfig) -> None:
+        traj, code = exc.trajectory, 1
     snap_dir = out / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     index = []
@@ -409,6 +467,7 @@ def _write_outputs(out: Path, traj, cfg: RunConfig) -> None:
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
     write_reports_json(_run_reports(traj, cfg.params), out / "bound_reports.json")
     _write_manifest(out, cfg, termination=traj.termination, snapshots=index)
+    return code, traj.termination
 
 
 def cmd_steady(cfg: RunConfig) -> int:
@@ -416,25 +475,26 @@ def cmd_steady(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = cfg.steady
     grid = cfg.grid
-    lost = None
-    if spec.chi == 0.0:
-        profiles = []
-        for q in spec.targets:
-            prof = moffatt_profile(spec.mu, q, grid)
-            if prof is None:
-                # Past the fold: the profiles before it are still written.
-                lost = BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
-                break
-            profiles.append(prof)
-    else:
-        first = spec.targets[0]
-        if spec.mode == "fixed_flux":
-            h0, q0 = asymptotic_guess(first, grid), first
+    profiles, lost = [], None
+    try:
+        if spec.chi == 0.0:
+            for q in spec.targets:
+                prof = moffatt_profile(spec.mu, q, grid)
+                if prof is None:
+                    raise BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
+                profiles.append(prof)
         else:
-            q0 = first / grid.length
-            h0 = grid.constant(q0)
-        init = SteadyProfile(h=h0, q=q0, mu=spec.mu, chi=spec.chi, residual_sup=math.inf, mass=0.0)
-        profiles = continue_branch(capillary_solve(init, spec.steps[0]), spec.steps[1:])
+            first = spec.targets[0]
+            if spec.mode == "fixed_flux":
+                h0, q0 = asymptotic_guess(first, grid), first
+            else:
+                q0 = first / grid.length
+                h0 = grid.constant(q0)
+            init = SteadyProfile(h=h0, q=q0, mu=spec.mu, chi=spec.chi, residual_sup=math.inf, mass=0.0)
+            profiles = continue_branch(capillary_solve(init, spec.steps[0]), spec.steps[1:])
+    except (BranchLost, NoConvergence) as exc:
+        # Past the fold, or no first profile: the profiles before it are still written.
+        lost = exc
     write_branch_csv(profiles, out / "branch.csv")
     prof_dir = out / "profiles"
     prof_dir.mkdir(exist_ok=True)
@@ -465,12 +525,7 @@ def _sweep_worker(args) -> dict:
     relative to that root, so the tree does not depend on where the sweep is written."""
     raw, vary, value, root = args
     name = _sweep_dir(vary, value)
-    out_dir = Path(root) / name
-    code = cmd_evolve(replace(_sweep_run(raw, vary, value), output_dir=str(out_dir)))
-    manifest_path = out_dir / "manifest.json"
-    termination = None
-    if manifest_path.exists():
-        termination = json.loads(manifest_path.read_text()).get("termination")
+    code, termination = _evolve(replace(_sweep_run(raw, vary, value), output_dir=str(Path(root) / name)))
     return {"value": value, "dir": name, "exit_code": code, "termination": termination}
 
 
@@ -522,11 +577,7 @@ def _check_battery(seed: int):
     cfg = EvolveConfig(t_end=1.0, dt_init=1e-4, dt_max=0.02, snapshot_times=[0.5, 1.0])
     traj = run(h0, params, cfg)
     yield BoundReport.check("evolve_mass_conservation", _mass_drift(traj), 1e-11), True
-    energies = traj.step_energies
-    worst_rise = max(
-        (energies[i + 1] - energies[i] for i in range(len(energies) - 1)), default=0.0
-    )
-    yield BoundReport.check("evolve_energy_monotone", worst_rise, 1e-8), True
+    yield BoundReport.check("evolve_energy_monotone", traj.energy_rise_max, 1e-8), True
     yield dissipation_check(traj, params), True
     yield gradient_bound_check(traj, params), True
     tloc = local_existence_time(traj.fields[0], params)

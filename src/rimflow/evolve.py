@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import DiagnosticsRecord
 from .grid import Grid, PeriodicField, gradient_sq, integrate, periodic_pad
 from .model import (
     Params,
@@ -116,6 +115,22 @@ class StepFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
+class DiagnosticsRecord:
+    """Per-snapshot scalar diagnostics of an evolution run."""
+
+    t: float
+    mass: float
+    l2: float
+    h1: float
+    min_h: float
+    energy: float
+    entropy0: float
+    entropy_eps: float
+    gradient_sq: float
+    dissipation_cum: float
+
+
+@dataclass(frozen=True)
 class Snapshot:
     t: float
     field: PeriodicField
@@ -126,7 +141,8 @@ class Snapshot:
 class Trajectory:
     snapshots: list
     termination: str
-    step_energies: list
+    step_count: int
+    energy_rise_max: float  # largest rise between consecutive steps' energies; 0 before two steps
     newton_tol_effective: float  # largest tolerance in force over accepted steps
     k1_observed: float
     supcube_time_integral: float
@@ -138,10 +154,6 @@ class Trajectory:
     @property
     def fields(self) -> list:
         return [s.field for s in self.snapshots]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.step_energies)
 
 
 def initial_lift(h0: PeriodicField, knobs: RegularizationKnobs) -> PeriodicField:
@@ -331,7 +343,8 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     traj = Trajectory(
         snapshots=[],
         termination="t_end",
-        step_energies=[],
+        step_count=0,
+        energy_rise_max=0.0,
         newton_tol_effective=0.0,
         k1_observed=k1_current(state.h.values, sysm.interface_values(state.h.values)[1]),
         supcube_time_integral=0.0,
@@ -366,7 +379,12 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)
             traj.supcube_time_integral += dt_used * float(np.max(np.abs(u)))**3
             traj.k1_observed = max(traj.k1_observed, k1_current(u, t1))
-            traj.step_energies.append(energy(new.h, p))
+            e_step = energy(new.h, p)
+            if traj.step_count > 0:
+                rise = e_step - e_prev
+                traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
+            traj.step_count += 1
+            e_prev = e_step
             rate = float(np.max(np.abs(u - state.h.values))) / dt_used
             steady_run = steady_run + 1 if rate < STEADY_RATE else 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -174,31 +174,3 @@ class CyclicBandedFactor:
         y -= self.correction @ y[self.corner_idx, :]
         return y.reshape(rhs.shape)
 
-
-def write_csv(path, columns: Sequence[str], rows) -> None:
-    """A header line, then one line per row, every value to 17 significant digits, in one write."""
-    cells = np.asarray(rows, dtype=float).ravel().tolist()
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n" + (line * (len(cells) // len(columns))) % tuple(cells))
-
-
-def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:
-    """Serialize as CSV rows "x,value" with full (17 significant digit) precision."""
-    write_csv(path, ("x", value_name), np.column_stack((f.grid.x, f.values)))
-
-
-def read_field_csv(path) -> PeriodicField:
-    """Read a field written by write_field_csv, reconstructing the grid from the x column."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"expected two CSV columns (x,value) in {path}")
-    x, v = data[:, 0], data[:, 1]
-    n = len(x)
-    if n < 8:
-        raise ValueError(f"too few samples ({n}) in {path}")
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"non-uniform x column in {path}")
-    grid = Grid(n=n, length=float(n * dx), origin=float(x[0]))
-    return PeriodicField(grid, v)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, periodic_pad, write_csv
+from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, periodic_pad
 from .newton import newton
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
@@ -364,12 +364,3 @@ def continue_branch(
         break
     return profiles
 
-
-def write_branch_csv(profiles: Sequence[SteadyProfile], path) -> None:
-    cols = ("step", "q", "mass", "min_h", "max_h", "residual_sup", "beta")
-    rows = []
-    for i, pr in enumerate(profiles):
-        beta = pr.q**2 * pr.mu / 3.0
-        min_h, max_h = float(np.min(pr.h.values)), float(np.max(pr.h.values))
-        rows.append((i, pr.q, pr.mass, min_h, max_h, pr.residual_sup, beta))
-    write_csv(path, cols, rows)

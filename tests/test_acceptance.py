@@ -110,8 +110,7 @@ def test_criterion_02_constant_preservation():
 
 
 def test_criterion_03_energy_monotone(fig3):
-    e = fig3.traj.step_energies
-    worst = max((e[i + 1] - e[i] for i in range(len(e) - 1)), default=0.0)
+    worst = fig3.traj.energy_rise_max
     ok = worst <= 1e-8
     assert report(3, ok, f"worst per-step energy rise {worst:.3e}")
 

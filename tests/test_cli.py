@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from rimflow import cli
 from rimflow.bounds import BoundReport
-from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config
+from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config, write_field_csv
 from rimflow.evolve import EvolveConfig
-from rimflow.grid import Grid, write_field_csv
+from rimflow.grid import Grid
 from rimflow.model import RegularizationKnobs
 from rimflow.steady import ContinuationStep, NoConvergence, nonexistence_threshold
 
@@ -439,6 +439,29 @@ epsilon = 0.0
         assert main(["evolve", cfg]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_odd_row_field_file_is_config_error(self, tmp_path, capsys):
+        # Nine evenly spaced rows describe a grid of odd size, which Grid rejects.
+        field_path = tmp_path / "h0.csv"
+        field_path.write_text("x,h\n" + "".join(f"{0.5 * i},0.3\n" for i in range(9)))
+        out = tmp_path / "out"
+        text = EVOLVE_TEMPLATE.format(out=out).replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
+            f"kind = file\npath = {field_path}")
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+        message = single_error(capsys, "ConfigError")["message"]
+        assert message.startswith("[initial] path: ") and "grid size must be even" in message
+        assert not out.exists()
+
+    def test_missing_field_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = EVOLVE_TEMPLATE.format(out=out).replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
+            f"kind = file\npath = {tmp_path / 'nope.csv'}")
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+        message = single_error(capsys, "ConfigError")["message"]
+        assert message.startswith("[initial] path: ") and "nope.csv" in message
+        assert not out.exists()
+
     def test_negative_initial_data_fails(self, tmp_path, capsys):
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace(
@@ -634,6 +657,23 @@ class TestSteadyCommand:
         record = json.loads(line, parse_constant=reject)
         assert record["error"] == "BranchLost" and record["min_h"] is None
 
+    @pytest.mark.parametrize("steady, error", [
+        # No positive capillary profile at q = 1.4 for mu = 1.
+        ("targets = 1.4, 1.5", "BranchLost"),
+        # One Newton iteration does not reach the tolerance.
+        ("targets = 0.3, 0.4\nmax_newton = 1", "NoConvergence"),
+    ])
+    def test_failed_first_capillary_target_writes_an_empty_tree(self, tmp_path, capsys,
+                                                                steady, error):
+        out = tmp_path / "out"
+        text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\nn = 64\n"
+                "[steady]\nmu = 1\nchi = 1\n{}\n").format(out, steady)
+        assert main(["steady", write_cfg(tmp_path, text)]) == 1
+        single_error(capsys, error)
+        assert (out / "branch.csv").read_text() == "step,q,mass,min_h,max_h,residual_sup,beta\n"
+        assert json.loads((out / "manifest.json").read_text())["profiles"] == []
+        assert list((out / "profiles").iterdir()) == []
+
     def test_first_gap_is_bisected(self, tmp_path):
         # The branch ends between the first two targets: continuation bisects
         # that gap and writes the branch up to its end.
@@ -735,6 +775,24 @@ class TestSweepCommand:
             assert (sub / "manifest.json").exists()
             assert (sub / "diagnostics.csv").exists()
 
+
+    def test_failed_runs_are_indexed_with_their_termination(self, tmp_path, capsys):
+        # Both runs underflow dt_min on their first step; each index entry
+        # carries the exit code and termination of the run that was made.
+        out = tmp_path / "out"
+        text = EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve", "mode = sweep")
+        text = text.replace("a1 = 16.0", "a1 = 400.0").replace("cos = 0.02, 0.02", "cos = 0.05")
+        text = text.replace("dt_init = 1e-4\ndt_max = 0.001",
+                            "dt_init = 1.0\ndt_min = 1.0\ndt_max = 1.0\nnewton_max_iter = 2")
+        text += "\n[sweep]\nvary = params.a3\nvalues = 0, 1\nworkers = 1\n"
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 1
+        assert [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()] == \
+            ["StepFailure", "StepFailure"]
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [(r["exit_code"], r["termination"]) for r in index["runs"]] == [(1, "failed")] * 2
+        for record in index["runs"]:
+            manifest = json.loads((out / record["dir"] / "manifest.json").read_text())
+            assert manifest["termination"] == "failed"
 
     @pytest.mark.parametrize("values", ["0.1, 0.1000001", "1, 1"])
     def test_values_sharing_a_directory_are_config_errors(self, tmp_path, capsys, values):

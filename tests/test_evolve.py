@@ -445,10 +445,33 @@ class TestRun:
         cfg = EvolveConfig(t_end=0.5, dt_init=1e-3, dt_max=0.05,
                            knobs=RegularizationKnobs(epsilon=0.0))
         traj = run(random_positive(g, 3, mean=0.3, amp=0.02), p, cfg)
-        assert traj.step_count == len(traj.step_energies) > 0
+        assert traj.step_count > 0
         assert len(traj.fields) == len(traj.records) == len(traj.snapshots)
         assert traj.newton_tol_effective >= cfg.newton_tol
         assert traj.snapshots[-1].t == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("t_end", [1e-3, 0.05])
+    def test_energy_rise_max_is_the_worst_consecutive_rise(self, monkeypatch, t_end):
+        # The same pairs as a max over every accepted step's energy: a
+        # decreasing energy gives a negative worst rise, one step gives 0.
+        g = Grid(n=64)
+        p = make_params(g, a=(1.0, 16.0, 0.0, 0.0))
+        cfg = EvolveConfig(t_end=t_end, dt_init=1e-3, dt_max=1e-2,
+                           knobs=RegularizationKnobs(epsilon=0.0))
+        accepted = []
+        original = rimflow.evolve.step
+
+        def recording_step(state, p, cfg, _system=None):
+            new = original(state, p, cfg, _system=_system)
+            accepted.append(energy(new.h, p))
+            return new
+
+        monkeypatch.setattr(rimflow.evolve, "step", recording_step)
+        traj = run(random_positive(g, 3, mean=0.3, amp=0.02), p, cfg)
+        worst = max((b - a for a, b in zip(accepted, accepted[1:])), default=0.0)
+        assert traj.step_count == len(accepted)
+        assert traj.energy_rise_max == worst
+        assert (worst < 0.0) if len(accepted) > 1 else (worst == 0.0)
 
     def test_effective_tolerance_is_the_floor_in_force(self, monkeypatch):
         # On the drift data the representable-residual floor, not the

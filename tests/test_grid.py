@@ -24,10 +24,8 @@ from rimflow.grid import (
     d3,
     integrate,
     periodic_pad,
-    read_field_csv,
-    write_csv,
-    write_field_csv,
 )
+from rimflow.cli import read_field_csv, write_csv, write_field_csv
 
 
 def random_trig(grid, seed, modes=3, mean=1.0, amp=0.1):

@@ -1,5 +1,6 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
-and every module global the perfbench tracer wraps still exists."""
+only cli reads or writes files, evolve does not depend on bounds, and every
+module global the perfbench tracer wraps still exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -35,6 +36,57 @@ def test_finds_module_and_function_level_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+FILE_CALLS = {"open", "loadtxt"}
+
+
+def file_access(tree: ast.Module) -> list:
+    """The json imports and the open/loadtxt calls (plain or as attributes) in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append(node.module)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in FILE_CALLS:
+                found.append(name)
+    return sorted(found)
+
+
+def rimflow_imports(tree: ast.Module) -> set:
+    """Every module name tree imports, relative imports resolved inside rimflow."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("rimflow" if node.level else "", node.module)))
+            names.add(module)
+            names.update(f"{module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_finds_json_imports_file_calls_and_relative_modules():
+    tree = ast.parse(
+        "import json\nfrom json import dumps\nfrom . import bounds\nfrom .grid import Grid\n"
+        "def f(p):\n    open(p).close()\n    return np.loadtxt(p), p.open()\n"
+    )
+    assert file_access(tree) == ["json", "json", "loadtxt", "open", "open"]
+    assert {"rimflow.bounds", "rimflow.grid"} <= rimflow_imports(tree)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_reads_or_writes_files(path):
+    # The output tree's format lives in one module; the solver layers return values.
+    assert file_access(ast.parse(path.read_text())) == []
+
+
+def test_evolve_does_not_import_bounds():
+    evolve = next(p for p in SOURCES if p.name == "evolve.py")
+    assert "rimflow.bounds" not in rimflow_imports(ast.parse(evolve.read_text()))
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -34,8 +34,8 @@ from rimflow.steady import (
     nonexistence_threshold,
     pukhnachov_bound,
     solvability_residuals,
-    write_branch_csv,
 )
+from rimflow.cli import write_branch_csv
 
 
 def make_profile(grid, q, mu, chi):
