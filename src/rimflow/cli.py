@@ -415,7 +415,7 @@ def _write_manifest(out: Path, cfg: RunConfig, **entries) -> None:
 def _emit_error(exc: Exception) -> None:
     """One strict-JSON line on stderr: a non-finite number is written as null."""
     record = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("residual_sup", "iterations", "min_h", "t", "dt", "diverged"):
+    for attr in ("residual_sup", "iterations", "reason", "min_h", "t", "dt", "diverged"):
         if hasattr(exc, attr):
             value = getattr(exc, attr)
             finite = not isinstance(value, float) or math.isfinite(value)
@@ -443,12 +443,11 @@ def _run_reports(traj, params) -> list[BoundReport]:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    return _evolve(cfg)[0]
+    return _evolve(cfg, cfg.initial.build(cfg.grid))[0]
 
 
-def _evolve(cfg: RunConfig) -> tuple:
-    """(exit code, termination) of one evolve run; a failed run still writes its tree."""
-    h0 = cfg.initial.build(cfg.grid)
+def _evolve(cfg: RunConfig, h0: PeriodicField) -> tuple:
+    """(exit code, termination) of one evolve run from h0; a failed run still writes its tree."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     code = 0
@@ -521,19 +520,23 @@ def cmd_steady(cfg: RunConfig) -> int:
 
 
 def _sweep_worker(args) -> dict:
-    """Run one sweep value under the sweep root; its index entry names the run's directory
-    relative to that root, so the tree does not depend on where the sweep is written."""
-    raw, vary, value, root = args
-    name = _sweep_dir(vary, value)
-    code, termination = _evolve(replace(_sweep_run(raw, vary, value), output_dir=str(Path(root) / name)))
+    """Run one sweep value; its index entry names the run's directory relative to the
+    sweep root, so the tree does not depend on where the sweep is written."""
+    run_cfg, h0, value, name = args
+    code, termination = _evolve(run_cfg, h0)
     return {"value": value, "dir": name, "exit_code": code, "termination": termination}
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = cfg.sweep
-    jobs = [(cfg.raw, spec.vary, v, str(out)) for v in spec.values]
+    jobs = []
+    for v in spec.values:
+        name = _sweep_dir(spec.vary, v)
+        run_cfg = replace(_sweep_run(cfg.raw, spec.vary, v), output_dir=str(out / name))
+        jobs.append((run_cfg, run_cfg.initial.build(run_cfg.grid), v, name))
+    # Every run's initial data is built, so its config errors raised, before any output.
+    out.mkdir(parents=True, exist_ok=True)
     # Never more processes than runs or cores, whatever the config asks for.
     workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:

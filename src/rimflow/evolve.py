@@ -273,7 +273,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
             break
         dt *= 0.5
         if dt < cfg.dt_min:
-            diverged = stats.failure not in (None, "budget")
+            diverged = stats.failure not in (None, "budget", "stalled")
             raise StepFailure(
                 f"step size underflow below dt_min={cfg.dt_min} at t={state.t}"
                 + (" (diverged Newton iterate)" if diverged else ""),

@@ -17,7 +17,11 @@ IV.8; Kelley, Solving Nonlinear Equations with Newton's Method (2003).  A
 step with a fresh factor tries the lengths 1, 1/2, ..., 1/2**MAX_DAMPINGS
 and takes the first that lowers the sup-norm residual, or else the last; a
 reused factor's step is taken whole, since a halved one cannot contract
-by REFACTOR_RATE < 1/2.
+by REFACTOR_RATE < 1/2.  A fresh step that leaves the residual, and the
+one it started from, above the tolerance in force ends the solve as
+"stalled" when no length lowered the residual, or when it started at
+rounding level and contracted by no more than REFACTOR_RATE: Newton from
+there cannot reach the tolerance, so the rest of the budget is not spent.
 """
 from __future__ import annotations
 
@@ -38,7 +42,8 @@ _MACH_EPS = float(np.finfo(float).eps)
 class NewtonStats:
     """One newton() call: steps taken (discarded ones too), halvings, factors.  failure is None
     (residual <= tol_used), "diverged" (non-finite residual), "singular" (LinAlgError from a
-    factor or solve), "direction" (non-finite step) or "budget" (max_iter steps taken)."""
+    factor or solve), "direction" (non-finite step), "stalled" (a fresh step found no descent,
+    or barely contracted a residual at rounding level) or "budget" (max_iter steps taken)."""
 
     iterations: int
     dampings: int
@@ -81,7 +86,12 @@ def newton(
     is held to tol, also after a discarded step, so a slow change below the
     floor is still taken, not frozen at z0.  At least min_iter steps are
     kept before a residual within the tolerance ends the solve, unless the
-    residual is exactly zero.
+    residual is exactly zero.  A step with a fresh factor that starts and
+    ends above the tolerance in force ends the solve as "stalled" if it
+    lowered no residual, or if it started within eps * ||J||_inf *
+    max(1, sup|z|) and contracted by no more than REFACTOR_RATE.  With
+    floor >= 1 the tolerance in force is at least that rounding level, so
+    only the first case can stop a floored solve.
     """
     z = z0.copy()
     r = residual(z)
@@ -119,6 +129,12 @@ def newton(
                 break
         dampings += k
         rate = res_try / res
+        # A fresh step that finds no descent, or barely contracts a residual
+        # already at rounding level, shows the tolerance out of reach: stop.
+        if fresh and min(res, res_try) > step_tol and (
+                res_try >= res or rate > REFACTOR_RATE and res <= _rounding(factor, z)):
+            failure = "stalled"
+            break
         # A reused step within the tolerance is kept if it lowered the
         # residual or reached rounding level; an uphill one is not trusted.
         landed = res_try <= step_tol and (res_try < res or res_try <= _rounding(factor, z))

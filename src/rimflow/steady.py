@@ -38,12 +38,13 @@ class BranchLost(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton failed to reach tolerance within the iteration budget."""
+    """Newton did not reach the tolerance; reason is its NewtonStats.failure."""
 
-    def __init__(self, message: str, residual_sup: float, iterations: int):
+    def __init__(self, message: str, residual_sup: float, iterations: int, reason: str = "budget"):
         super().__init__(message)
         self.residual_sup = residual_sup
         self.iterations = iterations
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,10 @@ def _bordered_solve(lu: CyclicBandedFactor, b: np.ndarray, r: np.ndarray, dx: fl
 
 
 _FAILURES = {"diverged": "Newton iterate diverged", "singular": "singular Jacobian",
-             "direction": "Newton direction not finite"}
+             "direction": "Newton direction not finite",
+             "stalled": "Newton stalled at residual {residual:.3e} above tol {tol:.3e} "
+                        "after {iterations} iterations",
+             "budget": "no convergence after {iterations} iterations (residual {residual:.3e})"}
 
 
 def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfile:
@@ -287,9 +291,10 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
                          step.tol, step.max_newton, direction=bordered if fixed_mass else None,
                          accept=accept)
     if stats.failure is not None:
-        message = _FAILURES.get(stats.failure, f"no convergence after {step.max_newton} "
-                                f"iterations (residual {stats.residual:.3e})")
-        raise NoConvergence(message, residual_sup=stats.residual, iterations=stats.iterations)
+        message = _FAILURES[stats.failure].format(residual=stats.residual, tol=step.tol,
+                                                  iterations=stats.iterations)
+        raise NoConvergence(message, residual_sup=stats.residual, iterations=stats.iterations,
+                            reason=stats.failure)
     prof = PeriodicField(grid, z[:n])
     q = float(z[n]) if fixed_mass else step.target
     return SteadyProfile(h=prof, q=q, mu=mu, chi=chi, residual_sup=stats.residual, mass=integrate(prof))

@@ -658,8 +658,10 @@ class TestSteadyCommand:
         assert record["error"] == "BranchLost" and record["min_h"] is None
 
     @pytest.mark.parametrize("steady, error", [
-        # No positive capillary profile at q = 1.4 for mu = 1.
-        ("targets = 1.4, 1.5", "BranchLost"),
+        # No positive capillary profile at q = 2.0 for mu = 1: an iterate turns negative.
+        ("targets = 2.0, 1.5", "BranchLost"),
+        # Nor at q = 1.4, where Newton stalls without descent first.
+        ("targets = 1.4, 1.5", "NoConvergence"),
         # One Newton iteration does not reach the tolerance.
         ("targets = 0.3, 0.4\nmax_newton = 1", "NoConvergence"),
     ])
@@ -669,7 +671,9 @@ class TestSteadyCommand:
         text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\nn = 64\n"
                 "[steady]\nmu = 1\nchi = 1\n{}\n").format(out, steady)
         assert main(["steady", write_cfg(tmp_path, text)]) == 1
-        single_error(capsys, error)
+        record = single_error(capsys, error)
+        if error == "NoConvergence":  # the line says why Newton stopped
+            assert record["reason"] == ("budget" if "max_newton" in steady else "stalled")
         assert (out / "branch.csv").read_text() == "step,q,mass,min_h,max_h,residual_sup,beta\n"
         assert json.loads((out / "manifest.json").read_text())["profiles"] == []
         assert list((out / "profiles").iterdir()) == []
@@ -756,6 +760,15 @@ class TestSweepCommand:
         assert len(tree_a) == 15 and tree_a == tree_b
         index = json.loads(tree_a["sweep_index.json"])
         assert [r["dir"] for r in index["runs"]] == ["a3=0", "a3=1"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_initial_path_fails_before_the_sweep_root_exists(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        text = sweep_text(out, workers).replace("values = 0, 1", "values = 0, 1, 2").replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", "kind = file\npath = nope.csv")
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        assert "nope.csv" in single_error(capsys, "ConfigError")["message"]
+        assert not out.exists()
 
     def test_serial_sweep_over_drift(self, tmp_path):
         out = tmp_path / "out"

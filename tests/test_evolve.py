@@ -21,7 +21,7 @@ from rimflow.evolve import (
     step,
 )
 from rimflow.grid import Grid, PeriodicField, integrate
-from rimflow.newton import newton
+from rimflow.newton import NewtonStats, newton
 from rimflow.model import (
     Forcing,
     Params,
@@ -246,6 +246,20 @@ class TestJacobian:
         with pytest.raises(StepFailure) as exc:
             step(EvolveState(0.0, g.field(hold), 0.01), p, cfg, _system=sysm)
         assert exc.value.diverged
+
+    @pytest.mark.parametrize("failure", ["budget", "stalled"])
+    def test_unconverged_finite_iterate_is_not_reported_diverged(self, failure, monkeypatch):
+        # Newton that ran out of budget or stalled left a finite iterate:
+        # the step underflows dt_min, but not as a diverged iterate.
+        def unconverged(residual, bands, z0, tol, *args, **kwargs):
+            return z0, NewtonStats(3, 0, 1, tol, 1.0, failure), None
+
+        monkeypatch.setattr(rimflow.evolve, "newton", unconverged)
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
+        with pytest.raises(StepFailure) as exc:
+            step(EvolveState(0.0, random_positive(g, 3), 0.01), make_params(g), cfg)
+        assert not exc.value.diverged and "diverged" not in str(exc.value)
 
 
 class TestStep:

@@ -132,8 +132,45 @@ def test_floor_raises_the_tolerance_to_the_representable_residual():
     floor = 4.0 * EPS * factor.row_norm * max(1.0, float(np.max(np.abs(z))))
     assert stats.tol_used == pytest.approx(floor, rel=1e-15)
     assert stats.residual <= stats.tol_used
+    # Unfloored, the solve stalls at rounding level instead of spending
+    # the whole budget there.
     _, unfloored, _ = newton(residual, bands, np.zeros(n), 1e-300, 30)
-    assert unfloored.failure == "budget"
+    assert unfloored.failure == "stalled" and unfloored.iterations < 15
+    assert unfloored.residual <= floor
+
+
+@pytest.mark.parametrize("scale, tol_ulps, failure", [
+    (-1.0, 0.5, "stalled"),  # the step points uphill at every length: no descent
+    (2.0, 0.5, "stalled"),   # halves a residual at rounding level, still above tol
+    (2.0, 1.5, None),        # halves it into the tolerance: converged, not stalled
+])
+def test_fresh_step_stalls_only_when_it_cannot_reach_the_tolerance(scale, tol_ulps, failure):
+    # F(z) = z - c near c = 1e6, factored as scale * I.  The start is two
+    # ulps off, within the rounding level eps * ||J|| * sup|z|; a factor of
+    # 2 I halves the residual exactly, a contraction of 0.5.
+    n = 8
+    c = np.full(n, 1e6)
+    ulp = float(np.spacing(1e6))
+    J = np.zeros((5, n))
+    J[2] = scale
+    z0 = c + 2.0 * ulp
+    assert 2.0 * ulp <= EPS * 2.0 * 1e6
+    _, stats, _ = newton(lambda z: z - c, lambda z: J, z0, tol_ulps * ulp, 30)
+    assert stats.failure == failure and stats.iterations == stats.factorizations == 1
+    assert stats.residual == (2.0 * ulp if failure else ulp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([8, 16, 64]), seed=st.integers(0, 2**32 - 1),
+       floor=st.floats(1.0, 100.0), scale=st.sampled_from([0.0, 1.0, 10.0]))
+def test_floored_solve_never_stalls(n, seed, floor, scale):
+    # With floor >= 1 the tolerance in force is at least the rounding level,
+    # so only a fresh step without descent could stall, and damped Newton
+    # on these systems always descends: evolve's floored solves never stall.
+    residual, bands, _ = cubic_system(n, seed)
+    z0 = scale * np.random.default_rng(seed).normal(size=n)
+    _, stats, _ = newton(residual, bands, z0, 1e-300, 30, floor=floor)
+    assert stats.failure is None and stats.residual <= stats.tol_used
 
 
 def test_discarded_reused_step_does_not_accept_a_start_below_only_the_floor():

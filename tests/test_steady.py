@@ -402,6 +402,17 @@ class TestNewtonLinearAlgebra:
             capillary_solve(init, ContinuationStep(mode, target))
         assert exc.value.iterations == 0
 
+    def test_first_target_past_the_threshold_stalls(self):
+        # No positive profile exists at q = 1.4 > (2/3) sqrt(2) for mu = 1:
+        # Newton from the small-flux guess stops when it finds no descent,
+        # well before the budget, and the error says why.
+        step = ContinuationStep("fixed_flux", 1.4)
+        with pytest.raises(NoConvergence, match="^Newton stalled at residual ") as exc:
+            capillary_solve(make_profile(Grid(n=64), 1.4, mu=1.0, chi=1.0), step)
+        assert exc.value.reason == "stalled"
+        assert exc.value.iterations < step.max_newton
+        assert exc.value.residual_sup > step.tol
+
 
 class TestSolvability:
     def test_cubic_profile_satisfies_identities(self):
