@@ -173,7 +173,6 @@ class _System:
         self.params = params
         self.knobs = knobs
         self.dx = grid.dx
-        self.wp_mid = params.w.wp_mid()
         self.factor, self.factor_dt = None, None  # kept by step() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
 
@@ -186,7 +185,7 @@ class _System:
         m = 0.5 * (u + up1)
         t1 = (up1 - u) / dx
         t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
-        g = p.a0 * t3 + p.a1 * t1 + p.a2 * self.wp_mid
+        g = p.a0 * t3 + p.a1 * t1 + p.a2 * p.w.wp_mid
         return m, t1, t3, g
 
     def interface_flux(self, u: np.ndarray) -> np.ndarray:
@@ -273,14 +272,13 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
             break
         dt *= 0.5
         if dt < cfg.dt_min:
-            diverged = stats.failure not in (None, "budget", "stalled")
             raise StepFailure(
                 f"step size underflow below dt_min={cfg.dt_min} at t={state.t}"
-                + (" (diverged Newton iterate)" if diverged else ""),
+                + (" (diverged Newton iterate)" if stats.diverged else ""),
                 residual_sup=stats.residual,
                 t=state.t,
                 dt=dt,
-                diverged=diverged,
+                diverged=stats.diverged,
             )
     sysm.last_step = (hold, dt)
     return EvolveState(

@@ -4,10 +4,11 @@ The evolution law is
 
     h_t + ( f(h) (a0 h_xxx + a1 h_x + a2 w'(x)) )_x + a3 h_x = 0
 
-on a periodic domain, with mobility f(h) = |h|^3.  The regularized mobility
-replaces f by f_de(z) = |z|^4 / (|z| + eps) + delta, which restores uniform
-parabolicity for delta > 0 and strengthens the degeneracy near zero for
-eps > 0.
+on a periodic domain, with mobility f(h) = |h|^3.  Forcing holds w, w' and
+the interface samples of w' that the flux form reads, all computed once
+when it is built.  The regularized mobility replaces f by
+f_de(z) = |z|^4 / (|z| + eps) + delta, which restores uniform parabolicity
+for delta > 0 and strengthens the degeneracy near zero for eps > 0.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, d1, d3, periodic_pad
+from .grid import TWO_PI, Grid, PeriodicField, d1, periodic_pad
 
 ALPHA_RANGE = (-0.5, 1.0)
 THETA_RANGE = (0.0, 0.4)
@@ -41,27 +42,24 @@ class RegularizationKnobs:
             )
 
 
+@dataclass(frozen=True, eq=False)
 class Forcing:
-    """Substrate forcing profile w and its derivative w' on a grid.
+    """Substrate forcing w, w' at the nodes, and w' at the interfaces x_{i+1/2} (wp_mid).
 
-    Two kinds are supported: "sine" samples w = sin(x) and w' analytically
-    (the domain must then be one full period long), and "tabulated" carries
-    arbitrary samples, deriving w' with the grid operator when it is not
-    supplied.  The flux form of the equation needs no higher derivative.
+    sine samples w = sin x and w' analytically (the domain must be one full
+    period); tabulated takes w' from d1 and averages it onto the interfaces.
+    Each array is checked and frozen as a PeriodicField's values; two
+    Forcings compare equal only when they are the same object.
     """
 
-    def __init__(self, kind: str, grid: Grid, w: np.ndarray, wp: np.ndarray):
-        self.kind = kind
-        self.grid = grid
-        self.w = np.asarray(w, dtype=float)
-        self.wp = np.asarray(wp, dtype=float)
-        for name, arr in (("w", self.w), ("w'", self.wp)):
-            if arr.shape != (grid.n,):
-                raise ValueError(f"forcing {name} needs {grid.n} samples")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"forcing {name} must be finite")
-        self.w.flags.writeable = False
-        self.wp.flags.writeable = False
+    grid: Grid
+    w: np.ndarray
+    wp: np.ndarray
+    wp_mid: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("w", "wp", "wp_mid"):
+            object.__setattr__(self, name, PeriodicField(self.grid, getattr(self, name)).values)
 
     @classmethod
     def sine(cls, grid: Grid) -> "Forcing":
@@ -70,31 +68,17 @@ class Forcing:
                 f"sine forcing needs a domain of length 2*pi, got {grid.length}"
             )
         x = grid.x
-        return cls("sine", grid, np.sin(x), np.cos(x))
+        return cls(grid, np.sin(x), np.cos(x), np.cos(x + 0.5 * grid.dx))
 
     @classmethod
-    def tabulated(cls, grid: Grid, w, wp=None) -> "Forcing":
+    def tabulated(cls, grid: Grid, w) -> "Forcing":
         wf = PeriodicField(grid, w)
-        dwp = d1(wf).values
-        if wp is None:
-            wp = dwp
-        wp = np.asarray(wp, dtype=float)
-        # A supplied derivative must be consistent with the grid operator to
-        # the scheme's (second) order of accuracy.
-        curv3 = float(np.max(np.abs(d3(wf).values))) + 1.0
-        if float(np.max(np.abs(wp - dwp))) > grid.dx**2 * curv3 + 1e-10:
-            raise ValueError("supplied w' is inconsistent with the discrete derivative of w")
-        return cls("tabulated", grid, wf.values, wp)
+        wp = d1(wf).values
+        return cls(grid, wf.values, wp, 0.5 * (wp + periodic_pad(wp, 1)[2:]))
 
     @classmethod
     def constant(cls, grid: Grid, value: float = 0.0) -> "Forcing":
-        return cls("tabulated", grid, np.full(grid.n, float(value)), np.zeros(grid.n))
-
-    def wp_mid(self) -> np.ndarray:
-        """w' sampled at the cell interfaces x_{i+1/2}."""
-        if self.kind == "sine":
-            return np.cos(self.grid.x + 0.5 * self.grid.dx)
-        return 0.5 * (self.wp + periodic_pad(self.wp, 1)[2:])
+        return cls.tabulated(grid, np.full(grid.n, float(value)))
 
     # Norms used by the a priori constants.
     @property

@@ -22,6 +22,8 @@ one it started from, above the tolerance in force ends the solve as
 "stalled" when no length lowered the residual, or when it started at
 rounding level and contracted by no more than REFACTOR_RATE: Newton from
 there cannot reach the tolerance, so the rest of the budget is not spent.
+The NewtonStats a call returns is the one place that says what a failure
+means: whether it diverged, and its message.
 """
 from __future__ import annotations
 
@@ -36,6 +38,11 @@ from .grid import CyclicBandedFactor
 MAX_DAMPINGS = 4
 REFACTOR_RATE = 0.3
 _MACH_EPS = float(np.finfo(float).eps)
+_MESSAGES = {"diverged": "Newton iterate diverged", "singular": "singular Jacobian",
+             "direction": "Newton direction not finite",
+             "stalled": "Newton stalled at residual {residual:.3e} above tol {tol:.3e} "
+                        "after {iterations} iterations",
+             "budget": "no convergence after {iterations} iterations (residual {residual:.3e})"}
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,17 @@ class NewtonStats:
     tol_used: float
     residual: float
     failure: Optional[str] = None
+
+    @property
+    def diverged(self) -> bool:
+        """The iterate or the linear algebra broke down, as against stopping short of tol_used."""
+        return self.failure in ("diverged", "singular", "direction")
+
+    @property
+    def message(self) -> Optional[str]:
+        """The failure in words, with the residual, tol_used and iterations; None on success."""
+        return None if self.failure is None else _MESSAGES[self.failure].format(
+            residual=self.residual, tol=self.tol_used, iterations=self.iterations)
 
 
 def _sup(r: np.ndarray) -> float:

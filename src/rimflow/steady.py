@@ -56,6 +56,11 @@ class SteadyProfile:
     residual_sup: float
     mass: float
 
+    @property
+    def beta(self) -> float:
+        """The flux parameter q^2 mu / 3; no positive profile exists beyond 8/27."""
+        return self.q**2 * self.mu / 3.0
+
 
 @dataclass(frozen=True)
 class ContinuationStep:
@@ -245,13 +250,6 @@ def _bordered_solve(lu: CyclicBandedFactor, b: np.ndarray, r: np.ndarray, dx: fl
     return np.append(dq * b - a, dq)
 
 
-_FAILURES = {"diverged": "Newton iterate diverged", "singular": "singular Jacobian",
-             "direction": "Newton direction not finite",
-             "stalled": "Newton stalled at residual {residual:.3e} above tol {tol:.3e} "
-                        "after {iterations} iterations",
-             "budget": "no convergence after {iterations} iterations (residual {residual:.3e})"}
-
-
 def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfile:
     """Solve the capillary steady equation starting from init's profile.
 
@@ -291,9 +289,7 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
                          step.tol, step.max_newton, direction=bordered if fixed_mass else None,
                          accept=accept)
     if stats.failure is not None:
-        message = _FAILURES[stats.failure].format(residual=stats.residual, tol=step.tol,
-                                                  iterations=stats.iterations)
-        raise NoConvergence(message, residual_sup=stats.residual, iterations=stats.iterations,
+        raise NoConvergence(stats.message, residual_sup=stats.residual, iterations=stats.iterations,
                             reason=stats.failure)
     prof = PeriodicField(grid, z[:n])
     q = float(z[n]) if fixed_mass else step.target
@@ -312,7 +308,7 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     """Integral identities any positive steady profile must satisfy.
 
     With y = h/q: the mean of 1/y^2 - 1/y^3 vanishes (r0) and its cos-weighted
-    mean equals pi * beta with beta = q^2 mu / 3 (r1).  beta beyond 8/27 is
+    mean equals pi * beta with beta = prof.beta (r1).  beta beyond 8/27 is
     flagged: no positive profile can satisfy the identities there.
     """
     grid = prof.h.grid
@@ -325,7 +321,7 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     y = hv / prof.q
     f = 1.0 / y**2 - 1.0 / y**3
     dx = grid.dx
-    beta = prof.q**2 * prof.mu / 3.0
+    beta = prof.beta
     r0 = float(dx * np.sum(f))
     r1 = float(dx * np.sum(f * np.cos(grid.x))) - math.pi * beta
     return SolvabilityReport(

@@ -16,8 +16,13 @@ from rimflow.bounds import BoundReport
 from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config, write_field_csv
 from rimflow.evolve import EvolveConfig
 from rimflow.grid import Grid
-from rimflow.model import RegularizationKnobs
-from rimflow.steady import ContinuationStep, NoConvergence, nonexistence_threshold
+from rimflow.model import Forcing, RegularizationKnobs
+from rimflow.steady import (
+    ContinuationStep,
+    NoConvergence,
+    nonexistence_threshold,
+    solvability_residuals,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -124,6 +129,15 @@ class TestParseConfig:
         assert cfg.evolve.t_end == 0.5
         assert cfg.evolve.snapshot_times == (0.25,)
         assert cfg.evolve.knobs.epsilon == 0.0
+
+    def test_trig_initial_data_samples_cos_and_sin_terms(self, tmp_path):
+        text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace(
+            "cos = 0.02, 0.02", "cos = 0.02, 0.01\nsin = 0.03, 0, -0.04")
+        cfg = parse_config(text)
+        x = cfg.grid.x
+        want = 0.3 + 0.02 * np.cos(x) + 0.01 * np.cos(2 * x) \
+            + 0.03 * np.sin(x) + 0.0 * np.sin(2 * x) - 0.04 * np.sin(3 * x)
+        np.testing.assert_allclose(cfg.initial.build(cfg.grid).values, want, rtol=0, atol=1e-15)
 
     def test_grid_defaults_when_section_missing(self):
         text = ("[run]\nmode = evolve\n[params]\na0=1\na1=1\na2=0\na3=0\n"
@@ -330,7 +344,7 @@ class TestSchema:
         if mode == "steady":
             assert cfg.steady.steps == (ContinuationStep("fixed_flux", 0.2),)
         if mode in ("evolve", "sweep"):
-            assert cfg.params.w.kind == "sine"
+            assert np.array_equal(cfg.params.w.wp_mid, Forcing.sine(cfg.grid).wp_mid)
             assert cfg.evolve.knobs == RegularizationKnobs()
 
 
@@ -439,17 +453,22 @@ epsilon = 0.0
         assert main(["evolve", cfg]) == 2
         assert "does not match" in capsys.readouterr().err
 
-    def test_odd_row_field_file_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("table, needle", [
         # Nine evenly spaced rows describe a grid of odd size, which Grid rejects.
+        ("x,h\n" + "".join(f"{0.5 * i},0.3\n" for i in range(9)), "grid size must be even"),
+        ("x,h,extra\n" + "".join(f"{0.5 * i},0.3,0\n" for i in range(8)),
+         "expected two CSV columns"),
+    ], ids=["odd_rows", "three_columns"])
+    def test_malformed_field_file_is_config_error(self, tmp_path, capsys, table, needle):
         field_path = tmp_path / "h0.csv"
-        field_path.write_text("x,h\n" + "".join(f"{0.5 * i},0.3\n" for i in range(9)))
+        field_path.write_text(table)
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace(
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
             f"kind = file\npath = {field_path}")
         assert main(["evolve", write_cfg(tmp_path, text)]) == 2
         message = single_error(capsys, "ConfigError")["message"]
-        assert message.startswith("[initial] path: ") and "grid size must be even" in message
+        assert message.startswith("[initial] path: ") and needle in message
         assert not out.exists()
 
     def test_missing_field_file_is_config_error(self, tmp_path, capsys):
@@ -557,16 +576,24 @@ class TestModeAndParseErrors:
         ("steady", "steady", "chi", "-2", "[steady] chi must be nonnegative and finite"),
         ("steady", "steady", "targets", "-0.1", "[steady] continuation target must be positive"),
         ("steady", "steady", "targets", "nan", "[steady] continuation target must be positive"),
+        ("steady", "steady", "targets", "", "[steady] targets must not be empty"),
+        ("sweep", "sweep", "values", "", "[sweep] values must not be empty"),
+        ("evolve", "initial", "kind", "constant", "[initial] kind=constant requires key 'value'"),
+        ("evolve", "params", "forcing", "cosine", "[params] forcing: unknown kind 'cosine'"),
+        ("evolve", "grid", "origin", "inf", "[grid] grid origin must be finite"),
     ])
     def test_bad_values_exit_two(self, tmp_path, capsys, mode, section, key, value, needle):
         out = tmp_path / "out"
+        evolve = {"run": {"mode": "evolve", "output_dir": out}, "grid": {"n": "32"},
+                  "params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
+                  "initial": {"kind": "trig", "mean": "0.5", "cos": "0.1"},
+                  "evolve": {"t_end": "0.01"}}
         sections = {
-            "evolve": {"run": {"mode": "evolve", "output_dir": out}, "grid": {"n": "32"},
-                       "params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
-                       "initial": {"kind": "trig", "mean": "0.5", "cos": "0.1"},
-                       "evolve": {"t_end": "0.01"}},
+            "evolve": evolve,
             "steady": {"run": {"mode": "steady", "output_dir": out},
                        "steady": {"mu": "1", "targets": "0.2"}},
+            "sweep": {**evolve, "run": {"mode": "sweep", "output_dir": out},
+                      "sweep": {"vary": "params.a3", "values": "1"}},
         }[mode]
         if key == "value":
             sections["initial"] = {"kind": "constant"}
@@ -606,6 +633,27 @@ class TestSteadyCommand:
         for entry in manifest["profiles"]:
             assert (out / entry["file"]).exists()
             assert entry["beta"] == pytest.approx(entry["q"] ** 2 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("steady", ["mu = 3.0\nchi = 3.0\ntargets = 0.1, 0.2",
+                                        "mu = 1.0\nchi = 0\ntargets = 0.2, 0.3"],
+                             ids=["capillary", "cubic"])
+    def test_beta_agrees_across_outputs(self, tmp_path, monkeypatch, steady):
+        profiles, write_branch_csv = [], cli.write_branch_csv
+
+        def keep(profs, path):
+            profiles.extend(profs)
+            write_branch_csv(profs, path)
+
+        monkeypatch.setattr(cli, "write_branch_csv", keep)
+        out = tmp_path / "out"
+        text = f"[run]\nmode = steady\noutput_dir = {out}\n[grid]\nn = 128\n[steady]\n{steady}\n"
+        assert main(["steady", write_cfg(tmp_path, text)]) == 0
+        with open(out / "branch.csv") as fh:
+            csv_beta = [float(r["beta"]) for r in csv.DictReader(fh)]
+        manifest_beta = [e["beta"] for e in json.loads((out / "manifest.json").read_text())["profiles"]]
+        identity_beta = [solvability_residuals(prof).beta for prof in profiles]
+        assert len(identity_beta) == 2
+        assert csv_beta == manifest_beta == identity_beta
 
     def test_capillary_branch(self, tmp_path):
         out = tmp_path / "out"
@@ -905,6 +953,15 @@ class TestCheckCommand:
         assert "steady_flux_bound" in names
         assert len(reports) >= 10
 
+    @pytest.mark.parametrize("tloc, status, code", [(0.0, "FAIL", 1), (math.ulp(0.0), "PASS", 0)])
+    def test_local_existence_must_be_positive(self, tmp_path, capsys, monkeypatch, tloc, status, code):
+        monkeypatch.setattr(cli, "local_existence_time", lambda h, p: tloc)
+        cfg = write_cfg(tmp_path, f"[run]\nmode = check\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["check", cfg]) == code
+        printed = capsys.readouterr().out
+        assert f"{status} local_existence_positive: lhs=0 rhs={tloc:.6g}\n" in printed
+        assert printed.count("FAIL") == (status == "FAIL")
+
     def test_same_seed_reproduces_battery(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nmode = check\n")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -920,7 +977,7 @@ class TestCheckCommand:
     ], ids=lambda e: type(e).__name__)
     def test_battery_error_exits_one_without_reports(self, tmp_path, capsys, monkeypatch, exc):
         def failing_battery(seed):
-            yield BoundReport.check("first", 0.0, 1.0), True
+            yield BoundReport.check("first", 0.0, 1.0)
             raise exc
 
         monkeypatch.setattr(cli, "_check_battery", failing_battery)

@@ -52,7 +52,7 @@ def flux_oracle(h, p, knobs):
     g = h.grid
     n, dx = g.n, g.dx
     hv = h.values
-    wpm = p.w.wp_mid()
+    wpm = p.w.wp_mid
     out = np.empty(n)
     for i in range(n):
         hp2, hp1 = hv[(i + 2) % n], hv[(i + 1) % n]
@@ -143,7 +143,7 @@ class TestFlux:
         F = sysm.interface_flux(u)
         assert np.array_equal(sysm.divergence(u), (F - np.roll(F, 1)) / dx)
 
-        gv = p.a0 * t3 + p.a1 * t1 + p.a2 * p.w.wp_mid()
+        gv = p.a0 * t3 + p.a1 * t1 + p.a2 * p.w.wp_mid
         f = mobility(m, knobs)
         half_fp_g = 0.5 * mobility_derivative(m, knobs) * gv
         A = f * (-p.a0 / dx**3)

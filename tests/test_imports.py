@@ -1,6 +1,7 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
-only cli reads or writes files, evolve does not depend on bounds, and every
-module global the perfbench tracer wraps still exists."""
+only cli reads or writes files, only newton reads meaning into a Newton failure's
+name, evolve does not depend on bounds, and every module global the perfbench
+tracer wraps still exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -82,6 +83,45 @@ def test_finds_json_imports_file_calls_and_relative_modules():
 def test_only_cli_reads_or_writes_files(path):
     # The output tree's format lives in one module; the solver layers return values.
     assert file_access(ast.parse(path.read_text())) == []
+
+
+def is_failure(node: ast.expr) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "failure"
+
+
+def is_strings(node: ast.expr) -> bool:
+    """A string literal, or a tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(is_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def failure_string_compares(tree: ast.Module) -> list:
+    """Lines comparing a failure name or attribute with strings by ==, !=, in or not in."""
+    ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for op, a, b in zip(node.ops, [node.left, *node.comparators], node.comparators):
+                if isinstance(op, ops) and (is_failure(a) and is_strings(b)
+                                            or is_strings(a) and is_failure(b)):
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_failure_string_compares():
+    tree = ast.parse(
+        "a = stats.failure == 'budget'\nb = failure not in (None, 'budget', 'stalled')\n"
+        "c = 'singular' != s.failure\nd = s.failure is None\ne = s.reason == 'budget'\n"
+        "f = s.failure in kinds\n"
+    )
+    assert failure_string_compares(tree) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "newton.py"], ids=lambda p: p.name)
+def test_only_newton_interprets_failures(path):
+    # NewtonStats.diverged and .message say what a failure means; callers read those.
+    assert failure_string_compares(ast.parse(path.read_text())) == []
 
 
 def test_evolve_does_not_import_bounds():

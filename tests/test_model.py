@@ -64,7 +64,7 @@ class TestForcing:
     def test_sine_interface_samples_are_analytic(self):
         g = Grid(n=64)
         w = Forcing.sine(g)
-        assert_allclose(w.wp_mid(), np.cos(g.x + 0.5 * g.dx), atol=0)
+        assert_allclose(w.wp_mid, np.cos(g.x + 0.5 * g.dx), atol=0)
 
     def test_tabulated_defaults_to_grid_derivatives(self):
         g = Grid(n=64)
@@ -73,23 +73,13 @@ class TestForcing:
         f = PeriodicField(g, vals)
         assert_allclose(w.wp, d1(f).values, atol=0)
         # Interface samples average the two neighbouring nodal values.
-        assert_allclose(w.wp_mid(), 0.5 * (w.wp + np.roll(w.wp, -1)), atol=0)
+        assert_allclose(w.wp_mid, 0.5 * (w.wp + np.roll(w.wp, -1)), atol=0)
 
     @pytest.mark.parametrize("n", [8, 10, 256])
     def test_tabulated_interface_samples_bit_identical_to_roll(self, n):
         g = Grid(n=n)
         w = Forcing.tabulated(g, np.random.default_rng(n).normal(size=n))
-        assert np.array_equal(w.wp_mid(), 0.5 * (w.wp + np.roll(w.wp, -1)))
-
-    def test_tabulated_accepts_consistent_analytic_derivatives(self):
-        g = Grid(n=128)
-        w = Forcing.tabulated(g, np.sin(g.x), wp=np.cos(g.x))
-        assert w.kind == "tabulated"
-
-    def test_tabulated_rejects_inconsistent_derivative(self):
-        g = Grid(n=128)
-        with pytest.raises(ValueError):
-            Forcing.tabulated(g, np.sin(g.x), wp=np.cos(g.x) + 0.5)
+        assert np.array_equal(w.wp_mid, 0.5 * (w.wp + np.roll(w.wp, -1)))
 
     def test_constant_forcing_has_zero_derivatives(self):
         g = Grid(n=32)
@@ -102,6 +92,22 @@ class TestForcing:
         w = Forcing.sine(Grid(n=32))
         with pytest.raises(ValueError):
             w.w[0] = 1.0
+
+    def test_constant_is_tabulated_of_a_constant(self):
+        g = Grid(n=32)
+        c, t = Forcing.constant(g, 2.5), Forcing.tabulated(g, np.full(g.n, 2.5))
+        for name in ("w", "wp", "wp_mid"):
+            got = getattr(c, name)
+            assert np.array_equal(got, getattr(t, name)), name
+            assert not got.flags.writeable, name
+        assert not np.any(c.wp_mid)
+
+    def test_forcings_compare_by_identity(self):
+        g = Grid(n=32)
+        w = Forcing.sine(g)
+        other = Forcing.sine(g)
+        assert w == w and w != other
+        assert len({w, other}) == 2
 
 
 class TestParams:

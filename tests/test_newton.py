@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rimflow.grid import CyclicBandedFactor, periodic_pad
-from rimflow.newton import newton
+from rimflow.newton import NewtonStats, newton
 
 EPS = float(np.finfo(float).eps)
 
@@ -234,3 +234,18 @@ def test_reused_step_landing_within_tolerance_is_kept():
     assert stats.residual > 0.3 * res0
     assert stats.factorizations == 0 and factor is half
     assert stats.iterations == len(record.sups) == 1
+
+
+@pytest.mark.parametrize("failure, diverged, message", [
+    (None, False, None),
+    ("diverged", True, "Newton iterate diverged"),
+    ("singular", True, "singular Jacobian"),
+    ("direction", True, "Newton direction not finite"),
+    ("stalled", False, "Newton stalled at residual 2.500e-06 above tol 1.000e-08 after 7 iterations"),
+    ("budget", False, "no convergence after 7 iterations (residual 2.500e-06)"),
+])
+def test_stats_say_what_a_failure_means(failure, diverged, message):
+    stats = NewtonStats(iterations=7, dampings=2, factorizations=1, tol_used=1e-8,
+                        residual=2.5e-6, failure=failure)
+    assert stats.diverged is diverged
+    assert stats.message == message
