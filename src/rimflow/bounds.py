@@ -265,21 +265,14 @@ def count_local_maxima(h: PeriodicField, rel_prominence: float = 1e-3) -> list[i
     dynamic range, so round-off ripples on flat regions do not count.
     """
     v = h.values
-    rng = float(np.max(v) - np.min(v))
+    floor = float(np.min(v))
+    rng = float(np.max(v)) - floor
     if rng == 0.0:
         return []
-    pad = periodic_pad(v, 1)
-    up, dn = pad[2:], pad[:-2]
-    cand = np.where((v >= up) & (v >= dn) & ((v > up) | (v > dn)))[0]
-    out = []
-    floor = np.min(v)
-    for i in cand:
-        if v[i] - floor >= rel_prominence * rng:
-            out.append(int(i))
-    # Merge plateau twins: keep one index per connected run of equal values.
-    merged = []
-    for i in out:
-        if merged and (i - merged[-1]) == 1 and v[i] == v[merged[-1]]:
-            continue
-        merged.append(i)
-    return merged
+    # Each run of equal neighbours, periodic (a run may cross the seam), is
+    # one candidate, named by its first index: a maximum when both samples
+    # beside it are lower, so a plateau counts once and a shoulder not at all.
+    starts = np.flatnonzero(v != periodic_pad(v, 1)[:-2])
+    top, after = v[starts], v[periodic_pad(starts, 1)[2:]]  # after: the sample past each run
+    peak = (top > v[starts - 1]) & (top > after) & (top - floor >= rel_prominence * rng)
+    return [int(i) for i in starts[peak]]

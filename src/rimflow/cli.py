@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import math
 import os
@@ -358,9 +359,22 @@ def write_csv(path, columns: Sequence[str], rows) -> None:
         fh.write(",".join(columns) + "\n" + (line * (len(cells) // len(columns))) % tuple(cells))
 
 
+@functools.lru_cache(maxsize=8)
+def _field_csv_template(grid: Grid, value_name: str) -> str:
+    """write_csv's text for the columns (x, value_name) on grid, with a %.17g slot per value.
+
+    Every field written on one grid repeats the same x column, so it is
+    formatted once here.
+    """
+    header = f"x,{value_name}\n".replace("%", "%%")
+    return header + "".join("%.17g,%%.17g\n" % x for x in grid.x.tolist())
+
+
 def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:
     """Serialize as CSV rows "x,value" with full (17 significant digit) precision."""
-    write_csv(path, ("x", value_name), np.column_stack((f.grid.x, f.values)))
+    text = _field_csv_template(f.grid, value_name) % tuple(f.values.tolist())
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def read_field_csv(path) -> PeriodicField:

@@ -14,9 +14,14 @@ conserved identically.
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  The snapshot functionals (energy, h1, gradient_sq) use the
-centred gradient grid.d1, as model.energy does; gradient_sq is
-grid.gradient_sq, the form the bound monitors use.
+of the scheme.  They read Newton's final evaluation rather than computing
+it again: Newton's last residual is taken at the iterate it returns, and
+_System keeps the terms (m, t1, t3, g, f) of its last flux evaluation,
+handed out by flux_terms when the accepted state matches that evaluation's
+state bit for bit (and recomputed otherwise).  The snapshot functionals
+(energy, h1, gradient_sq) use the centred gradient grid.d1, as
+model.energy does; gradient_sq is grid.gradient_sq, the form the bound
+monitors use.
 
 Time stepping is backward Euler (L-stable, first order), solved by the
 shared damped simplified-Newton solver rimflow.newton.newton on an analytic
@@ -158,7 +163,7 @@ class Trajectory:
 
 def initial_lift(h0: PeriodicField, knobs: RegularizationKnobs) -> PeriodicField:
     """Shift nonnegative initial data up by eps^theta so the run starts strictly positive."""
-    if float(np.min(h0.values)) < 0.0:
+    if float(h0.values.min()) < 0.0:
         raise ValueError("initial data must be nonnegative")
     lift = knobs.epsilon**knobs.theta if knobs.epsilon > 0.0 else 0.0
     return h0.with_values(h0.values + lift)
@@ -173,8 +178,10 @@ class _System:
         self.params = params
         self.knobs = knobs
         self.dx = grid.dx
+        self.drive = params.a2 * params.w.wp_mid  # the a2 w' term of g, fixed in time
         self.factor, self.factor_dt = None, None  # kept by step() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
+        self.last_flux = None  # (u, (m, t1, t3, g, f)) of the last interface_flux call
 
     def interface_values(self, u: np.ndarray):
         """(m, t1, t3, g): interface mean, gradient, third derivative and driving term."""
@@ -185,12 +192,27 @@ class _System:
         m = 0.5 * (u + up1)
         t1 = (up1 - u) / dx
         t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
-        g = p.a0 * t3 + p.a1 * t1 + p.a2 * p.w.wp_mid
+        g = p.a0 * t3 + p.a1 * t1 + self.drive
         return m, t1, t3, g
 
     def interface_flux(self, u: np.ndarray) -> np.ndarray:
-        m, _, _, g = self.interface_values(u)
-        return mobility(m, self.knobs) * g + self.params.a3 * m
+        m, t1, t3, g = self.interface_values(u)
+        f = mobility(m, self.knobs)
+        self.last_flux = (u, (m, t1, t3, g, f))
+        return f * g + self.params.a3 * m
+
+    def flux_terms(self, u: np.ndarray):
+        """(m, t1, t3, g, f) at u, f the mobility at m.
+
+        Newton's last residual is evaluated at the iterate it returns, so
+        the accepted state's terms are read from that evaluation when its
+        state matches u bit for bit; otherwise they are computed afresh.
+        A hit returns the kept arrays themselves: read them, do not write.
+        """
+        if self.last_flux is not None and _same_bits(self.last_flux[0], u):
+            return self.last_flux[1]
+        m, t1, t3, g = self.interface_values(u)
+        return m, t1, t3, g, mobility(m, self.knobs)
 
     def divergence(self, u: np.ndarray) -> np.ndarray:
         F = self.interface_flux(u)
@@ -221,6 +243,11 @@ class _System:
         return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b hold the same float64 bit patterns (signed zeros and NaNs included)."""
+    return a is b or a.tobytes() == b.tobytes()
+
+
 def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicField:
     """Interface flux as a field on the half-shifted grid (entry k lives at x_{k+1/2})."""
     sysm = _System(h.grid, p, knobs)
@@ -242,7 +269,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
     """
     sysm = _system if _system is not None else _System(state.h.grid, p, cfg.knobs)
     hold = state.h.values
-    tol = cfg.newton_tol * max(1.0, float(np.max(np.abs(hold))))
+    tol = cfg.newton_tol * max(1.0, float(np.abs(hold).max()))
     dt = state.dt
     if not (dt > 0.0):
         raise ValueError("step size must be positive")
@@ -252,7 +279,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
         # reused or not, has zero column sums, so the exact step keeps
         # sum(u + du - hold) at zero; this removes rounding along that mode.
         du = -lu.solve(r)
-        return du - np.sum((u - hold) + du) / hold.size
+        return du - ((u - hold) + du).sum() / hold.size
 
     while True:
         if dt != sysm.factor_dt:
@@ -268,7 +295,7 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
             tol, cfg.newton_max_iter, sysm.factor, direction, floor=NEWTON_FLOOR_SAFETY,
             min_iter=min_iter,
         )
-        if stats.failure is None and float(np.min(u)) >= -10.0 * stats.tol_used:
+        if stats.failure is None and float(u.min()) >= -10.0 * stats.tol_used:
             break
         dt *= 0.5
         if dt < cfg.dt_min:
@@ -291,14 +318,14 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
 
 def _entropy(v: np.ndarray, dx: float, epsilon: float) -> float:
     """dx * sum G_eps(v): the touchdown entropy of strictly positive samples v."""
-    return float(dx * np.sum(entropy_G(v, epsilon)))
+    return float(dx * entropy_G(v, epsilon).sum())
 
 
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
-    l2_sq = float(dx * np.sum(v * v))
+    l2_sq = float(dx * (v * v).sum())
     grad_sq = gradient_sq(h)
-    min_h = float(np.min(v))
+    min_h = float(v.min())
     if min_h > 0.0:
         entropy0, entropy_eps = _entropy(v, dx, 0.0), _entropy(v, dx, cfg.knobs.epsilon)
     else:
@@ -332,9 +359,9 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     diss3_cum = 0.0
 
     def k1_current(u: np.ndarray, t1: np.ndarray) -> float:
-        if float(np.min(u)) <= 0.0:
+        if float(u.min()) <= 0.0:
             return math.inf
-        grad = float(dx * np.sum(t1**2))
+        grad = float(dx * (t1**2).sum())
         ent = _entropy(u, dx, cfg.knobs.epsilon)
         return grad + a_ratio * (a_ratio + 2.0 * cfg.knobs.delta) * ent + p.a0 * diss3_cum
 
@@ -367,15 +394,15 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
                 traj.termination, exc.trajectory = "failed", traj
                 raise
 
-            # Per-step accounting, evaluated at the accepted implicit state.
+            # Per-step accounting, evaluated at the accepted implicit state
+            # from the terms of Newton's final residual evaluation there.
             dt_used = new.t - state.t
             u = new.h.values
-            m, t1, t3, g = sysm.interface_values(u)
-            f = mobility(m, cfg.knobs)
-            diss_cum += dt_used * float(dx * np.sum(f * g**2))
-            diss3_cum += dt_used * float(dx * np.sum(f * t3**2))
+            _, t1, t3, g, f = sysm.flux_terms(u)
+            diss_cum += dt_used * float(dx * (f * g**2).sum())
+            diss3_cum += dt_used * float(dx * (f * t3**2).sum())
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)
-            traj.supcube_time_integral += dt_used * float(np.max(np.abs(u)))**3
+            traj.supcube_time_integral += dt_used * float(np.abs(u).max())**3
             traj.k1_observed = max(traj.k1_observed, k1_current(u, t1))
             e_step = energy(new.h, p)
             if traj.step_count > 0:
@@ -383,7 +410,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
                 traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
             traj.step_count += 1
             e_prev = e_step
-            rate = float(np.max(np.abs(u - state.h.values))) / dt_used
+            rate = float(np.abs(u - state.h.values).max()) / dt_used
             steady_run = steady_run + 1 if rate < STEADY_RATE else 0
 
             # Rounding in the summed step sizes leaves up to 1e-12 at a landing.

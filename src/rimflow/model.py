@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, d1, periodic_pad
+from .grid import TWO_PI, Grid, PeriodicField, _centred_diff, d1, periodic_pad
 
 ALPHA_RANGE = (-0.5, 1.0)
 THETA_RANGE = (0.0, 0.4)
@@ -151,7 +151,7 @@ def entropy_G(z, epsilon: float):
     mobility, which is what makes it the natural Lyapunov density for positivity.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
+    if (z <= 0.0).any():
         raise ValueError("entropy density needs strictly positive arguments")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
@@ -183,6 +183,7 @@ def energy(h: PeriodicField, p: Params) -> float:
     """E(h) = 1/2 * integral of a0 h_x^2 - a1 h^2 - 2 a2 w h."""
     if not h.grid.compatible(p.grid):
         raise ValueError("field and forcing live on different grids")
-    hx = d1(h).values
-    dens = p.a0 * hx**2 - p.a1 * h.values**2 - 2.0 * p.a2 * p.w.w * h.values
-    return 0.5 * float(h.grid.dx * np.sum(dens))
+    v, dx = h.values, h.grid.dx
+    hx = _centred_diff(v, dx)
+    dens = p.a0 * hx**2 - p.a1 * v**2 - 2.0 * p.a2 * p.w.w * v
+    return 0.5 * float(dx * dens.sum())

@@ -72,13 +72,13 @@ class NewtonStats:
 
 
 def _sup(r: np.ndarray) -> float:
-    sup = float(np.max(np.abs(r)))
+    sup = float(np.abs(r).max())
     return sup if math.isfinite(sup) else math.inf
 
 
 def _rounding(factor: CyclicBandedFactor, z: np.ndarray) -> float:
     """eps * ||J||_inf * max(1, sup|z|): about the residual that rounding alone leaves at z."""
-    return _MACH_EPS * factor.row_norm * max(1.0, float(np.max(np.abs(z))))
+    return _MACH_EPS * factor.row_norm * max(1.0, float(np.abs(z).max()))
 
 
 def newton(
@@ -135,7 +135,7 @@ def newton(
         except np.linalg.LinAlgError:
             failure = "singular"
             break
-        if not np.all(np.isfinite(dz)):
+        if not np.isfinite(dz).all():
             failure = "direction"
             break
         iters += 1

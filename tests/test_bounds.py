@@ -316,6 +316,27 @@ class TestCountLocalMaxima:
         v[10] = v[11] = 1.0
         assert count_local_maxima(PeriodicField(Grid(n=64), v)) == [10]
 
+    def test_plateau_across_the_seam_counts_once(self):
+        # The same two-cell plateau and lower peak give two maxima wherever
+        # the plateau sits; across the seam it is kept at its first cell, 15.
+        v = np.zeros(16)
+        v[0] = v[15] = 1.0
+        v[7] = 0.5
+        assert count_local_maxima(PeriodicField(Grid(n=16), v)) == [7, 15]
+        assert count_local_maxima(PeriodicField(Grid(n=16), np.roll(v, 4))) == [3, 11]
+
+    @pytest.mark.parametrize("shift", [0, 12])
+    def test_wide_plateau_counts_once_and_a_shoulder_not_at_all(self, shift):
+        # Three equal samples are one maximum; two equal samples below a
+        # higher one are a shoulder on its flank.  shift = 12 puts the
+        # plateau across the seam.
+        v = np.zeros(16)
+        v[3] = v[4] = v[5] = 1.0
+        v[9] = v[10] = 0.5
+        v[11] = 0.8
+        idx = count_local_maxima(PeriodicField(Grid(n=16), np.roll(v, shift)))
+        assert idx == sorted([(3 + shift) % 16, (11 + shift) % 16])
+
 
 class TestReportsAndWriters:
     def test_check_semantics(self):

@@ -536,6 +536,61 @@ class TestRun:
         assert traj.termination == "t_end"
         assert sum(iterations) <= 3.5 * traj.step_count
 
+    def _counted_run(self, monkeypatch):
+        """A short drift run, with its interface_values, residual and jacobian calls counted."""
+        calls = dict.fromkeys(("interface_values", "residual", "jacobian"), 0)
+        for name in calls:
+            original = getattr(_System, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(_System, name, counting)
+        g = Grid(n=64)
+        p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
+        cfg = EvolveConfig(t_end=0.5, dt_init=1e-3, dt_max=0.05, snapshot_times=[0.1, 0.25],
+                           knobs=RegularizationKnobs(epsilon=1e-4))
+        return run(random_positive(g, 5, mean=0.3, amp=0.02), p, cfg), calls
+
+    def test_monitors_read_newtons_last_flux_evaluation(self, monkeypatch):
+        # The accounting evaluates no interface values of its own: only the
+        # residuals, the Jacobians and the initial K1 do.
+        traj, calls = self._counted_run(monkeypatch)
+        assert traj.step_count > 10
+        assert calls["interface_values"] == calls["residual"] + calls["jacobian"] + 1
+
+    def test_reused_flux_terms_match_recomputed_ones_bitwise(self, monkeypatch):
+        traj, calls = self._counted_run(monkeypatch)
+        # Every lookup misses, so each accepted step recomputes its terms.
+        monkeypatch.setattr(rimflow.evolve, "_same_bits", lambda a, b: False)
+        fresh, fresh_calls = self._counted_run(monkeypatch)
+        assert (fresh_calls["interface_values"]
+                == fresh_calls["residual"] + fresh_calls["jacobian"] + 1 + fresh.step_count)
+        assert fresh.step_count == traj.step_count
+        # float.hex tells every bit apart, signed zeros included.
+        assert ([r.dissipation_cum.hex() for r in fresh.records]
+                == [r.dissipation_cum.hex() for r in traj.records])
+        for name in ("k1_observed", "supcube_time_integral", "energy_rise_max",
+                     "newton_tol_effective"):
+            assert getattr(fresh, name).hex() == getattr(traj, name).hex(), name
+
+    def test_flux_terms_recompute_for_a_state_not_last_evaluated(self):
+        g = Grid(n=32)
+        sysm = _System(g, make_params(g, a=(1.0, 16.0, -8.0, 3.0)), RegularizationKnobs())
+        u, v = random_positive(g, 1).values, random_positive(g, 2).values
+        sysm.interface_flux(u)
+        cached = sysm.flux_terms(u.copy())
+        assert cached is sysm.last_flux[1]
+        got = sysm.flux_terms(v)
+        m, t1, t3, gv = sysm.interface_values(v)
+        want = (m, t1, t3, gv, mobility(m, sysm.knobs))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # A sign-flipped zero compares equal but is not the same bits.
+        z = np.zeros(g.n)
+        sysm.interface_flux(z)
+        assert sysm.flux_terms(-z) is not sysm.last_flux[1]
+
     def test_dissipation_accumulates(self):
         g = Grid(n=64)
         p = make_params(g, a=(1.0, 16.0, 0.0, 0.0))

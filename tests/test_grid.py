@@ -326,6 +326,21 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, f.values)
         assert back.grid.compatible(g, tol=1e-9)
 
+    @pytest.mark.parametrize("grid", [Grid(), Grid(n=64, origin=-1.25), Grid(n=48, length=3.5)],
+                             ids=["default", "shifted", "non-2pi"])
+    def test_field_writer_matches_the_generic_writer(self, tmp_path, grid):
+        # The field writer formats each grid's x column once and reuses it;
+        # its bytes stay those of write_csv, for each value name.
+        for k, name in enumerate(("h", "value")):
+            f = random_trig(grid, k)
+            path, generic = tmp_path / f"{name}.csv", tmp_path / f"{name}.generic.csv"
+            write_field_csv(f, path, value_name=name)
+            write_csv(generic, ("x", name), np.column_stack((grid.x, f.values)))
+            assert path.read_bytes() == generic.read_bytes()
+            back = read_field_csv(path)
+            assert back.grid.compatible(grid, tol=1e-9)
+            assert np.array_equal(back.values, f.values)
+
     def test_write_csv_table(self, tmp_path):
         path = tmp_path / "table.csv"
         write_csv(path, ("step", "a"), [(0, 0.1), (1, -2.5e-300), (2, math.inf)])

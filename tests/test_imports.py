@@ -1,7 +1,8 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
 only cli reads or writes files, only newton reads meaning into a Newton failure's
-name, evolve does not depend on bounds, and every module global the perfbench
-tracer wraps still exists."""
+name, evolve does not depend on bounds, the time-stepping hot path reduces arrays
+with their methods, and every module global the perfbench tracer wraps still
+exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -127,6 +128,33 @@ def test_only_newton_interprets_failures(path):
 def test_evolve_does_not_import_bounds():
     evolve = next(p for p in SOURCES if p.name == "evolve.py")
     assert "rimflow.bounds" not in rimflow_imports(ast.parse(evolve.read_text()))
+
+
+REDUCTIONS = {"sum", "max", "min", "all", "any"}
+
+
+def function_form_reductions(tree: ast.Module) -> list:
+    """Lines calling np.sum, np.max, np.min, np.all or np.any (numpy imported as np)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and getattr(node.func.value, "id", None) == "np" and node.func.attr in REDUCTIONS)
+
+
+def test_finds_function_form_reductions():
+    tree = ast.parse(
+        "a = np.sum(x)\nb = float(np.max(np.abs(r)))\nc = x.sum() + np.abs(r).max()\n"
+        "d = np.all(np.isfinite(x)) or np.any(x <= 0.0)\ne = np.min(u)\nf = np.maximum(a, b)\n"
+    )
+    assert function_form_reductions(tree) == [1, 2, 4, 4, 5]
+
+
+@pytest.mark.parametrize("name", ["evolve.py", "newton.py"])
+def test_hot_path_reduces_with_array_methods(name):
+    # np.sum(x) and x.sum() run the same ufunc reduce, but the function form
+    # first passes through numpy's Python-level dispatch, a fixed cost paid
+    # about 14 times per evolve step.
+    path = next(p for p in SOURCES if p.name == name)
+    assert function_form_reductions(ast.parse(path.read_text())) == []
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
