@@ -206,7 +206,7 @@ def positivity_monitor(traj, zeta: PeriodicField) -> list[float]:
     out = []
     for snap in traj.snapshots:
         h = snap.field
-        if not h.grid.compatible(zeta.grid):
+        if h.grid != zeta.grid:
             raise ValueError("window and snapshot grids differ")
         hv = h.values
         active = xi > 0.0

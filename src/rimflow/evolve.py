@@ -14,12 +14,10 @@ conserved identically.
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  They read Newton's final evaluation rather than computing
-it again: Newton's last residual is taken at the iterate it returns, and
-_System keeps the terms (m, t1, t3, g, f) of its last flux evaluation,
-handed out by flux_terms when the accepted state matches that evaluation's
-state bit for bit (and recomputed otherwise).  The snapshot functionals
-(energy, h1, gradient_sq) use the centred gradient grid.d1, as
+of the scheme.  They read the terms (m, t1, t3, g, f) that _System keeps
+of its last flux evaluation: Newton's last residual is taken at the very
+array it returns, so step hands that evaluation over.  The snapshot
+functionals (energy, h1, gradient_sq) use the centred gradient grid.d1, as
 model.energy does; gradient_sq is grid.gradient_sq, the form the bound
 monitors use.
 
@@ -82,15 +80,15 @@ class EvolveConfig:
     knobs: RegularizationKnobs = field(default_factory=RegularizationKnobs)
 
     def __post_init__(self) -> None:
-        if not (self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max < math.inf):
             raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
+                f"need 0 < dt_min <= dt_init <= dt_max < inf, got "
                 f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
             )
-        if not (self.newton_tol > 0.0):
-            raise ValueError("newton_tol must be positive")
+        if not (0.0 < self.newton_tol < math.inf):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
 
@@ -173,7 +171,7 @@ class _System:
     """Discrete flux, divergence, and Jacobian for a fixed (grid, params, knobs)."""
 
     def __init__(self, grid: Grid, params: Params, knobs: RegularizationKnobs):
-        if not grid.compatible(params.grid):
+        if grid != params.grid:
             raise ValueError("state grid and forcing grid differ")
         self.params = params
         self.knobs = knobs
@@ -200,19 +198,6 @@ class _System:
         f = mobility(m, self.knobs)
         self.last_flux = (u, (m, t1, t3, g, f))
         return f * g + self.params.a3 * m
-
-    def flux_terms(self, u: np.ndarray):
-        """(m, t1, t3, g, f) at u, f the mobility at m.
-
-        Newton's last residual is evaluated at the iterate it returns, so
-        the accepted state's terms are read from that evaluation when its
-        state matches u bit for bit; otherwise they are computed afresh.
-        A hit returns the kept arrays themselves: read them, do not write.
-        """
-        if self.last_flux is not None and _same_bits(self.last_flux[0], u):
-            return self.last_flux[1]
-        m, t1, t3, g = self.interface_values(u)
-        return m, t1, t3, g, mobility(m, self.knobs)
 
     def divergence(self, u: np.ndarray) -> np.ndarray:
         F = self.interface_flux(u)
@@ -243,11 +228,6 @@ class _System:
         return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """a and b hold the same float64 bit patterns (signed zeros and NaNs included)."""
-    return a is b or a.tobytes() == b.tobytes()
-
-
 def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicField:
     """Interface flux as a field on the half-shifted grid (entry k lives at x_{k+1/2})."""
     sysm = _System(h.grid, p, knobs)
@@ -256,18 +236,18 @@ def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicFie
     return PeriodicField(mid_grid, sysm.interface_flux(h.values))
 
 
-def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_System] = None) -> EvolveState:
+def step(state: EvolveState, p: Params, cfg: EvolveConfig, sysm: _System) -> EvolveState:
     """One adaptive backward Euler step from state.t using trial size state.dt.
 
     Halves dt on Newton failure or on a positivity undershoot beyond
     -10x the effective Newton tolerance; raises StepFailure when dt would
     drop below dt_min.  On success the returned state carries the grown
-    trial size min(1.2 dt, dt_max) for the next attempt.  The Jacobian
-    factor is kept on _system from call to call while dt is unchanged, and
-    so is the last accepted step, from which Newton's start is extrapolated;
-    without _system each call starts from state.h.
+    trial size min(1.2 dt, dt_max) for the next attempt, and sysm.last_flux
+    holds the flux terms at the accepted state.  sysm is the run's _System,
+    built from p and cfg.knobs: it keeps the Jacobian factor from call to
+    call while dt is unchanged, and the last accepted step, from which
+    Newton's start is extrapolated.
     """
-    sysm = _system if _system is not None else _System(state.h.grid, p, cfg.knobs)
     hold = state.h.values
     tol = cfg.newton_tol * max(1.0, float(np.abs(hold).max()))
     dt = state.dt
@@ -307,6 +287,9 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, _system: Optional[_Sy
                 dt=dt,
                 diverged=stats.diverged,
             )
+    # A successful Newton solve took its last residual at u itself.
+    if sysm.last_flux[0] is not u:
+        sysm.interface_flux(u)
     sysm.last_step = (hold, dt)
     return EvolveState(
         t=state.t + dt,
@@ -389,16 +372,16 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         while not landed and steady_run < STEADY_RUN_LENGTH:
             dt_try = min(state.dt, target - state.t)
             try:
-                new = step(replace(state, dt=dt_try), p, cfg, _system=sysm)
+                new = step(replace(state, dt=dt_try), p, cfg, sysm)
             except StepFailure as exc:
                 traj.termination, exc.trajectory = "failed", traj
                 raise
 
             # Per-step accounting, evaluated at the accepted implicit state
-            # from the terms of Newton's final residual evaluation there.
+            # from the flux terms step left there.
             dt_used = new.t - state.t
             u = new.h.values
-            _, t1, t3, g, f = sysm.flux_terms(u)
+            _, t1, t3, g, f = sysm.last_flux[1]
             diss_cum += dt_used * float(dx * (f * g**2).sum())
             diss3_cum += dt_used * float(dx * (f * t3**2).sum())
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)

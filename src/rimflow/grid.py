@@ -49,7 +49,8 @@ class Grid:
     def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> "PeriodicField":
         return PeriodicField(self, np.asarray(fn(self.x), dtype=float))
 
-    def compatible(self, other: "Grid", tol: float = 1e-12) -> bool:
+    def compatible(self, other: "Grid", tol: float = 1e-9) -> bool:
+        """Same n, and length and origin within tol * max(1, length): a grid rebuilt from samples."""
         return (
             self.n == other.n
             and abs(self.length - other.length) <= tol * max(1.0, abs(self.length))

@@ -181,7 +181,7 @@ def alpha_entropy(z, epsilon: float, alpha: float):
 
 def energy(h: PeriodicField, p: Params) -> float:
     """E(h) = 1/2 * integral of a0 h_x^2 - a1 h^2 - 2 a2 w h."""
-    if not h.grid.compatible(p.grid):
+    if h.grid != p.grid:
         raise ValueError("field and forcing live on different grids")
     v, dx = h.values, h.grid.dx
     hx = _centred_diff(v, dx)

@@ -78,8 +78,8 @@ class ContinuationStep:
             raise ValueError(f"continuation target must be positive and finite, got {self.target}")
         if self.max_newton < 1:
             raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 def critical_flux(mu: float) -> float:
@@ -300,7 +300,6 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
 class SolvabilityReport:
     r0: float
     r1: float
-    beta: float
     nonexistence_violated: bool
 
 
@@ -321,14 +320,10 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     y = hv / prof.q
     f = 1.0 / y**2 - 1.0 / y**3
     dx = grid.dx
-    beta = prof.beta
-    r0 = float(dx * np.sum(f))
-    r1 = float(dx * np.sum(f * np.cos(grid.x))) - math.pi * beta
     return SolvabilityReport(
-        r0=r0,
-        r1=r1,
-        beta=beta,
-        nonexistence_violated=bool(beta > FLUX_BOUND_RATIO + 1e-12),
+        r0=float(dx * np.sum(f)),
+        r1=float(dx * np.sum(f * np.cos(grid.x))) - math.pi * prof.beta,
+        nonexistence_violated=bool(prof.beta > FLUX_BOUND_RATIO + 1e-12),
     )
 
 

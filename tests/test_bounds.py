@@ -254,6 +254,10 @@ class TestPositivityMonitor:
             positivity_monitor(traj, g.field(np.cos(g.x)))
         with pytest.raises(ValueError):
             positivity_monitor(traj, Grid(n=32).constant(1.0))
+        # Grids compare exactly: a length off by rounding alone is another grid.
+        near = Grid(n=64, length=g.length * (1.0 + 1e-14))
+        with pytest.raises(ValueError, match="window and snapshot grids differ"):
+            positivity_monitor(traj, near.constant(1.0))
 
 
 class TestDetectPeriod:

@@ -21,7 +21,6 @@ from rimflow.steady import (
     ContinuationStep,
     NoConvergence,
     nonexistence_threshold,
-    solvability_residuals,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -441,6 +440,25 @@ epsilon = 0.0
         cfg = write_cfg(tmp_path, text)
         assert main(["evolve", cfg]) == 0
 
+    def test_file_initial_data_far_from_the_origin_runs_on_the_config_grid(self, tmp_path):
+        # An x column read back at origin 1e4 rebuilds the grid only to about
+        # 1e-11; the run must still use the [grid] section's grid, exactly as
+        # a trig start with the same values does.
+        text = EVOLVE_TEMPLATE.replace("n = 64", "n = 96\norigin = 10000.0")
+        trig = text.format(out=tmp_path / "trig")
+        cfg = parse_config(trig)
+        field_path = tmp_path / "h0.csv"
+        write_field_csv(cfg.initial.build(cfg.grid), field_path, value_name="h")
+        from_file = text.format(out=tmp_path / "file").replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", f"kind = file\npath = {field_path}")
+        assert main(["evolve", write_cfg(tmp_path, trig, "trig.ini")]) == 0
+        assert main(["evolve", write_cfg(tmp_path, from_file, "file.ini")]) == 0
+        names = ["diagnostics.csv", "bound_reports.json"]
+        names += [f"snapshots/{p.name}" for p in sorted((tmp_path / "trig" / "snapshots").iterdir())]
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "trig" / name).read_bytes()
+
     def test_file_grid_mismatch_fails(self, tmp_path, capsys):
         g = Grid(n=32)
         field_path = tmp_path / "h0.csv"
@@ -581,6 +599,10 @@ class TestModeAndParseErrors:
         ("evolve", "initial", "kind", "constant", "[initial] kind=constant requires key 'value'"),
         ("evolve", "params", "forcing", "cosine", "[params] forcing: unknown kind 'cosine'"),
         ("evolve", "grid", "origin", "inf", "[grid] grid origin must be finite"),
+        ("evolve", "evolve", "t_end", "inf", "[evolve] t_end must be positive"),
+        ("evolve", "evolve", "dt_max", "inf", "[evolve] need 0 < dt_min <= dt_init <= dt_max"),
+        ("evolve", "evolve", "newton_tol", "inf", "[evolve] newton_tol must be positive"),
+        ("steady", "steady", "tol", "inf", "[steady] tol must be positive"),
     ])
     def test_bad_values_exit_two(self, tmp_path, capsys, mode, section, key, value, needle):
         out = tmp_path / "out"
@@ -651,9 +673,9 @@ class TestSteadyCommand:
         with open(out / "branch.csv") as fh:
             csv_beta = [float(r["beta"]) for r in csv.DictReader(fh)]
         manifest_beta = [e["beta"] for e in json.loads((out / "manifest.json").read_text())["profiles"]]
-        identity_beta = [solvability_residuals(prof).beta for prof in profiles]
-        assert len(identity_beta) == 2
-        assert csv_beta == manifest_beta == identity_beta
+        profile_beta = [prof.beta for prof in profiles]
+        assert len(profile_beta) == 2
+        assert csv_beta == manifest_beta == profile_beta
 
     def test_capillary_branch(self, tmp_path):
         out = tmp_path / "out"

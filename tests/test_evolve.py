@@ -47,6 +47,11 @@ def random_positive(grid, seed, mean=0.5, amp=0.1):
     return PeriodicField(grid, np.abs(v) + 0.05)
 
 
+def first_step(state, p, cfg):
+    """One step on a fresh _System: a run's first step, which starts Newton at state.h."""
+    return step(state, p, cfg, _System(state.h.grid, p, cfg.knobs))
+
+
 def flux_oracle(h, p, knobs):
     """Scalar reimplementation of the interface flux for cross-checking."""
     g = h.grid
@@ -122,6 +127,17 @@ class TestFlux:
         sysm = _System(g, p, knobs)
         div = sysm.divergence(h.values)
         assert abs(np.sum(div)) <= 1e-12 * np.max(np.abs(sysm.interface_flux(h.values)))
+
+    def test_grid_off_the_forcing_grid_by_rounding_is_rejected(self):
+        # Grids are compared exactly: a length off by 1e-14 is another grid.
+        g = Grid(n=32)
+        near = Grid(n=32, length=g.length * (1.0 + 1e-14))
+        p = make_params(g)
+        knobs = RegularizationKnobs()
+        with pytest.raises(ValueError, match="state grid and forcing grid differ"):
+            _System(near, p, knobs)
+        with pytest.raises(ValueError, match="state grid and forcing grid differ"):
+            flux(near.constant(0.3), p, knobs)
 
     @pytest.mark.parametrize("n", [8, 10, 256])
     def test_bit_identical_to_roll_formulas(self, n):
@@ -244,7 +260,7 @@ class TestJacobian:
         assert np.array_equal(u, hold)
         cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
         with pytest.raises(StepFailure) as exc:
-            step(EvolveState(0.0, g.field(hold), 0.01), p, cfg, _system=sysm)
+            step(EvolveState(0.0, g.field(hold), 0.01), p, cfg, sysm)
         assert exc.value.diverged
 
     @pytest.mark.parametrize("failure", ["budget", "stalled"])
@@ -258,7 +274,7 @@ class TestJacobian:
         g = Grid(n=32)
         cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
         with pytest.raises(StepFailure) as exc:
-            step(EvolveState(0.0, random_positive(g, 3), 0.01), make_params(g), cfg)
+            first_step(EvolveState(0.0, random_positive(g, 3), 0.01), make_params(g), cfg)
         assert not exc.value.diverged and "diverged" not in str(exc.value)
 
 
@@ -271,7 +287,7 @@ class TestStep:
         cfg = EvolveConfig(t_end=1.0, dt_init=0.1, dt_max=0.5,
                            knobs=RegularizationKnobs(epsilon=0.0))
         state = EvolveState(t=0.0, h=g.constant(0.3), dt=0.1)
-        out = step(state, p, cfg)
+        out = first_step(state, p, cfg)
         assert out.newton_iters_last == 0
         assert np.array_equal(out.h.values, state.h.values)
 
@@ -283,7 +299,7 @@ class TestStep:
                            knobs=RegularizationKnobs(epsilon=1e-6))
         h = random_positive(g, seed)
         state = EvolveState(t=0.0, h=h, dt=1e-3)
-        out = step(state, p, cfg)
+        out = first_step(state, p, cfg)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
 
     @settings(max_examples=15, deadline=None)
@@ -307,15 +323,15 @@ class TestStep:
         assert abs(np.sum(div)) <= 2 * n * np.finfo(float).eps * np.sum(np.abs(div))
         # The second step on one _System starts from the extrapolated first.
         sysm = _System(g, p, cfg.knobs)
-        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg, _system=sysm)
+        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg, sysm)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
         assert sysm.last_step is not None
-        out = step(out, p, cfg, _system=sysm)
+        out = step(out, p, cfg, sysm)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
 
     def test_newton_starts_from_the_extrapolated_last_step(self, monkeypatch):
-        # Without a _System, or on its first step, Newton starts from h_n;
-        # after an accepted step it starts from h_n + (dt/dt_prev)(h_n - h_{n-1})
+        # On a fresh _System's first step Newton starts from h_n; after an
+        # accepted step it starts from h_n + (dt/dt_prev)(h_n - h_{n-1})
         # and corrects that prediction at least once.
         g = Grid(n=64)
         p = make_params(g)
@@ -328,10 +344,10 @@ class TestStep:
 
         monkeypatch.setattr(rimflow.evolve, "newton", recording_newton)
         state = EvolveState(t=0.0, h=random_positive(g, 4, mean=0.3, amp=0.05), dt=1e-3)
-        first = step(state, p, cfg)
-        step(first, p, cfg)
+        first = first_step(state, p, cfg)
+        first_step(first, p, cfg)
         sysm = _System(g, p, cfg.knobs)
-        second = step(step(state, p, cfg, _system=sysm), p, cfg, _system=sysm)
+        second = step(step(state, p, cfg, sysm), p, cfg, sysm)
         (z_a, m_a), (z_b, m_b), (z_c, m_c), (z_d, m_d) = starts
         assert np.array_equal(z_a, state.h.values) and np.array_equal(z_b, first.h.values)
         assert np.array_equal(z_c, state.h.values) and m_a == m_b == m_c == 0
@@ -351,8 +367,8 @@ class TestStep:
         p = Params(1.0, 16.0, 0.0, 2.0, w)
         cfg = EvolveConfig(t_end=1.0, dt_init=1e-3,
                            knobs=RegularizationKnobs(epsilon=1e-6))
-        a = step(EvolveState(0.0, h.shift(shift), 1e-3), p, cfg)
-        b = step(EvolveState(0.0, h, 1e-3), p, cfg)
+        a = first_step(EvolveState(0.0, h.shift(shift), 1e-3), p, cfg)
+        b = first_step(EvolveState(0.0, h, 1e-3), p, cfg)
         assert np.max(np.abs(a.h.values - b.h.shift(shift).values)) <= 1e-12
 
     def test_energy_decays_without_drift_terms(self):
@@ -362,7 +378,7 @@ class TestStep:
                            knobs=RegularizationKnobs(epsilon=0.0))
         h = random_positive(g, 2, mean=0.3, amp=0.02)
         state = EvolveState(t=0.0, h=h, dt=1e-3)
-        out = step(state, p, cfg)
+        out = first_step(state, p, cfg)
         assert energy(out.h, p) <= energy(h, p) + 1e-10
 
     def test_grown_trial_size_capped(self):
@@ -370,7 +386,7 @@ class TestStep:
         p = make_params(g, a=(1.0, 1.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=1.0, dt_init=0.2, dt_max=0.21,
                            knobs=RegularizationKnobs(epsilon=0.0))
-        out = step(EvolveState(0.0, g.constant(0.3), 0.2), p, cfg)
+        out = first_step(EvolveState(0.0, g.constant(0.3), 0.2), p, cfg)
         assert out.dt == pytest.approx(0.21)
 
 
@@ -475,8 +491,8 @@ class TestRun:
         accepted = []
         original = rimflow.evolve.step
 
-        def recording_step(state, p, cfg, _system=None):
-            new = original(state, p, cfg, _system=_system)
+        def recording_step(state, p, cfg, sysm):
+            new = original(state, p, cfg, sysm)
             accepted.append(energy(new.h, p))
             return new
 
@@ -560,10 +576,33 @@ class TestRun:
         assert traj.step_count > 10
         assert calls["interface_values"] == calls["residual"] + calls["jacobian"] + 1
 
-    def test_reused_flux_terms_match_recomputed_ones_bitwise(self, monkeypatch):
-        traj, calls = self._counted_run(monkeypatch)
-        # Every lookup misses, so each accepted step recomputes its terms.
-        monkeypatch.setattr(rimflow.evolve, "_same_bits", lambda a, b: False)
+    def test_step_leaves_the_flux_terms_of_the_accepted_state(self, monkeypatch):
+        # The accounting reads sysm.last_flux after each step: it must hold
+        # the terms at the accepted state, as a fresh evaluation gives them.
+        checked = []
+
+        def checking_step(state, p, cfg, sysm):
+            new = step(state, p, cfg, sysm)
+            m, t1, t3, gv = sysm.interface_values(new.h.values)
+            fresh = (m, t1, t3, gv, mobility(m, sysm.knobs))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(sysm.last_flux[1], fresh))
+            checked.append(new.t)
+            return new
+
+        monkeypatch.setattr(rimflow.evolve, "step", checking_step)
+        traj, _ = self._counted_run(monkeypatch)
+        assert len(checked) == traj.step_count > 10
+
+    def test_handed_over_flux_terms_match_recomputed_ones_bitwise(self, monkeypatch):
+        traj, _ = self._counted_run(monkeypatch)
+
+        # Newton handing back a copy of its iterate makes every step evaluate
+        # the flux at the accepted state again.
+        def copying_newton(*args, **kwargs):
+            u, stats, factor = newton(*args, **kwargs)
+            return u.copy(), stats, factor
+
+        monkeypatch.setattr(rimflow.evolve, "newton", copying_newton)
         fresh, fresh_calls = self._counted_run(monkeypatch)
         assert (fresh_calls["interface_values"]
                 == fresh_calls["residual"] + fresh_calls["jacobian"] + 1 + fresh.step_count)
@@ -574,22 +613,6 @@ class TestRun:
         for name in ("k1_observed", "supcube_time_integral", "energy_rise_max",
                      "newton_tol_effective"):
             assert getattr(fresh, name).hex() == getattr(traj, name).hex(), name
-
-    def test_flux_terms_recompute_for_a_state_not_last_evaluated(self):
-        g = Grid(n=32)
-        sysm = _System(g, make_params(g, a=(1.0, 16.0, -8.0, 3.0)), RegularizationKnobs())
-        u, v = random_positive(g, 1).values, random_positive(g, 2).values
-        sysm.interface_flux(u)
-        cached = sysm.flux_terms(u.copy())
-        assert cached is sysm.last_flux[1]
-        got = sysm.flux_terms(v)
-        m, t1, t3, gv = sysm.interface_values(v)
-        want = (m, t1, t3, gv, mobility(m, sysm.knobs))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        # A sign-flipped zero compares equal but is not the same bits.
-        z = np.zeros(g.n)
-        sysm.interface_flux(z)
-        assert sysm.flux_terms(-z) is not sysm.last_flux[1]
 
     def test_dissipation_accumulates(self):
         g = Grid(n=64)

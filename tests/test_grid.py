@@ -67,6 +67,14 @@ class TestGrid:
         assert not g.compatible(Grid(n=32, length=1.0))
         assert not g.compatible(Grid(n=32, origin=0.5))
 
+    def test_compatible_tolerates_a_rebuilt_grid_equality_does_not(self):
+        # compatible's default 1e-9 absorbs the rounding of a grid rebuilt
+        # from an x column; == is the exact test every solver layer uses.
+        g = Grid(n=32)
+        near = Grid(n=32, length=g.length * (1.0 + 1e-11), origin=1e-11)
+        assert g.compatible(near) and g != near
+        assert not g.compatible(Grid(n=32, length=g.length * (1.0 + 1e-8)))
+
 
 class TestPeriodicField:
     def test_values_copied_and_frozen(self):
@@ -301,7 +309,7 @@ class TestCsvRoundTrip:
         write_field_csv(f, path, value_name="h")
         assert path.read_text().splitlines()[0] == "x,h"
         back = read_field_csv(path)
-        assert back.grid.compatible(g, tol=1e-9)
+        assert back.grid.compatible(g)
         assert_allclose(back.values, f.values, rtol=0, atol=0)
 
     @settings(max_examples=40, deadline=None)
@@ -324,7 +332,7 @@ class TestCsvRoundTrip:
         assert path.read_text() == "x,h\n" + rows
         back = read_field_csv(path)
         assert np.array_equal(back.values, f.values)
-        assert back.grid.compatible(g, tol=1e-9)
+        assert back.grid.compatible(g)
 
     @pytest.mark.parametrize("grid", [Grid(), Grid(n=64, origin=-1.25), Grid(n=48, length=3.5)],
                              ids=["default", "shifted", "non-2pi"])
@@ -338,7 +346,7 @@ class TestCsvRoundTrip:
             write_csv(generic, ("x", name), np.column_stack((grid.x, f.values)))
             assert path.read_bytes() == generic.read_bytes()
             back = read_field_csv(path)
-            assert back.grid.compatible(grid, tol=1e-9)
+            assert back.grid.compatible(grid)
             assert np.array_equal(back.values, f.values)
 
     def test_write_csv_table(self, tmp_path):

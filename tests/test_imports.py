@@ -1,8 +1,8 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
-only cli reads or writes files, only newton reads meaning into a Newton failure's
-name, evolve does not depend on bounds, the time-stepping hot path reduces arrays
-with their methods, and every module global the perfbench tracer wraps still
-exists."""
+only cli reads or writes files or compares grids with a tolerance, only newton
+reads meaning into a Newton failure's name, evolve does not depend on bounds,
+the time-stepping hot path reduces arrays with their methods, and every module
+global the perfbench tracer wraps still exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -155,6 +155,24 @@ def test_hot_path_reduces_with_array_methods(name):
     # about 14 times per evolve step.
     path = next(p for p in SOURCES if p.name == name)
     assert function_form_reductions(ast.parse(path.read_text())) == []
+
+
+def compatible_calls(tree: ast.Module) -> list:
+    """Lines calling a .compatible( method."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compatible")
+
+
+def test_finds_compatible_calls():
+    tree = ast.parse("a = g.compatible(h)\nb = g != h\nc = compatible(g)\nd = x.grid.compatible(y, tol=1)\n")
+    assert compatible_calls(tree) == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_compares_grids_with_a_tolerance(path):
+    # A run has one grid; only a grid rebuilt from a file's x column needs
+    # Grid.compatible, and every other layer compares grids with ==.
+    assert compatible_calls(ast.parse(path.read_text())) == []
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

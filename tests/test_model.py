@@ -236,6 +236,11 @@ class TestEnergyAndIntegrals:
         assert energy(h, p) == pytest.approx(math.pi / 2.0, abs=g.dx**2)
 
     def test_energy_grid_mismatch(self):
-        p = Params(1.0, 0.0, 0.0, 0.0, Forcing.sine(Grid(n=64)))
+        g = Grid(n=64)
+        p = Params(1.0, 0.0, 0.0, 0.0, Forcing.sine(g))
         with pytest.raises(ValueError):
             energy(Grid(n=32).constant(1.0), p)
+        # Grids compare exactly: a length off by rounding alone is another grid.
+        near = Grid(n=64, length=g.length * (1.0 + 1e-14))
+        with pytest.raises(ValueError, match="field and forcing live on different grids"):
+            energy(near.constant(1.0), p)

@@ -42,6 +42,45 @@ class Recorder:
         self.sups.append(float(np.max(np.abs(self.residual(z)))))
 
 
+class LastArgument:
+    """A residual that keeps the array object of its latest call."""
+
+    def __init__(self, residual):
+        self.residual = residual
+        self.last = None
+
+    def __call__(self, z):
+        self.last = z
+        return self.residual(z)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["fresh", "handed_in_factor", "min_iter", "discarded_reused_step"])
+def test_last_residual_call_is_at_the_returned_array(case, seed):
+    # evolve's monitors read the flux terms of Newton's last residual
+    # evaluation, so on success that evaluation is at the very array
+    # newton() returns, whichever way the solve went.
+    n = 32
+    residual, bands, a_bands = cubic_system(n, seed)
+    z_star, _, _ = newton(residual, bands, np.zeros(n), 1e-13, 30)
+    z0, kwargs = {
+        "fresh": (np.zeros(n), {}),
+        "handed_in_factor": (z_star + 1e-6, {"factor": CyclicBandedFactor(bands(z_star))}),
+        "min_iter": (z_star, {"min_iter": 1}),
+        "discarded_reused_step": (np.zeros(n), {"factor": CyclicBandedFactor(-a_bands)}),
+    }[case]
+    accepted, last = [], LastArgument(residual)
+    z, stats, factor = newton(last, bands, z0, 1e-10, 30, accept=accepted.append, **kwargs)
+    assert stats.failure is None and z is last.last
+    if case == "handed_in_factor":
+        assert stats.factorizations == 0 and factor is kwargs["factor"]
+    elif case == "min_iter":
+        assert stats.iterations == 1
+    elif case == "discarded_reused_step":
+        # iterations counts discarded steps too; accept sees only kept ones.
+        assert stats.iterations > len(accepted)
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([8, 16, 64]), seed=st.integers(0, 2**32 - 1))
 # Accepting every reused step that merely lowered the residual stalled here

@@ -420,7 +420,7 @@ class TestSolvability:
         rep = solvability_residuals(prof)
         assert abs(rep.r0) <= 1e-10
         assert abs(rep.r1) <= 1e-10
-        assert rep.beta == pytest.approx(0.5**2 / 3.0, rel=1e-15)
+        assert prof.beta == pytest.approx(0.5**2 / 3.0, rel=1e-15)
         assert not rep.nonexistence_violated
 
     def test_capillary_profile_satisfies_identities(self):
@@ -468,14 +468,14 @@ class TestSolvability:
         a, b = solvability_residuals(prof), solvability_residuals(scaled)
         assert b.r0 == a.r0
         assert b.r1 == a.r1
-        assert b.beta == a.beta
+        assert scaled.beta == prof.beta
 
     def test_violation_flag(self):
         g = Grid(n=64)
         fake = SteadyProfile(h=g.constant(1.0), q=1.0, mu=1.0, chi=0.0,
                              residual_sup=0.0, mass=math.tau)
         rep = solvability_residuals(fake)
-        assert rep.beta == pytest.approx(1.0 / 3.0)
+        assert fake.beta == pytest.approx(1.0 / 3.0)
         assert rep.nonexistence_violated
 
     def test_needs_positive_profile(self):
