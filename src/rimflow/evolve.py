@@ -236,7 +236,7 @@ def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicFie
     return PeriodicField(mid_grid, sysm.interface_flux(h.values))
 
 
-def step(state: EvolveState, p: Params, cfg: EvolveConfig, sysm: _System) -> EvolveState:
+def step(state: EvolveState, cfg: EvolveConfig, sysm: _System) -> EvolveState:
     """One adaptive backward Euler step from state.t using trial size state.dt.
 
     Halves dt on Newton failure or on a positivity undershoot beyond
@@ -244,9 +244,9 @@ def step(state: EvolveState, p: Params, cfg: EvolveConfig, sysm: _System) -> Evo
     drop below dt_min.  On success the returned state carries the grown
     trial size min(1.2 dt, dt_max) for the next attempt, and sysm.last_flux
     holds the flux terms at the accepted state.  sysm is the run's _System,
-    built from p and cfg.knobs: it keeps the Jacobian factor from call to
-    call while dt is unchanged, and the last accepted step, from which
-    Newton's start is extrapolated.
+    built from its params and cfg.knobs: it keeps the Jacobian factor from
+    call to call while dt is unchanged, and the last accepted step, from
+    which Newton's start is extrapolated.
     """
     hold = state.h.values
     tol = cfg.newton_tol * max(1.0, float(np.abs(hold).max()))
@@ -372,7 +372,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         while not landed and steady_run < STEADY_RUN_LENGTH:
             dt_try = min(state.dt, target - state.t)
             try:
-                new = step(replace(state, dt=dt_try), p, cfg, sysm)
+                new = step(replace(state, dt=dt_try), cfg, sysm)
             except StepFailure as exc:
                 traj.termination, exc.trajectory = "failed", traj
                 raise

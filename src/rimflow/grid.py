@@ -6,14 +6,59 @@ spectrally accurate for smooth periodic integrands.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 TWO_PI = 2.0 * math.pi
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path() -> str | None:
+    """The file of scipy's compiled LAPACK module, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _banded_lapack() -> tuple:
+    """(dgbtrf, dgbtrs) from scipy's compiled LAPACK module, loaded on its own.
+
+    Importing scipy.linalg.lapack first runs scipy.linalg's package __init__
+    and its array-API layer, which is not needed for two routines: on a
+    2-vCPU VM with scipy 1.17 it added about 0.2 s and 19 MB to every start.
+    The module goes into sys.modules under its own name, _FLAPACK, so a
+    later import of scipy.linalg reuses it: both routes give the same binary
+    and the same bits.  Falls back to the package import when the file is
+    missing or does not load.
+    """
+    path = _flapack_path()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:  # a file this interpreter cannot load
+            pass
+        else:
+            sys.modules[_FLAPACK] = module
+            return module.dgbtrf, module.dgbtrs
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    return dgbtrf, dgbtrs
+
+
+dgbtrf, dgbtrs = _banded_lapack()
 
 
 @dataclass(frozen=True)

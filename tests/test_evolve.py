@@ -49,7 +49,7 @@ def random_positive(grid, seed, mean=0.5, amp=0.1):
 
 def first_step(state, p, cfg):
     """One step on a fresh _System: a run's first step, which starts Newton at state.h."""
-    return step(state, p, cfg, _System(state.h.grid, p, cfg.knobs))
+    return step(state, cfg, _System(state.h.grid, p, cfg.knobs))
 
 
 def flux_oracle(h, p, knobs):
@@ -260,7 +260,7 @@ class TestJacobian:
         assert np.array_equal(u, hold)
         cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
         with pytest.raises(StepFailure) as exc:
-            step(EvolveState(0.0, g.field(hold), 0.01), p, cfg, sysm)
+            step(EvolveState(0.0, g.field(hold), 0.01), cfg, sysm)
         assert exc.value.diverged
 
     @pytest.mark.parametrize("failure", ["budget", "stalled"])
@@ -323,10 +323,10 @@ class TestStep:
         assert abs(np.sum(div)) <= 2 * n * np.finfo(float).eps * np.sum(np.abs(div))
         # The second step on one _System starts from the extrapolated first.
         sysm = _System(g, p, cfg.knobs)
-        out = step(EvolveState(t=0.0, h=h, dt=dt), p, cfg, sysm)
+        out = step(EvolveState(t=0.0, h=h, dt=dt), cfg, sysm)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
         assert sysm.last_step is not None
-        out = step(out, p, cfg, sysm)
+        out = step(out, cfg, sysm)
         assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
 
     def test_newton_starts_from_the_extrapolated_last_step(self, monkeypatch):
@@ -347,7 +347,7 @@ class TestStep:
         first = first_step(state, p, cfg)
         first_step(first, p, cfg)
         sysm = _System(g, p, cfg.knobs)
-        second = step(step(state, p, cfg, sysm), p, cfg, sysm)
+        second = step(step(state, cfg, sysm), cfg, sysm)
         (z_a, m_a), (z_b, m_b), (z_c, m_c), (z_d, m_d) = starts
         assert np.array_equal(z_a, state.h.values) and np.array_equal(z_b, first.h.values)
         assert np.array_equal(z_c, state.h.values) and m_a == m_b == m_c == 0
@@ -491,8 +491,8 @@ class TestRun:
         accepted = []
         original = rimflow.evolve.step
 
-        def recording_step(state, p, cfg, sysm):
-            new = original(state, p, cfg, sysm)
+        def recording_step(state, cfg, sysm):
+            new = original(state, cfg, sysm)
             accepted.append(energy(new.h, p))
             return new
 
@@ -581,8 +581,8 @@ class TestRun:
         # the terms at the accepted state, as a fresh evaluation gives them.
         checked = []
 
-        def checking_step(state, p, cfg, sysm):
-            new = step(state, p, cfg, sysm)
+        def checking_step(state, cfg, sysm):
+            new = step(state, cfg, sysm)
             m, t1, t3, gv = sysm.interface_values(new.h.values)
             fresh = (m, t1, t3, gv, mobility(m, sysm.knobs))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(sysm.last_flux[1], fresh))

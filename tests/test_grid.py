@@ -1,5 +1,6 @@
 """Grid construction, discrete calculus, quadrature, and CSV round trips."""
 import ast
+import importlib.machinery
 import math
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import rimflow
-
+from rimflow import grid
 from rimflow.grid import (
     TWO_PI,
     CyclicBandedFactor,
@@ -201,6 +202,30 @@ class TestPeriodicPad:
         assert sites == {("grid.py", "PeriodicField.shift")}
 
 
+SAME_BITS_SCRIPT = """
+import sys
+import numpy as np
+import rimflow.grid as grid
+assert "scipy.linalg" not in sys.modules
+direct = (grid.dgbtrf, grid.dgbtrs)
+from scipy.linalg import lapack
+assert direct == (lapack.dgbtrf, lapack.dgbtrs)
+rng = np.random.default_rng(0)
+for n in (16, 256, 768, 1024):
+    ab = np.zeros((7, n), order="F")
+    ab[2:] = rng.normal(size=(5, n))
+    ab[4] = np.where(ab[4] < 0.0, -1.0, 1.0) * rng.uniform(1.05, 4.0) * np.abs(ab[2:]).sum(axis=0)
+    b = rng.normal(size=(n, 3))
+    results = []
+    for trf, trs in (direct, (lapack.dgbtrf, lapack.dgbtrs)):
+        lu, piv, info = trf(ab.copy(order="F"), 2, 2)
+        x, info_s = trs(lu, 2, 2, np.array(b, order="F"), piv)
+        results.append((lu.tobytes(), piv.tobytes(), info, x.tobytes(), info_s))
+    assert results[0] == results[1], n
+    print(n)
+"""
+
+
 def weighted_bands(n, seed, weight):
     """Random (5, n) bands whose centre entry is weight times its row's off-band sum."""
     rng = np.random.default_rng(seed)
@@ -280,13 +305,41 @@ class TestCyclicBandedSolve:
         with pytest.raises(ValueError):
             CyclicBandedFactor(np.ones((3, 16))).solve(np.ones(16))
 
-    def test_import_leaves_out_scipy_sparse(self):
+    @pytest.mark.parametrize("package", ["sparse", "linalg"])
+    def test_import_leaves_out_scipy_subpackage(self, package):
+        # grid loads scipy.linalg._flapack on its own, without its package.
         src = Path(rimflow.__file__).resolve().parents[1]
         code = ("import sys; import rimflow, rimflow.cli; "
-                "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])")
+                f"print([m for m in sys.modules if m.split('.')[:2] == ['scipy', {package!r}] "
+                "and m != 'scipy.linalg._flapack'])")
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_direct_load_matches_scipy_linalg_lapack_bit_for_bit(self):
+        # rimflow.grid is imported first, so its routines come from the direct
+        # load; scipy.linalg.lapack, imported after, must agree to the bit.
+        # Today it reuses the module grid loaded; the bits hold either way.
+        src = Path(rimflow.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", SAME_BITS_SCRIPT], cwd=src,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["16", "256", "768", "1024"]
+
+    @pytest.mark.parametrize("found", ["nothing", "junk"])
+    def test_fallback_gives_scipy_linalg_lapack_routines(self, found, tmp_path, monkeypatch):
+        from scipy.linalg import lapack
+        junk = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        junk.write_bytes(b"not a shared object")
+        monkeypatch.setattr(grid, "_flapack_path", lambda: None if found == "nothing" else str(junk))
+        routines = grid._banded_lapack()
+        assert routines == (lapack.dgbtrf, lapack.dgbtrs)
+        bands = weighted_bands(256, 5, 1.5)
+        rhs = np.random.default_rng(6).normal(size=(256, 3))
+        expect = CyclicBandedFactor(bands).solve(rhs)
+        monkeypatch.setattr(grid, "dgbtrf", routines[0])
+        monkeypatch.setattr(grid, "dgbtrs", routines[1])
+        assert CyclicBandedFactor(bands).solve(rhs).tobytes() == expect.tobytes()
 
 
 class TestQuadratureAndNorms:
