@@ -4,9 +4,10 @@ With surface tension neglected the steady balance is pointwise algebraic,
 
     h - (mu/3) h^3 cos x = q,
 
-solved at all grid points at once, from the eigenvalues of one stack of 3x3
-companion matrices polished by Newton, on the branch that stays below the
-fold.  With surface tension the profile solves the periodic ODE
+solved at all grid points at once in Viete's closed form (sin and sinh of a
+third of an arcsin or arsinh) with one guarded Newton polish, on the branch
+that stays below the fold.  With surface tension the profile solves the
+periodic ODE
 
     h - (mu/3) h^3 cos x + (chi/3) h^3 (h_x + h_xxx) = q,
 
@@ -27,6 +28,8 @@ from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, pe
 from .newton import newton
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
+# Viete's argument (_cubic_roots) within this many ulps of 1 is the fold's double root.
+DOUBLE_ROOT_ULPS = 4
 
 
 class BranchLost(RuntimeError):
@@ -108,28 +111,48 @@ def _require_full_period(grid: Grid) -> None:
         raise ValueError("steady profiles are defined on a full period of length 2*pi")
 
 
-def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of (mu c/3) h^3 - h + q = 0 for each entry of c, |c| >= 1e-14.
+def _polish(mu: float, q: float, c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One Newton step on (mu c/3) h^3 - h + q = 0, kept only where it does not raise |residual|.
 
-    Returns (h, ok), both of shape (len(c), 3): the real parts of the three
-    roots after two Newton polishes, and whether each is a positive real
-    root.  The companion matrices are those np.roots builds, and one
-    batched eigvals call gives the same eigenvalues as one np.roots call
-    per entry.
+    At the fold's double root f'(h) = mu c h^2 - 1 is at rounding level, and
+    an unguarded step there can leave the root altogether.
     """
     a = mu * c / 3.0
-    companion = np.zeros((c.size, 3, 3))
-    companion[:, 0] = -np.array([0.0, -1.0, q]) / a[:, None]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    z = np.linalg.eigvals(companion)
-    h = z.real
-    ok = np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z))
-    a, mc = a[:, None], (mu * c)[:, None]
-    for _ in range(2):
-        val = a * h**3 - h + q
-        der = mc * h**2 - 1.0
-        h = h - np.divide(val, der, out=np.zeros_like(h), where=der != 0.0)
-    return h, ok & (h > 0.0)
+    h2 = h * h
+    val = a * h2 * h - h + q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = h - val / (mu * c * h2 - 1.0)
+        return np.where(np.abs(a * step * step * step - step + q) <= np.abs(val), step, h)
+
+
+def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive real roots of (mu c/3) h^3 - h + q = 0 for each entry of c, |c| >= 1e-14.
+
+    Viete's trigonometric and hyperbolic form (Nickalls, Math. Gazette 77,
+    1993), with arg = (3q/2) sqrt(mu |c|) and s = 2 / sqrt(mu |c|):
+
+    - c < 0: the one real root is s sinh(arsinh(arg) / 3);
+    - c > 0, arg < 1: the two positive roots are s sin(phi) < s/2 and
+      s sin(pi/3 - phi) > s/2, phi = arcsin(arg) / 3, either side of the fold
+      mu c h^2 = 1; the third root is negative;
+    - c > 0, arg within DOUBLE_ROOT_ULPS ulps of 1: the fold's double root s/2;
+    - c > 0, arg beyond that: no positive real root.
+
+    Written with sin and sinh the roots do not cancel as |c| -> 0, where the
+    branch root tends to q.  Returns (low, high) of c's shape, each after
+    one guarded Newton step (_polish): low is the root strictly below the
+    fold, high the root at or above it; each is NaN where there is none.
+    """
+    root = np.sqrt(mu * np.abs(c))
+    arg, s = 1.5 * q * root, 2.0 / root
+    rising = c < 0.0
+    double = np.abs(arg - 1.0) <= DOUBLE_ROOT_ULPS * np.finfo(float).eps
+    with np.errstate(invalid="ignore"):
+        phi = np.arcsin(np.where(double, 1.0, arg)) / 3.0
+    low = np.where(rising, s * np.sinh(np.arcsinh(arg) / 3.0),
+                   np.where(double, np.nan, s * np.sin(phi)))
+    high = np.where(rising, np.nan, s * np.sin(math.pi / 3.0 - phi))
+    return _polish(mu, q, c, low), _polish(mu, q, c, high)
 
 
 def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
@@ -142,10 +165,10 @@ def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
     c = math.cos(x)
     if abs(c) < 1e-14:
         return [q]
-    h, ok = _cubic_roots(mu, q, np.array([c]))
+    low, high = _cubic_roots(mu, q, np.array([c]))
     dedup: list[float] = []
-    for r in sorted(h[ok].tolist()):
-        if dedup and abs(r - dedup[-1]) <= 1e-6 * max(1.0, r):
+    for r in (float(low[0]), float(high[0])):
+        if not r > 0.0 or (dedup and abs(r - dedup[-1]) <= 1e-6 * max(1.0, r)):
             continue
         dedup.append(r)
     return dedup
@@ -154,12 +177,11 @@ def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
 def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     """Pointwise branch below the fold; None when the fold is crossed somewhere.
 
-    The cubic is solved at every grid point at once, from the eigenvalues
-    of one stack of companion matrices.  The profile takes the smallest
-    positive real root; on the half-domain where cos x > 0 that root must
-    satisfy mu cos(x) h^2 < 1 strictly, so a double root (the fold itself)
-    does not count as existence.  Where |cos x| < 1e-14 the cubic term
-    vanishes and h = q.
+    The cubic is solved at every grid point at once, in Viete's closed form
+    (_cubic_roots).  The profile takes the smallest positive real root; on
+    the half-domain where cos x > 0 that root must satisfy mu cos(x) h^2 < 1
+    strictly, so a double root (the fold itself) does not count as
+    existence.  Where |cos x| < 1e-14 the cubic term vanishes and h = q.
     """
     if not (mu > 0.0 and q > 0.0):
         raise ValueError("mu and q must be positive")
@@ -167,13 +189,11 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     cosx = np.cos(grid.x)
     far = np.abs(cosx) >= 1e-14
     c = cosx[far]
-    roots, ok = _cubic_roots(mu, q, c)
-    has_fold = (c > 1e-14)[:, None]
-    ok &= ~has_fold | (mu * c[:, None] * roots * roots < 1.0)
-    if not np.all(np.any(ok, axis=1)):
+    low, _ = _cubic_roots(mu, q, c)
+    if not np.all((low > 0.0) & ((c < 0.0) | (mu * c * low * low < 1.0))):
         return None
     h = np.full(grid.n, q)
-    h[far] = np.min(np.where(ok, roots, np.inf), axis=1)
+    h[far] = low
     prof = PeriodicField(grid, h)
     resid = h - (mu / 3.0) * h**3 * cosx - q
     return SteadyProfile(

@@ -1,9 +1,12 @@
 """End-to-end command line runs against temporary output trees."""
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -639,6 +642,31 @@ class TestModeAndParseErrors:
         assert exc.value.code == 0
         assert "rimflow" in capsys.readouterr().out
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert cli._parser() is cli._parser()
+        # A flag given to one call is not carried into the next.
+        first = cli._parser().parse_args(["check", "a.ini", "--seed", "7", "--output-dir", "o"])
+        second = cli._parser().parse_args(["check", "b.ini"])
+        assert (first.seed, first.output_dir) == (7, "o")
+        assert (second.config, second.seed, second.output_dir, second.snapshots) == (
+            "b.ini", None, None, None)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["steady", "a.ini", "--seed", "x"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert "invalid int value: 'x'" in errors[0]
+        assert errors[0] == errors[1]
+
+    def test_import_does_not_load_the_process_pool(self):
+        # Only a parallel sweep imports concurrent.futures.process, when it starts.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, rimflow.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestSteadyCommand:
     def test_surface_tension_free_branch(self, tmp_path):
@@ -800,12 +828,12 @@ class TestSweepCommand:
     def test_pool_and_serial_sweeps_write_the_same_tree(self, tmp_path, monkeypatch):
         sizes = []
 
-        class CountingPool(cli.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         trees = []
         for workers in (2, 1):
@@ -949,7 +977,7 @@ class TestSweepCommand:
         def fake_worker(args):
             return {"value": args[2], "dir": args[3], "exit_code": 0, "termination": "t_end"}
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")

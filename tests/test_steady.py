@@ -13,11 +13,13 @@ import rimflow.steady
 from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, d3, integrate
 from rimflow.newton import newton
 from rimflow.steady import (
+    DOUBLE_ROOT_ULPS,
     _apply_stencil,
     _bordered_solve,
     _capillary_bands,
     _capillary_lhs,
     _capillary_stencil,
+    _cubic_roots,
     _derivative_stencil,
     FLUX_BOUND_RATIO,
     BranchLost,
@@ -45,6 +47,25 @@ def make_profile(grid, q, mu, chi):
                          mass=integrate(h))
 
 
+def np_roots_positive(mu, q, c):
+    """Positive real roots of (mu c/3) h^3 - h + q by np.roots, each given two Newton polishes."""
+    roots = []
+    for z in np.roots([mu * c / 3.0, 0.0, -1.0, q]):
+        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+            continue
+        r = float(z.real)
+        if r <= 0.0:
+            continue
+        for _ in range(2):
+            val = (mu * c / 3.0) * r**3 - r + q
+            der = mu * c * r**2 - 1.0
+            if der != 0.0:
+                r -= val / der
+        if r > 0.0:
+            roots.append(r)
+    return sorted(roots)
+
+
 def scalar_moffatt_profile(mu, q, grid):
     """Per-point reference for moffatt_profile: np.roots, polish, select."""
     h = np.empty(grid.n)
@@ -53,20 +74,7 @@ def scalar_moffatt_profile(mu, q, grid):
         if abs(c) < 1e-14:
             h[i] = q
             continue
-        roots = []
-        for z in np.roots([mu * c / 3.0, 0.0, -1.0, q]):
-            if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-                continue
-            r = float(z.real)
-            if r <= 0.0:
-                continue
-            for _ in range(2):
-                val = (mu * c / 3.0) * r**3 - r + q
-                der = mu * c * r**2 - 1.0
-                if der != 0.0:
-                    r -= val / der
-            if r > 0.0:
-                roots.append(r)
+        roots = np_roots_positive(mu, q, c)
         if c > 1e-14:
             roots = [r for r in roots if mu * c * r * r < 1.0]
         if not roots:
@@ -133,6 +141,66 @@ class TestMoffattRoots:
             moffatt_roots(0.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             moffatt_roots(1.0, -0.5, 0.0)
+
+
+@st.composite
+def cubic_cases(draw):
+    """(mu, q/q_c, c) in one of four regimes of Viete's argument arg = (q/q_c) sqrt(c)."""
+    mu = draw(st.floats(0.1, 5.0))
+    regime = draw(st.sampled_from(["three_real", "one_real", "tiny_c", "fold"]))
+    if regime == "three_real":  # c > 0 and arg < 1
+        c = draw(st.floats(1e-6, 1.0))
+        ratio = draw(st.floats(0.01, 0.999)) / math.sqrt(c)
+    elif regime == "one_real":  # c < 0
+        c = -draw(st.floats(1e-6, 1.0))
+        ratio = draw(st.floats(0.01, 2.0))
+    elif regime == "tiny_c":  # where the cos form of Viete's roots cancels
+        c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-14, 1e-6))
+        ratio = draw(st.floats(0.01, 2.0))
+    else:  # arg = 1 + d, either side of the fold
+        c = draw(st.floats(0.01, 1.0))
+        d = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-14, 1e-12))
+        ratio = (1.0 + d) / math.sqrt(c)
+    return mu, ratio, c
+
+
+class TestCubicRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(case=cubic_cases())
+    @example(case=(1.0, 0.5, 1e-14))
+    @example(case=(2.5, 0.5, -1e-14))
+    @example(case=(1.0, 1.0 - 1e-14, 1.0))
+    @example(case=(1.0, 1.0 + 1e-14, 1.0))
+    def test_matches_np_roots(self, case):
+        # Below |d| = 1e-14 the pair is a double root to rounding, and the
+        # oracle may split it, merge it or call it complex.
+        mu, ratio, c = case
+        q = ratio * critical_flux(mu)
+        low, high = _cubic_roots(mu, q, np.array([c]))
+        ours = [r for r in (float(low[0]), float(high[0])) if r > 0.0]
+        ref = np_roots_positive(mu, q, c)
+        assert len(ours) == len(ref)
+        for r, h in zip(ref, ours):
+            # An ulp in the cubic moves a root by that over |f'(h)| = |1 - mu c h^2|.
+            cond = max(1.0, 1.0 / abs(1.0 - mu * c * r * r))
+            assert abs(h - r) <= 4.0 * np.spacing(r) * cond
+        if c > 0.0 and ours:
+            assert mu * c * ours[0] ** 2 < 1.0 < mu * c * ours[-1] ** 2
+
+    def test_double_root_is_not_below_the_fold(self):
+        # arg within DOUBLE_ROOT_ULPS ulps of 1: no root below the fold, one at it.
+        for mu in (0.3, 1.0, 2.5):
+            q = critical_flux(mu)
+            for k in range(-DOUBLE_ROOT_ULPS, DOUBLE_ROOT_ULPS + 1):
+                low, high = _cubic_roots(mu, q * (1.0 + k * 2.0**-53), np.ones(1))
+                assert np.isnan(low[0])
+                assert high[0] == pytest.approx(1.0 / math.sqrt(mu), rel=1e-7)
+            assert moffatt_profile(mu, q, Grid(n=64)) is None
+
+    def test_past_the_fold_and_rising_side_have_no_second_root(self):
+        low, high = _cubic_roots(1.0, 0.7, np.array([1.0, 0.5, -0.5, -1.0]))
+        assert np.isnan(low[0]) and np.isnan(high[0])
+        assert np.all(np.isnan(high[2:])) and np.all(low[2:] > 0.0)
 
 
 class TestMoffattProfile:
