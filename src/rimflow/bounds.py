@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import PeriodicField, gradient_sq, integrate, periodic_pad
 from .model import Params, entropy_G
+
+# Local maxima are counted at the resolution of a published figure: features
+# below one percent of the profile's dynamic range are not plot-visible.
+DROPLET_PROMINENCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -134,11 +138,17 @@ def interpolation_check(h: PeriodicField) -> BoundReport:
 
 
 def k_constant(p: Params, k1: float, mass: float) -> float:
-    """Linear-in-time energy production rate K = |a2 a3| ||w'||_inf (|domain|^2 sqrt(K1) + 2M)."""
+    """Linear-in-time energy production rate K = |a2 a3| ||w'||_inf (|domain|^2 sqrt(K1) + 2M).
+
+    K1 is math.inf once a run touches zero.  K is then inf, or 0 when the
+    coefficient |a2 a3| ||w'||_inf vanishes, where the product reads 0 * inf.
+    """
     if k1 < 0.0:
         raise ValueError("K1 must be nonnegative")
-    L = p.grid.length
-    return abs(p.a2 * p.a3) * p.w.sup_wp * (L**2 * math.sqrt(k1) + 2.0 * mass)
+    coeff = abs(p.a2 * p.a3) * p.w.sup_wp
+    if coeff == 0.0:
+        return 0.0
+    return coeff * (p.grid.length**2 * math.sqrt(k1) + 2.0 * mass)
 
 
 def k3_constant(p: Params, mass: float) -> float:
@@ -154,11 +164,14 @@ def k3_constant(p: Params, mass: float) -> float:
 
 
 def h1_growth_bound(e0_initial: float, mass: float, t_horizon: float, p: Params, k1: float) -> float:
-    """Upper bound for ||h(T)||_{H1}^2: (4/a0) (E(0) + K T + K3)."""
+    """Upper bound for ||h(T)||_{H1}^2: (4/a0) (E(0) + K T + K3).
+
+    K T is taken as 0 at T = 0, where an infinite K (k_constant) would read 0 * inf.
+    """
     if t_horizon < 0.0:
         raise ValueError("time horizon must be nonnegative")
-    K = k_constant(p, k1, mass)
-    return (4.0 / p.a0) * (e0_initial + K * t_horizon + k3_constant(p, mass))
+    production = k_constant(p, k1, mass) * t_horizon if t_horizon > 0.0 else 0.0
+    return (4.0 / p.a0) * (e0_initial + production + k3_constant(p, mass))
 
 
 def dissipation_check(traj, p: Params) -> BoundReport:
@@ -172,9 +185,7 @@ def dissipation_check(traj, p: Params) -> BoundReport:
     first = traj.records[0]
     last = traj.records[-1]
     T = last.t - first.t
-    K = k_constant(p, traj.k1_observed, first.mass) if math.isfinite(traj.k1_observed) else (
-        0.0 if p.a2 * p.a3 == 0.0 else math.inf
-    )
+    K = k_constant(p, traj.k1_observed, first.mass)
     lhs = last.energy + last.dissipation_cum
     rhs = first.energy + K * T
     scale = abs(first.energy) + abs(last.energy) + last.dissipation_cum + abs(rhs)
@@ -198,68 +209,8 @@ def gradient_bound_check(traj, p: Params) -> BoundReport:
     return BoundReport.check("gradient_growth", lhs, rhs, tolerance=1e-9 * max(1.0, abs(rhs)))
 
 
-def positivity_monitor(traj, zeta: PeriodicField) -> list[float]:
-    """Per-snapshot values of integral zeta^4 / h; +inf where h touches zero under the window."""
-    if float(np.min(zeta.values)) < 0.0:
-        raise ValueError("window function zeta must be nonnegative")
-    xi = zeta.values**4
-    out = []
-    for snap in traj.snapshots:
-        h = snap.field
-        if h.grid != zeta.grid:
-            raise ValueError("window and snapshot grids differ")
-        hv = h.values
-        active = xi > 0.0
-        if np.any(hv[active] <= 0.0):
-            out.append(math.inf)
-        else:
-            vals = np.zeros_like(hv)
-            vals[active] = xi[active] / hv[active]
-            out.append(float(h.grid.dx * np.sum(vals)))
-    return out
-
-
-def detect_period(series, tol: float = 1e-3) -> Optional[float]:
-    """Estimate the period of a uniformly sampled scalar time series.
-
-    Uses the unbiased autocorrelation and picks its first interior local
-    maximum, refined by parabolic interpolation.  Returns None when the
-    series has no significant oscillation (relative amplitude below tol)
-    or no convincing repeat (normalized correlation peak below 0.5).
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("series must be a sequence of (t, value) pairs")
-    t, v = arr[:, 0], arr[:, 1]
-    m = len(v)
-    if m < 16:
-        return None
-    dts = np.diff(t)
-    dt = float(np.mean(dts))
-    if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-6 * dt:
-        raise ValueError("series must be uniformly sampled in time")
-    amp = 0.5 * (np.max(v) - np.min(v))
-    scale = max(np.max(np.abs(v)), 1e-300)
-    if amp <= tol * scale:
-        return None
-    z = v - np.mean(v)
-    full = np.correlate(z, z, mode="full")[m - 1 :]
-    lags = np.arange(m)
-    norm = full / (m - lags)
-    norm /= norm[0]
-    kmax = m // 2
-    ac = norm[: kmax + 1]
-    for k in range(1, kmax):
-        if ac[k] >= ac[k - 1] and ac[k] >= ac[k + 1] and ac[k] >= 0.5:
-            # Parabolic refinement around the discrete peak.
-            denom = ac[k - 1] - 2.0 * ac[k] + ac[k + 1]
-            shift = 0.0 if denom == 0.0 else 0.5 * (ac[k - 1] - ac[k + 1]) / denom
-            return (k + shift) * dt
-    return None
-
-
-def count_local_maxima(h: PeriodicField, rel_prominence: float = 1e-3) -> list[int]:
-    """Indices of periodic local maxima with prominence above rel_prominence * range.
+def count_local_maxima(h: PeriodicField) -> list[int]:
+    """Indices of periodic local maxima with prominence above DROPLET_PROMINENCE * range.
 
     The prominence filter reads the profile at the resolution of its own
     dynamic range, so round-off ripples on flat regions do not count.
@@ -274,5 +225,5 @@ def count_local_maxima(h: PeriodicField, rel_prominence: float = 1e-3) -> list[i
     # beside it are lower, so a plateau counts once and a shoulder not at all.
     starts = np.flatnonzero(v != periodic_pad(v, 1)[:-2])
     top, after = v[starts], v[periodic_pad(starts, 1)[2:]]  # after: the sample past each run
-    peak = (top > v[starts - 1]) & (top > after) & (top - floor >= rel_prominence * rng)
+    peak = (top > v[starts - 1]) & (top > after) & (top - floor >= DROPLET_PROMINENCE * rng)
     return [int(i) for i in starts[peak]]

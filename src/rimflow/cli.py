@@ -30,8 +30,10 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BoundReport,
+    count_local_maxima,
     dissipation_check,
     gradient_bound_check,
+    h1_growth_bound,
     interpolation_check,
     local_existence_time,
 )
@@ -47,7 +49,10 @@ from .steady import (
     asymptotic_guess,
     capillary_solve,
     continue_branch,
+    critical_flux,
     moffatt_profile,
+    nonexistence_threshold,
+    pukhnachov_bound,
     solvability_residuals,
 )
 
@@ -161,6 +166,8 @@ class SteadySpec:
                 raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if self.chi == 0.0 and self.mode == "fixed_mass":
             raise ValueError("chi=0 profiles support only fixed_flux targets")
+        if self.chi == 0.0 and self.mu == 0.0:
+            raise ValueError("chi=0 profiles need mu > 0")
         steps = tuple(ContinuationStep(self.mode, t, self.max_newton, self.tol) for t in self.targets)
         object.__setattr__(self, "steps", steps)
 
@@ -445,15 +452,19 @@ def _mass_drift(traj) -> float:
 
 
 def _run_reports(traj, params) -> list[BoundReport]:
+    """The run's bound monitors; per snapshot, the interpolation bound and the H1 growth bound."""
     reports = [
         dissipation_check(traj, params),
         gradient_bound_check(traj, params),
         BoundReport.check("mass_conservation", _mass_drift(traj), 1e-11),
     ]
+    first = traj.records[0]
     for snap in traj.snapshots:
         if float(np.min(snap.field.values)) >= 0.0:
             rep = interpolation_check(snap.field)
             reports.append(replace(rep, name=f"interpolation@t={snap.t:g}"))
+        bound = h1_growth_bound(first.energy, first.mass, snap.t, params, traj.k1_observed)
+        reports.append(BoundReport.check(f"h1_growth@t={snap.t:g}", snap.record.h1**2, bound))
     return reports
 
 
@@ -477,7 +488,8 @@ def _evolve(cfg: RunConfig, h0: PeriodicField) -> tuple:
     for i, snap in enumerate(traj.snapshots):
         fname = f"snapshot_{i:04d}.csv"
         write_field_csv(snap.field, snap_dir / fname, value_name="h")
-        index.append({"index": i, "t": snap.t, "file": f"snapshots/{fname}"})
+        index.append({"index": i, "t": snap.t, "file": f"snapshots/{fname}",
+                      "droplets": len(count_local_maxima(snap.field))})
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
     write_reports_json(_run_reports(traj, cfg.params), out / "bound_reports.json")
     _write_manifest(out, cfg, termination=traj.termination, snapshots=index)
@@ -526,7 +538,12 @@ def cmd_steady(cfg: RunConfig) -> int:
                 "file": f"profiles/{fname}",
             }
         )
-    _write_manifest(out, cfg, profiles=index)
+    thresholds = None
+    if spec.mu > 0.0:
+        thresholds = {"critical_flux": critical_flux(spec.mu),
+                      "nonexistence_threshold": nonexistence_threshold(spec.mu),
+                      "pukhnachov_bound": pukhnachov_bound(spec.mu)}
+    _write_manifest(out, cfg, profiles=index, thresholds=thresholds)
     if lost is not None:
         _emit_error(lost)
         return 1

@@ -7,7 +7,8 @@ Space is discretized in flux form on the periodic grid: the interface flux
 
 uses the arithmetic interface mean for h_{i+1/2}, the compact difference
 (h_{i+1} - h_i)/dx for the interface gradient, and the difference of the
-centered second derivative for the interface third derivative.  The update
+centred second differences at i+1 and i, (h_{i+2} - 3 h_{i+1} + 3 h_i -
+h_{i-1})/dx^3, for the interface third derivative.  The update
 dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx telescopes, so the discrete mass is
 conserved identically.
 
@@ -226,14 +227,6 @@ class _System:
         diag_p1 = s * (C - D_m1)
         diag_p2 = s * D
         return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
-
-
-def flux(h: PeriodicField, p: Params, knobs: RegularizationKnobs) -> PeriodicField:
-    """Interface flux as a field on the half-shifted grid (entry k lives at x_{k+1/2})."""
-    sysm = _System(h.grid, p, knobs)
-    g = h.grid
-    mid_grid = Grid(g.n, g.length, g.origin + 0.5 * g.dx)
-    return PeriodicField(mid_grid, sysm.interface_flux(h.values))
 
 
 def step(state: EvolveState, cfg: EvolveConfig, sysm: _System) -> EvolveState:

@@ -150,21 +150,6 @@ def d1(f: PeriodicField) -> PeriodicField:
     return f.with_values(_centred_diff(f.values, f.grid.dx))
 
 
-def d2(f: PeriodicField) -> PeriodicField:
-    """Centered second derivative, second order."""
-    v, dx = f.values, f.grid.dx
-    p = periodic_pad(v, 1)
-    return f.with_values((p[2:] - 2.0 * v + p[:-2]) / dx**2)
-
-
-def d3(f: PeriodicField) -> PeriodicField:
-    """Centered third derivative, second order."""
-    v, dx = f.values, f.grid.dx
-    p = periodic_pad(v, 2)
-    out = (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4])
-    return f.with_values(out / (2.0 * dx**3))
-
-
 def gradient_sq(f: PeriodicField) -> float:
     """Integral of the squared centred gradient, dx * sum(d1(f)^2)."""
     return float(f.grid.dx * np.sum(_centred_diff(f.values, f.grid.dx) ** 2))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .grid import TWO_PI, Grid, PeriodicField, _centred_diff, d1, periodic_pad
 
-ALPHA_RANGE = (-0.5, 1.0)
 THETA_RANGE = (0.0, 0.4)
 
 
@@ -156,26 +155,6 @@ def entropy_G(z, epsilon: float):
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     out = 0.5 / z + epsilon / (6.0 * z**2)
-    return float(out) if out.ndim == 0 else out
-
-
-def alpha_entropy(z, epsilon: float, alpha: float):
-    """Power-family entropy density with second derivative z^alpha / f_eps(z).
-
-    Valid for alpha in (-1/2, 1) excluding 0; nonnegative throughout that range.
-    """
-    if not (ALPHA_RANGE[0] < alpha < ALPHA_RANGE[1]) or alpha == 0.0:
-        raise ValueError(
-            f"alpha must lie in ({ALPHA_RANGE[0]}, {ALPHA_RANGE[1]}) and be nonzero, got {alpha}"
-        )
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise ValueError("entropy density needs strictly positive arguments")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    lead = z ** (alpha - 1.0) / ((alpha - 1.0) * (alpha - 2.0))
-    tail = epsilon * z ** (alpha - 2.0) / ((alpha - 3.0) * (alpha - 2.0))
-    out = lead + tail
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,9 +11,9 @@ periodic ODE
 
     h - (mu/3) h^3 cos x + (chi/3) h^3 (h_x + h_xxx) = q,
 
-discretized with the centered grid operators and solved by the shared
-damped simplified-Newton solver (rimflow.newton), either at fixed flux q or
-at fixed mass with q as the extra unknown.
+discretized with centred second-order differences (_capillary_stencil) and
+solved by the shared damped simplified-Newton solver (rimflow.newton),
+either at fixed flux q or at fixed mass with q as the extra unknown.
 """
 from __future__ import annotations
 
@@ -214,27 +214,14 @@ def asymptotic_guess(q: float, grid: Grid) -> PeriodicField:
     return PeriodicField(grid, q + (q**3 / 3.0) * np.cos(grid.x))
 
 
-def capillary_residual(prof: SteadyProfile) -> PeriodicField:
-    """Pointwise residual of the capillary steady equation under the grid operators."""
-    g = prof.h.grid
-    return prof.h.with_values(_capillary_lhs(prof.h.values, prof.q, prof.mu, prof.chi, np.cos(g.x),
-                                             _capillary_stencil(g)))
-
-
-def _derivative_stencil(grid: Grid, order: int) -> np.ndarray:
-    """grid.d1 (order 1) or grid.d3 (order 3) as five coefficients at offsets -2..2."""
-    if order == 1:
-        c1 = 1.0 / (2.0 * grid.dx)
-        return np.array([0.0, -c1, 0.0, c1, 0.0])
-    if order == 3:
-        c3 = 1.0 / (2.0 * grid.dx**3)
-        return np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
-    raise ValueError(f"order must be 1 or 3, got {order}")
-
-
 def _capillary_stencil(grid: Grid) -> np.ndarray:
-    """d1 + d3 as five coefficients at offsets -2..2."""
-    return _derivative_stencil(grid, 1) + _derivative_stencil(grid, 3)
+    """h_x + h_xxx as five coefficients at offsets -2..2.
+
+    The sum of the centred second-order differences (v[i+1] - v[i-1]) / (2 dx),
+    grid.d1, and (v[i+2] - 2 v[i+1] + 2 v[i-1] - v[i-2]) / (2 dx^3).
+    """
+    c1, c3 = 1.0 / (2.0 * grid.dx), 1.0 / (2.0 * grid.dx**3)
+    return np.array([-c3, 2.0 * c3 - c1, 0.0, c1 - 2.0 * c3, c3])
 
 
 def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -320,15 +307,14 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
 class SolvabilityReport:
     r0: float
     r1: float
-    nonexistence_violated: bool
 
 
 def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     """Integral identities any positive steady profile must satisfy.
 
     With y = h/q: the mean of 1/y^2 - 1/y^3 vanishes (r0) and its cos-weighted
-    mean equals pi * beta with beta = prof.beta (r1).  beta beyond 8/27 is
-    flagged: no positive profile can satisfy the identities there.
+    mean equals pi * beta with beta = prof.beta (r1).  No positive profile
+    satisfies both beyond beta = 8/27 (FLUX_BOUND_RATIO).
     """
     grid = prof.h.grid
     _require_full_period(grid)
@@ -343,7 +329,6 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     return SolvabilityReport(
         r0=float(dx * np.sum(f)),
         r1=float(dx * np.sum(f * np.cos(grid.x))) - math.pi * prof.beta,
-        nonexistence_violated=bool(prof.beta > FLUX_BOUND_RATIO + 1e-12),
     )
 
 

@@ -22,7 +22,6 @@ from rimflow.model import (
     Forcing,
     Params,
     RegularizationKnobs,
-    alpha_entropy,
     entropy_G,
     mobility,
 )
@@ -38,9 +37,7 @@ from rimflow.steady import (
     solvability_residuals,
 )
 
-# Local maxima are counted at the resolution of a published figure: features
-# below one percent of the profile's dynamic range are not plot-visible.
-FIG_PROMINENCE = 1e-2
+from oracles import alpha_entropy
 
 
 def report(num, ok, detail):
@@ -117,7 +114,7 @@ def test_criterion_03_energy_monotone(fig3):
 
 def test_criterion_04_four_droplets(fig3):
     final = fig3.traj.snapshots[-1]
-    n_max = len(count_local_maxima(final.field, rel_prominence=FIG_PROMINENCE))
+    n_max = len(count_local_maxima(final.field))
     recs = [r for r in fig3.traj.records if r.t >= 0.9 * 140.0]
     l2 = [r.l2 for r in recs]
     h1 = [r.h1 for r in recs]
@@ -130,7 +127,7 @@ def test_criterion_04_four_droplets(fig3):
 
 def test_criterion_05_single_droplet_with_thin_film(fig4):
     final = fig4.traj.snapshots[-1]
-    idx = count_local_maxima(final.field, rel_prominence=FIG_PROMINENCE)
+    idx = count_local_maxima(final.field)
     x = final.field.grid.x
     loc = x[idx[0]] if len(idx) == 1 else math.nan
     min_h = float(np.min(final.field.values))
@@ -142,7 +139,7 @@ def test_criterion_05_single_droplet_with_thin_film(fig4):
 
 def test_criterion_06_drift_displaces_droplet(fig5):
     final = fig5.traj.snapshots[-1]
-    idx = count_local_maxima(final.field, rel_prominence=FIG_PROMINENCE)
+    idx = count_local_maxima(final.field)
     x = final.field.grid.x
     loc = x[idx[0]] if len(idx) == 1 else math.nan
     min_h = float(np.min(final.field.values))

@@ -23,7 +23,9 @@ from rimflow.model import Forcing, RegularizationKnobs
 from rimflow.steady import (
     ContinuationStep,
     NoConvergence,
+    critical_flux,
     nonexistence_threshold,
+    pukhnachov_bound,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -363,6 +365,8 @@ class TestEvolveCommand:
             [0.0, 0.25, 0.5], abs=1e-12)
         for entry in manifest["snapshots"]:
             assert (out / entry["file"]).exists()
+        # 0.3 + 0.02 (cos x + cos 2x) peaks at x = 0 and, lower, at x = pi.
+        assert manifest["snapshots"][0]["droplets"] == 2
 
         with open(out / "diagnostics.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -376,6 +380,10 @@ class TestEvolveCommand:
         assert "gradient_growth" in names
         assert "mass_conservation" in names
         assert any(n.startswith("interpolation@t=") for n in names)
+        # One H1 growth entry per snapshot: ||h(t)||_H1^2 against its bound.
+        h1 = [r for r in reports if r["name"].startswith("h1_growth@t=")]
+        assert [r["name"] for r in h1] == ["h1_growth@t=0", "h1_growth@t=0.25", "h1_growth@t=0.5"]
+        assert [r["lhs"] for r in h1] == [float(row["h1"]) ** 2 for row in rows]
         assert all(r["satisfied"] for r in reports)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -592,6 +600,7 @@ class TestModeAndParseErrors:
         ("evolve", "evolve", "delta", "inf", "[evolve] delta must be nonnegative and finite"),
         ("evolve", "initial", "value", "-0.5", "[initial] evaluated initial data must be nonnegative"),
         ("steady", "steady", "mode", "fixed_mass", "[steady] chi=0 profiles support only fixed_flux"),
+        ("steady", "steady", "mu", "0", "[steady] chi=0 profiles need mu > 0"),
         ("steady", "steady", "tol", "-1", "[steady] tol must be positive"),
         ("steady", "steady", "max_newton", "0", "[steady] max_newton must be at least 1"),
         ("steady", "steady", "chi", "-2", "[steady] chi must be nonnegative and finite"),
@@ -683,6 +692,19 @@ class TestSteadyCommand:
         for entry in manifest["profiles"]:
             assert (out / entry["file"]).exists()
             assert entry["beta"] == pytest.approx(entry["q"] ** 2 / 3.0, rel=1e-12)
+        assert manifest["thresholds"] == {"critical_flux": critical_flux(1.0),
+                                          "nonexistence_threshold": nonexistence_threshold(1.0),
+                                          "pukhnachov_bound": pukhnachov_bound(1.0)}
+
+    def test_capillary_branch_without_rotation_has_no_thresholds(self, tmp_path):
+        # mu = 0 is valid with chi > 0; every threshold is infinite there, so none is written.
+        out = tmp_path / "out"
+        text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\nn = 64\n"
+                "[steady]\nmu = 0\nchi = 1\ntargets = 0.1, 0.2\n").format(out)
+        assert main(["steady", write_cfg(tmp_path, text)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["profiles"]) == 2
+        assert manifest["thresholds"] is None
 
     @pytest.mark.parametrize("steady", ["mu = 3.0\nchi = 3.0\ntargets = 0.1, 0.2",
                                         "mu = 1.0\nchi = 0\ntargets = 0.2, 0.3"],

@@ -15,7 +15,6 @@ from rimflow.evolve import (
     StepFailure,
     _System,
     _record,
-    flux,
     initial_lift,
     run,
     step,
@@ -100,11 +99,9 @@ class TestFlux:
         p = make_params(g, a=(1.0, 4.0, 2.5, 0.7))
         knobs = RegularizationKnobs(epsilon=0.0)
         C = 0.5
-        F = flux(g.constant(C), p, knobs)
+        F = _System(g, p, knobs).interface_flux(g.constant(C).values)
         expect = C**3 * 2.5 * np.cos(g.x + 0.5 * g.dx) + 0.7 * C
-        assert_allclose(F.values, expect, rtol=0, atol=1e-15)
-        # The flux lives on the half-shifted grid.
-        assert F.grid.origin == pytest.approx(0.5 * g.dx)
+        assert_allclose(F, expect, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.0), (1e-4, 0.0), (0.1, 0.02)])
@@ -113,8 +110,8 @@ class TestFlux:
         p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
         knobs = RegularizationKnobs(delta=delta, epsilon=eps)
         h = random_positive(g, seed)
-        F = flux(h, p, knobs)
-        assert np.max(np.abs(F.values - flux_oracle(h, p, knobs))) <= 1e-10
+        F = _System(g, p, knobs).interface_flux(h.values)
+        assert np.max(np.abs(F - flux_oracle(h, p, knobs))) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_divergence_telescopes(self, seed):
@@ -136,8 +133,6 @@ class TestFlux:
         knobs = RegularizationKnobs()
         with pytest.raises(ValueError, match="state grid and forcing grid differ"):
             _System(near, p, knobs)
-        with pytest.raises(ValueError, match="state grid and forcing grid differ"):
-            flux(near.constant(0.3), p, knobs)
 
     @pytest.mark.parametrize("n", [8, 10, 256])
     def test_bit_identical_to_roll_formulas(self, n):

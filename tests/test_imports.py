@@ -1,8 +1,9 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
 only cli reads or writes files or compares grids with a tolerance, only newton
 reads meaning into a Newton failure's name, evolve does not depend on bounds,
-the time-stepping hot path reduces arrays with their methods, and every module
-global the perfbench tracer wraps still exists."""
+the time-stepping hot path reduces arrays with their methods, every module
+global the perfbench tracer wraps still exists, and every public function has
+a caller in rimflow or outside it."""
 import ast
 import importlib
 from pathlib import Path
@@ -175,7 +176,8 @@ def test_only_cli_compares_grids_with_a_tolerance(path):
     assert compatible_calls(ast.parse(path.read_text())) == []
 
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 # Named by the tracer, gone from rimflow since the banded solver replaced it.
 DEAD_BINDINGS = {("rimflow.steady", "diff_matrix")}
 
@@ -193,3 +195,53 @@ def test_tracer_bindings_resolve():
     absent = {(module, attr) for module, attr, _ in tracer_bindings()
               if not hasattr(importlib.import_module(module), attr)}
     assert absent == DEAD_BINDINGS
+
+
+def unreferenced_functions(trees: dict) -> list:
+    """(module, name) of each public module-level function no code in trees reads.
+
+    trees maps module names to parsed sources; a read anywhere, as a bare
+    name or as an attribute, counts, except the function's own def.
+    """
+    read = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees.values()
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and node.name not in read)
+
+
+def cli_reads(tree: ast.Module) -> set:
+    """The attributes tree reads as rimflow.cli.<name>."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "rimflow.cli"}
+
+
+def test_finds_unreferenced_functions():
+    trees = {
+        "a": ast.parse("def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n"
+                       "def _p():\n    pass\nclass C:\n    def m(self):\n        pass\n"),
+        "b": ast.parse("import a\ndef k():\n    return a.h\n"),
+    }
+    assert unreferenced_functions(trees) == [("a", "f"), ("b", "k")]
+    tree = ast.parse("rimflow.cli.main([])\nx = rimflow.cli.parse_config\ny = cli.write_csv\n")
+    assert cli_reads(tree) == {"main", "parse_config"}
+
+
+def outside_callers() -> set:
+    """(module, name) of what code outside src reaches: the tracer's bindings,
+    perfbench's rimflow.cli.<name> reads, and the [project.scripts] targets."""
+    tomllib = pytest.importorskip("tomllib")
+    reached = {(module, attr) for module, attr, _ in tracer_bindings()}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        reached.update(("rimflow.cli", name) for name in cli_reads(ast.parse(path.read_text())))
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    reached.update(tuple(target.split(":")) for target in scripts.values())
+    return reached
+
+
+def test_every_public_function_has_a_caller():
+    # The public API is no wider than the runs: a function that neither
+    # rimflow nor perfbench nor the console script calls goes, or moves to
+    # the tests that use it (tests/oracles.py).
+    trees = {f"rimflow.{p.stem}": ast.parse(p.read_text()) for p in SOURCES}
+    assert sorted(set(unreferenced_functions(trees)) - outside_callers()) == []

@@ -10,13 +10,14 @@ from rimflow.model import (
     Forcing,
     Params,
     RegularizationKnobs,
-    alpha_entropy,
     energy,
     entropy_G,
     from_physical,
     mobility,
     mobility_derivative,
 )
+
+from oracles import alpha_entropy
 
 
 class TestKnobs:

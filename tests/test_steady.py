@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import rimflow.newton
 import rimflow.steady
-from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, d3, integrate
+from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, integrate
 from rimflow.newton import newton
 from rimflow.steady import (
     DOUBLE_ROOT_ULPS,
@@ -20,14 +20,12 @@ from rimflow.steady import (
     _capillary_lhs,
     _capillary_stencil,
     _cubic_roots,
-    _derivative_stencil,
     FLUX_BOUND_RATIO,
     BranchLost,
     ContinuationStep,
     NoConvergence,
     SteadyProfile,
     asymptotic_guess,
-    capillary_residual,
     capillary_solve,
     continue_branch,
     critical_flux,
@@ -38,6 +36,8 @@ from rimflow.steady import (
     solvability_residuals,
 )
 from rimflow.cli import write_branch_csv
+
+from oracles import d3
 
 
 def make_profile(grid, q, mu, chi):
@@ -287,8 +287,10 @@ class TestCapillarySolve:
         assert prof.q == 0.1
         assert float(np.min(prof.h.values)) > 0.0
         # The reported residual is the same quantity the checker recomputes.
-        rec = np.max(np.abs(capillary_residual(prof).values))
-        assert rec <= prof.residual_sup + 1e-12
+        h = prof.h.values
+        lhs = (h - (prof.mu / 3.0) * h**3 * np.cos(g.x)
+               + (prof.chi / 3.0) * h**3 * (d1(prof.h).values + d3(prof.h).values))
+        assert np.max(np.abs(lhs - prof.q)) <= prof.residual_sup + 1e-12
 
     @pytest.mark.parametrize("chi", [0.5, 3.0])
     def test_small_capillary_number_tracks_cubic_branch(self, chi):
@@ -334,21 +336,6 @@ class TestCapillarySolve:
 
 
 class TestCapillaryStencil:
-    @pytest.mark.parametrize("order", [1, 3])
-    def test_stencil_matches_operator(self, order, dense_from_bands):
-        g = Grid(n=32)
-        rng = np.random.default_rng(order)
-        v = rng.normal(size=g.n)
-        f = PeriodicField(g, v)
-        op = {1: d1, 3: d3}[order]
-        bands = np.outer(_derivative_stencil(g, order), np.ones(g.n))
-        assert_allclose(dense_from_bands(bands) @ v, op(f).values, atol=1e-12)
-
-    def test_stencil_rejects_order(self):
-        for order in (0, 2, 4):
-            with pytest.raises(ValueError):
-                _derivative_stencil(Grid(n=8), order)
-
     def test_bands_match_d1_plus_d3(self, dense_from_bands):
         g = Grid(n=32)
         rng = np.random.default_rng(7)
@@ -360,6 +347,12 @@ class TestCapillaryStencil:
         bands = np.outer(stencil, np.ones(g.n))
         assert_allclose(dense_from_bands(bands) @ v, expect, atol=1e-12)
         assert_allclose(_apply_stencil(stencil, v), expect, atol=1e-12)
+        # Bit for bit the sum of the d1 and d3 stencils, each at offsets -2..2.
+        for n in (8, 32, 256, 4096):
+            dx = Grid(n=n).dx
+            c1, c3 = 1.0 / (2.0 * dx), 1.0 / (2.0 * dx**3)
+            per_order = np.array([0.0, -c1, 0.0, c1, 0.0]) + np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
+            assert np.array_equal(_capillary_stencil(Grid(n=n)), per_order)
 
     @pytest.mark.parametrize("n", [8, 10, 256])
     def test_apply_stencil_bit_identical_to_roll(self, n):
@@ -489,7 +482,6 @@ class TestSolvability:
         assert abs(rep.r0) <= 1e-10
         assert abs(rep.r1) <= 1e-10
         assert prof.beta == pytest.approx(0.5**2 / 3.0, rel=1e-15)
-        assert not rep.nonexistence_violated
 
     def test_capillary_profile_satisfies_identities(self):
         g = Grid(n=256)
@@ -544,7 +536,9 @@ class TestSolvability:
                              residual_sup=0.0, mass=math.tau)
         rep = solvability_residuals(fake)
         assert fake.beta == pytest.approx(1.0 / 3.0)
-        assert rep.nonexistence_violated
+        # Beyond 8/27 no positive profile meets the identities: here y = 1, so r1 = -pi beta.
+        assert fake.beta > FLUX_BOUND_RATIO
+        assert rep.r1 == pytest.approx(-math.pi * fake.beta, rel=1e-15)
 
     def test_needs_positive_profile(self):
         g = Grid(n=64)
