@@ -335,7 +335,26 @@ class TestCapillarySolve:
             ContinuationStep("fixed_flux", 0.1, tol=0.0)
 
 
+def _derivative_stencil(dx: float, order: int) -> np.ndarray:
+    """Centred stencil of d1 or d3 at offsets -2..2, the parts of _capillary_stencil."""
+    if order == 1:
+        c1 = 1.0 / (2.0 * dx)
+        return np.array([0.0, -c1, 0.0, c1, 0.0])
+    c3 = 1.0 / (2.0 * dx**3)
+    return np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
+
+
 class TestCapillaryStencil:
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_stencil_matches_operator(self, order, dense_from_bands):
+        g = Grid(n=32)
+        rng = np.random.default_rng(order)
+        v = rng.normal(size=g.n)
+        f = PeriodicField(g, v)
+        op = {1: d1, 3: d3}[order]
+        bands = np.outer(_derivative_stencil(g.dx, order), np.ones(g.n))
+        assert_allclose(dense_from_bands(bands) @ v, op(f).values, atol=1e-12)
+
     def test_bands_match_d1_plus_d3(self, dense_from_bands):
         g = Grid(n=32)
         rng = np.random.default_rng(7)
@@ -350,8 +369,7 @@ class TestCapillaryStencil:
         # Bit for bit the sum of the d1 and d3 stencils, each at offsets -2..2.
         for n in (8, 32, 256, 4096):
             dx = Grid(n=n).dx
-            c1, c3 = 1.0 / (2.0 * dx), 1.0 / (2.0 * dx**3)
-            per_order = np.array([0.0, -c1, 0.0, c1, 0.0]) + np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
+            per_order = _derivative_stencil(dx, 1) + _derivative_stencil(dx, 3)
             assert np.array_equal(_capillary_stencil(Grid(n=n)), per_order)
 
     @pytest.mark.parametrize("n", [8, 10, 256])
