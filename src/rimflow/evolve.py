@@ -15,9 +15,20 @@ conserved identically.
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  They read the terms (m, t1, t3, g, f) that _System keeps
-of its last flux evaluation: Newton's last residual is taken at the very
-array it returns, so step hands that evaluation over.  The snapshot
+of the scheme.  They read the terms (t1, t3, g, f) that _System keeps of
+its last flux evaluation: Newton's last residual is taken at the very
+array it returns, so step hands that evaluation over.  run queues each
+accepted step's dt, state and terms, and evaluates the monitors over a
+stack of up to MONITOR_BLOCK_VALUES // n steps: one numpy call per term
+for the whole block, each row reduced along the last axis, since at n =
+256 numpy's fixed cost per call, not arithmetic, is what the monitors
+cost.  The per-step scalars are then folded into the running sums and
+maxima in step order.  The queue is emptied at every snapshot and before a
+StepFailure propagates, so each record and a partial trajectory cover
+every accepted step.  Elementwise operations and row reductions on a stack
+give the bits of the same calls on each row, so no monitor depends on the
+block size.  Only what steers the run is read at every step: the
+steady-exit rate and the Newton tolerance in force.  The snapshot
 functionals (energy, h1, gradient_sq) use the centred gradient grid.d1, as
 model.energy does; gradient_sq is grid.gradient_sq, the form the bound
 monitors use.
@@ -67,6 +78,9 @@ STEADY_RUN_LENGTH = 10
 # floored at a small multiple of this representable limit; the configured
 # tolerance applies whenever it is attainable.
 NEWTON_FLOOR_SAFETY = 4.0
+# run evaluates the monitors over blocks of max(1, MONITOR_BLOCK_VALUES // n)
+# accepted steps: 32 at n = 256, a stack of 64 KB per term.
+MONITOR_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -292,9 +306,22 @@ def step(state: EvolveState, cfg: EvolveConfig, sysm: _System) -> EvolveState:
     )
 
 
-def _entropy(v: np.ndarray, dx: float, epsilon: float) -> float:
-    """dx * sum G_eps(v): the touchdown entropy of strictly positive samples v."""
-    return float(dx * entropy_G(v, epsilon).sum())
+def _entropy(v: np.ndarray, dx: float, epsilon: float):
+    """dx * sum G_eps(v) along the last axis: the touchdown entropy of strictly positive samples."""
+    return dx * entropy_G(v, epsilon).sum(axis=-1)
+
+
+def _k1_terms(u: np.ndarray, t1: np.ndarray, dx: float, epsilon: float) -> tuple:
+    """Per row of the stacks u, t1: (positive, dx sum t1^2, entropy), as lists.
+
+    Only rows with min > 0 reach entropy_G; the others read inf, and their
+    K1 is inf.
+    """
+    positive = u.min(axis=-1) > 0.0
+    ent = np.full(len(u), math.inf)
+    if positive.any():
+        ent[positive] = _entropy(u[positive], dx, epsilon)
+    return positive.tolist(), (dx * (t1**2).sum(axis=-1)).tolist(), ent.tolist()
 
 
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
@@ -303,7 +330,7 @@ def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: 
     grad_sq = gradient_sq(h)
     min_h = float(v.min())
     if min_h > 0.0:
-        entropy0, entropy_eps = _entropy(v, dx, 0.0), _entropy(v, dx, cfg.knobs.epsilon)
+        entropy0, entropy_eps = float(_entropy(v, dx, 0.0)), float(_entropy(v, dx, cfg.knobs.epsilon))
     else:
         entropy0 = entropy_eps = math.inf
     return DiagnosticsRecord(
@@ -329,25 +356,49 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     """
     state = EvolveState(t=0.0, h=initial_lift(h0, cfg.knobs), dt=cfg.dt_init)
     sysm = _System(state.h.grid, p, cfg.knobs)
-    dx = sysm.dx
+    dx, epsilon = sysm.dx, cfg.knobs.epsilon
     a_ratio = p.a1 / p.a0
-    diss_cum = 0.0
-    diss3_cum = 0.0
+    k1_weight = a_ratio * (a_ratio + 2.0 * cfg.knobs.delta)
+    block = max(1, MONITOR_BLOCK_VALUES // state.h.grid.n)
+    pending = []  # (dt_used, u, t1, t3, g, f) of accepted steps not yet in the monitors
+    diss_cum = diss3_cum = e_prev = 0.0
 
-    def k1_current(u: np.ndarray, t1: np.ndarray) -> float:
-        if float(u.min()) <= 0.0:
-            return math.inf
-        grad = float(dx * (t1**2).sum())
-        ent = _entropy(u, dx, cfg.knobs.epsilon)
-        return grad + a_ratio * (a_ratio + 2.0 * cfg.knobs.delta) * ent + p.a0 * diss3_cum
+    def k1(positive: bool, grad: float, ent: float) -> float:
+        return grad + k1_weight * ent + p.a0 * diss3_cum if positive else math.inf
 
+    def flush() -> None:
+        """Evaluate the monitors on the pending steps and fold them in, in step order."""
+        nonlocal diss_cum, diss3_cum, e_prev
+        if not pending:
+            return
+        dts, *rows = zip(*pending)
+        pending.clear()
+        u, t1, t3, g, f = (np.stack(r) for r in rows)
+        diss = (dx * (f * g**2).sum(axis=-1)).tolist()
+        diss3 = (dx * (f * t3**2).sum(axis=-1)).tolist()
+        positive, grad, ent = _k1_terms(u, t1, dx, epsilon)
+        sup = np.abs(u).max(axis=-1).tolist()
+        energies = energy(u, p).tolist()
+        for i, dt_used in enumerate(dts):
+            diss_cum += dt_used * diss[i]
+            diss3_cum += dt_used * diss3[i]
+            traj.supcube_time_integral += dt_used * sup[i]**3
+            traj.k1_observed = max(traj.k1_observed, k1(positive[i], grad[i], ent[i]))
+            if traj.step_count > 0:
+                rise = energies[i] - e_prev
+                traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
+            traj.step_count += 1
+            e_prev = energies[i]
+
+    u0 = state.h.values
+    positive, grad, ent = _k1_terms(u0[None], sysm.interface_values(u0)[1][None], dx, epsilon)
     traj = Trajectory(
         snapshots=[],
         termination="t_end",
         step_count=0,
         energy_rise_max=0.0,
         newton_tol_effective=0.0,
-        k1_observed=k1_current(state.h.values, sysm.interface_values(state.h.values)[1]),
+        k1_observed=k1(positive[0], grad[0], ent[0]),
         supcube_time_integral=0.0,
     )
 
@@ -365,27 +416,20 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         while not landed and steady_run < STEADY_RUN_LENGTH:
             dt_try = min(state.dt, target - state.t)
             try:
-                new = step(replace(state, dt=dt_try), cfg, sysm)
+                new = step(state if dt_try == state.dt else replace(state, dt=dt_try), cfg, sysm)
             except StepFailure as exc:
+                flush()
                 traj.termination, exc.trajectory = "failed", traj
                 raise
 
-            # Per-step accounting, evaluated at the accepted implicit state
-            # from the flux terms step left there.
+            # The monitors are evaluated at the accepted implicit state, from
+            # the flux terms step left there, a block of steps at a time.
             dt_used = new.t - state.t
             u = new.h.values
-            _, t1, t3, g, f = sysm.last_flux[1]
-            diss_cum += dt_used * float(dx * (f * g**2).sum())
-            diss3_cum += dt_used * float(dx * (f * t3**2).sum())
+            pending.append((dt_used, u, *sysm.last_flux[1][1:]))
+            if len(pending) == block:
+                flush()
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)
-            traj.supcube_time_integral += dt_used * float(np.abs(u).max())**3
-            traj.k1_observed = max(traj.k1_observed, k1_current(u, t1))
-            e_step = energy(new.h, p)
-            if traj.step_count > 0:
-                rise = e_step - e_prev
-                traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
-            traj.step_count += 1
-            e_prev = e_step
             rate = float(np.abs(u - state.h.values).max()) / dt_used
             steady_run = steady_run + 1 if rate < STEADY_RATE else 0
 
@@ -395,6 +439,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             if dt_try < state.dt and landed:
                 new = replace(new, dt=state.dt)
             state = new
+        flush()
         traj.snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
         if steady_run >= STEADY_RUN_LENGTH:
             traj.termination = "steady"

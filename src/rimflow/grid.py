@@ -116,7 +116,7 @@ class PeriodicField:
             raise ValueError(
                 f"field needs {self.grid.n} values, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("field values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -140,9 +140,9 @@ def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
 
 
 def _centred_diff(v: np.ndarray, dx: float) -> np.ndarray:
-    """(v[i+1] - v[i-1]) / (2 dx) on periodic samples v: d1's formula on a bare array."""
+    """(v[i+1] - v[i-1]) / (2 dx) along the last axis of v: d1's formula on bare samples."""
     p = periodic_pad(v, 1)
-    return (p[2:] - p[:-2]) / (2.0 * dx)
+    return (p[..., 2:] - p[..., :-2]) / (2.0 * dx)
 
 
 def d1(f: PeriodicField) -> PeriodicField:
@@ -152,12 +152,12 @@ def d1(f: PeriodicField) -> PeriodicField:
 
 def gradient_sq(f: PeriodicField) -> float:
     """Integral of the squared centred gradient, dx * sum(d1(f)^2)."""
-    return float(f.grid.dx * np.sum(_centred_diff(f.values, f.grid.dx) ** 2))
+    return float(f.grid.dx * (_centred_diff(f.values, f.grid.dx) ** 2).sum())
 
 
 def integrate(f: PeriodicField) -> float:
     """Periodic rectangle rule, exact for trigonometric polynomials below the grid cutoff."""
-    return float(f.grid.dx * np.sum(f.values))
+    return float(f.grid.dx * f.values.sum())
 
 
 class CyclicBandedFactor:
@@ -197,7 +197,7 @@ class CyclicBandedFactor:
         corners[2, 0], corners[3, 0], corners[3, 1] = bands[4, n - 2], bands[3, n - 1], bands[4, n - 1]
         capacitance = np.eye(4) + w[self.corner_idx, :] @ corners
         self.correction = w @ (corners @ np.linalg.inv(capacitance))
-        self.row_norm = float(np.max(np.sum(np.abs(bands), axis=0)))
+        self.row_norm = float(np.abs(bands).sum(axis=0).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs for rhs of shape (n,) or (n, m)."""

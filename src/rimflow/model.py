@@ -158,11 +158,22 @@ def entropy_G(z, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def energy(h: PeriodicField, p: Params) -> float:
-    """E(h) = 1/2 * integral of a0 h_x^2 - a1 h^2 - 2 a2 w h."""
-    if h.grid != p.grid:
-        raise ValueError("field and forcing live on different grids")
-    v, dx = h.values, h.grid.dx
+def energy(h, p: Params):
+    """E(h) = 1/2 * integral of a0 h_x^2 - a1 h^2 - 2 a2 w h.
+
+    h is a PeriodicField on p's grid (a float is returned), or an array
+    whose rows are samples on that grid (an array of each row's energy).
+    """
+    if isinstance(h, PeriodicField):
+        if h.grid != p.grid:
+            raise ValueError("field and forcing live on different grids")
+        v = h.values
+    else:
+        v = h
+        if v.ndim != 2 or v.shape[1] != p.grid.n:
+            raise ValueError(f"need rows of {p.grid.n} samples, got shape {v.shape}")
+    dx = p.grid.dx
     hx = _centred_diff(v, dx)
     dens = p.a0 * hx**2 - p.a1 * v**2 - 2.0 * p.a2 * p.w.w * v
-    return 0.5 * float(dx * dens.sum())
+    e = 0.5 * (dx * dens.sum(axis=-1))
+    return float(e) if v.ndim == 1 else e

@@ -140,7 +140,8 @@ def newton(
             break
         iters += 1
         for k in range(MAX_DAMPINGS + 1 if fresh else 1):
-            z_try = z + 0.5**k * dz
+            # 1.0 * dz is dz bit for bit, so the whole step skips the multiply.
+            z_try = z + dz if k == 0 else z + 0.5**k * dz
             r_try = residual(z_try)
             res_try = _sup(r_try)
             if res_try < res:

@@ -1,4 +1,5 @@
 """Flux discretization, implicit stepping, adaptive runs, and conservation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from rimflow.evolve import (
     EvolveState,
     StepFailure,
     _System,
+    _k1_terms,
     _record,
     initial_lift,
     run,
@@ -715,3 +717,93 @@ class TestFailure:
         assert exc.trajectory.termination == "failed"
         assert exc.trajectory.snapshots[-1].t == 0.0
         assert exc.dt < cfg.dt_min
+
+
+def monitor_hexes(traj) -> list:
+    """Every monitor and record of traj, each float as float.hex, which tells every bit apart."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+
+    names = ("termination", "step_count", "energy_rise_max", "newton_tol_effective",
+             "k1_observed", "supcube_time_integral")
+    return ([bits(getattr(traj, name)) for name in names]
+            + [tuple(bits(v) for v in dataclasses.astuple(r)) for r in traj.records]
+            + [s.field.values.tobytes() for s in traj.snapshots])
+
+
+class TestMonitorBlocks:
+    """run evaluates the monitors a block of accepted steps at a time; no output depends on the block."""
+
+    ROWS = 5  # the middle block size, at n = 64
+
+    def run_each_block(self, monkeypatch, go):
+        # One step a block (the per-step evaluation), five, and every step
+        # between two flushes.
+        out = []
+        for values in (1, self.ROWS * 64, 10**9):
+            monkeypatch.setattr(rimflow.evolve, "MONITOR_BLOCK_VALUES", values)
+            out.append(go())
+        return out
+
+    def test_step_count_off_the_block(self, monkeypatch):
+        g = Grid(n=64)
+        p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
+        cfg = EvolveConfig(t_end=0.5, dt_init=1e-3, dt_max=0.05, snapshot_times=[0.1, 0.25],
+                           knobs=RegularizationKnobs(epsilon=1e-4))
+        trajs = self.run_each_block(monkeypatch, lambda: run(random_positive(g, 5, mean=0.3, amp=0.02),
+                                                             p, cfg))
+        assert trajs[0].termination == "t_end"
+        assert trajs[0].step_count % self.ROWS != 0
+        assert monitor_hexes(trajs[1]) == monitor_hexes(trajs[2]) == monitor_hexes(trajs[0])
+
+    def test_steady_exit_mid_block(self, monkeypatch):
+        g = Grid(n=64)
+        p = make_params(g, a=(1.0, 0.0, 0.0, 0.0))
+        cfg = EvolveConfig(t_end=2000.0, dt_init=1e-3, dt_max=0.5,
+                           knobs=RegularizationKnobs(epsilon=0.0))
+        trajs = self.run_each_block(monkeypatch, lambda: run(g.field(1.0 + 0.01 * np.cos(g.x)), p, cfg))
+        assert trajs[0].termination == "steady"
+        assert trajs[0].step_count % self.ROWS != 0
+        assert monitor_hexes(trajs[1]) == monitor_hexes(trajs[2]) == monitor_hexes(trajs[0])
+
+    def test_step_failure_mid_block(self, monkeypatch):
+        # The 23rd step fails: the partial trajectory still holds every one
+        # of the 22 accepted steps in its monitors.
+        g = Grid(n=64)
+        p = make_params(g, a=(1.0, 16.0, 0.0, 0.0))
+        cfg = EvolveConfig(t_end=0.5, dt_init=1e-3, dt_max=0.05, snapshot_times=[0.01],
+                           knobs=RegularizationKnobs(epsilon=0.0))
+
+        def failing_run():
+            calls = []
+
+            def failing_step(state, cfg, sysm):
+                calls.append(state.t)
+                if len(calls) == 23:
+                    raise StepFailure("injected", residual_sup=1.0, t=state.t, dt=state.dt)
+                return step(state, cfg, sysm)
+
+            monkeypatch.setattr(rimflow.evolve, "step", failing_step)
+            with pytest.raises(StepFailure) as exc:
+                run(random_positive(g, 3, mean=0.3, amp=0.02), p, cfg)
+            return exc.value.trajectory
+
+        trajs = self.run_each_block(monkeypatch, failing_run)
+        assert trajs[0].termination == "failed"
+        assert [t.step_count for t in trajs] == [22, 22, 22]
+        assert len(trajs[0].snapshots) == 2
+        assert monitor_hexes(trajs[1]) == monitor_hexes(trajs[2]) == monitor_hexes(trajs[0])
+
+    def test_k1_terms_match_rowwise_calls_bitwise(self):
+        # A non-positive row reads inf and never reaches entropy_G, which
+        # would raise; every other row has the bits of the 1-D calls.
+        g = Grid(n=256)
+        rows = np.stack([random_positive(g, s).values for s in range(7)])
+        rows[3, 10] = 0.0
+        t1 = np.stack([np.sin((k + 1) * g.x) for k in range(7)])
+        positive, grad, ent = _k1_terms(rows, t1, g.dx, 1e-4)
+        assert positive == [k != 3 for k in range(7)]
+        assert ent[3] == math.inf
+        for k in (0, 1, 2, 4, 5, 6):
+            assert ent[k].hex() == float(g.dx * entropy_G(rows[k], 1e-4).sum()).hex()
+            assert grad[k].hex() == float(g.dx * (t1[k] ** 2).sum()).hex()

@@ -149,7 +149,7 @@ def test_finds_function_form_reductions():
     assert function_form_reductions(tree) == [1, 2, 4, 4, 5]
 
 
-@pytest.mark.parametrize("name", ["evolve.py", "newton.py"])
+@pytest.mark.parametrize("name", ["evolve.py", "newton.py", "grid.py"])
 def test_hot_path_reduces_with_array_methods(name):
     # np.sum(x) and x.sum() run the same ufunc reduce, but the function form
     # first passes through numpy's Python-level dispatch, a fixed cost paid

@@ -236,6 +236,17 @@ class TestEnergyAndIntegrals:
         h = g.sample(np.cos)
         assert energy(h, p) == pytest.approx(math.pi / 2.0, abs=g.dx**2)
 
+    @pytest.mark.parametrize("n, rows", [(256, 1), (256, 32), (512, 16), (1024, 8)])
+    def test_energy_of_rows_matches_each_field_bitwise(self, n, rows):
+        # evolve.run evaluates a block of states at once: each row must have
+        # the bits of the single-field call.
+        g = Grid(n=n)
+        p = Params(1.0, 16.0, -8.0, 3.0, Forcing.sine(g))
+        v = 0.3 + 0.1 * np.random.default_rng(n + rows).standard_normal((rows, n))
+        e = energy(v, p)
+        assert e.shape == (rows,)
+        assert [x.hex() for x in e.tolist()] == [energy(g.field(r), p).hex() for r in v]
+
     def test_energy_grid_mismatch(self):
         g = Grid(n=64)
         p = Params(1.0, 0.0, 0.0, 0.0, Forcing.sine(g))
@@ -245,3 +256,5 @@ class TestEnergyAndIntegrals:
         near = Grid(n=64, length=g.length * (1.0 + 1e-14))
         with pytest.raises(ValueError, match="field and forcing live on different grids"):
             energy(near.constant(1.0), p)
+        with pytest.raises(ValueError, match="rows of 64 samples"):
+            energy(np.ones((2, 32)), p)
