@@ -33,22 +33,27 @@ functionals (energy, h1, gradient_sq) use the centred gradient grid.d1, as
 model.energy does; gradient_sq is grid.gradient_sq, the form the bound
 monitors use.
 
-Time stepping is backward Euler (L-stable, first order), solved by the
-shared damped simplified-Newton solver rimflow.newton.newton on an analytic
-pentadiagonal-plus-corners Jacobian.  Its CyclicBandedFactor (one banded
-LU, the periodic corners added by a cached rank-4 correction) is kept
-across steps while dt is unchanged and the reused factor keeps contracting
-the residual by 0.3 a step, or lands within the tolerance; a new dt (a
-rejection, a step growth or a snapshot landing) or a poorer step refactors
-(see rimflow.newton).  Newton starts from the linear extrapolation
-h_n + (dt/dt_prev)(h_n - h_{n-1}) of the last accepted step, the standard
-starting value for implicit integrators (Hairer & Wanner, Solving ODEs II,
-IV.8), and corrects it at least once, so a prediction is never accepted
-as it stands; the first step of a run starts from h_n.  Step
-control grows dt by 1.2x on success up to dt_max, halves it on failure,
-and fails the run when dt underflows dt_min.  There is no positivity
-clamp; a step whose minimum undershoots -10x the Newton tolerance is
-rejected instead.
+Time stepping is backward Euler (L-stable, first order), split the way
+implicit integrators are (Hairer & Wanner, Solving ODEs II, IV.8): one
+implicit solve and one step-size controller around it.  _System.solve
+solves u - hold + dt div F(u) = 0 with the shared damped simplified-Newton
+solver rimflow.newton.newton on an analytic pentadiagonal-plus-corners
+Jacobian, and is the only caller of newton here.  It keeps the Jacobian's
+CyclicBandedFactor (one banded LU, the periodic corners added by a cached
+rank-4 correction) from solve to solve while dt is unchanged and the
+reused factor keeps contracting the residual by 0.3 a step, or lands
+within the tolerance; a new dt (a rejection, a step growth or a snapshot
+landing) or a poorer step refactors (see rimflow.newton).  It projects the
+mass defect out of every Newton direction, floors the tolerance at the
+representable residual, corrects a start other than hold at least once, so
+a prediction is never accepted as it stands, and leaves its flux terms at
+the solution it returns.  step is the controller: it sets the tolerance
+from sup|hold|, starts each solve from the linear extrapolation
+h_n + (dt/dt_prev)(h_n - h_{n-1}) of the last accepted step (the first step
+of a run starts from h_n), grows dt by 1.2x on success up to dt_max, halves
+it on failure, and fails the run when dt underflows dt_min.  There is no
+positivity clamp; a step whose minimum undershoots -10x the Newton
+tolerance is rejected instead.
 """
 from __future__ import annotations
 
@@ -121,7 +126,12 @@ class EvolveState:
 
 
 class StepFailure(RuntimeError):
-    """Raised when the step size underflows dt_min without Newton convergence."""
+    """Raised when the step size underflows dt_min; the message names the last attempt's cause.
+
+    That cause is a Newton failure (diverged says whether the iterate or the
+    linear algebra broke down) or a converged iterate whose minimum
+    undershoots -10x the Newton tolerance in force.
+    """
 
     def __init__(self, message: str, residual_sup: float, t: float, dt: float, diverged: bool = False):
         super().__init__(message)
@@ -192,7 +202,7 @@ class _System:
         self.knobs = knobs
         self.dx = grid.dx
         self.drive = params.a2 * params.w.wp_mid  # the a2 w' term of g, fixed in time
-        self.factor, self.factor_dt = None, None  # kept by step() while dt holds
+        self._factor, self._factor_dt = None, None  # kept by solve() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
         self.last_flux = None  # (u, (m, t1, t3, g, f)) of the last interface_flux call
 
@@ -242,61 +252,71 @@ class _System:
         diag_p2 = s * D
         return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
 
+    def solve(self, hold: np.ndarray, dt: float, u0: np.ndarray, tol: float, max_iter: int):
+        """Solve u - hold + dt div F(u) = 0 by Newton from u0: (u, NewtonStats).
+
+        The Jacobian factor is kept from call to call while dt is unchanged,
+        and a start other than hold is corrected at least once.  On success
+        last_flux holds the flux terms at u.
+        """
+        if dt != self._factor_dt:
+            self._factor, self._factor_dt = None, dt
+
+        def direction(lu, u, r):
+            # Project out the mass defect: every Jacobian of the flux divergence,
+            # reused or not, has zero column sums, so the exact step keeps
+            # sum(u + du - hold) at zero; this removes rounding along that mode.
+            du = -lu.solve(r)
+            return du - ((u - hold) + du).sum() / hold.size
+
+        u, stats, self._factor = newton(
+            lambda u: self.residual(u, hold, dt), lambda u: self.jacobian(u, dt), u0,
+            tol, max_iter, self._factor, direction, floor=NEWTON_FLOOR_SAFETY,
+            min_iter=0 if u0 is hold else 1,
+        )
+        # A successful Newton solve took its last residual at u itself.
+        if stats.failure is None and self.last_flux[0] is not u:
+            self.interface_flux(u)
+        return u, stats
+
 
 def step(state: EvolveState, cfg: EvolveConfig, sysm: _System) -> EvolveState:
     """One adaptive backward Euler step from state.t using trial size state.dt.
 
-    Halves dt on Newton failure or on a positivity undershoot beyond
-    -10x the effective Newton tolerance; raises StepFailure when dt would
+    The step-size controller around sysm.solve, the run's _System built from
+    its params and cfg.knobs.  Each attempt solves from the linear
+    extrapolation of sysm.last_step, the last accepted step (from state.h on
+    a run's first step).  An attempt is rejected, and dt halved, when Newton
+    fails or the minimum undershoots -10x the Newton tolerance in force;
+    StepFailure is raised, naming the last attempt's cause, when dt would
     drop below dt_min.  On success the returned state carries the grown
     trial size min(1.2 dt, dt_max) for the next attempt, and sysm.last_flux
-    holds the flux terms at the accepted state.  sysm is the run's _System,
-    built from its params and cfg.knobs: it keeps the Jacobian factor from
-    call to call while dt is unchanged, and the last accepted step, from
-    which Newton's start is extrapolated.
+    holds the flux terms at the accepted state.
     """
     hold = state.h.values
     tol = cfg.newton_tol * max(1.0, float(np.abs(hold).max()))
     dt = state.dt
     if not (dt > 0.0):
         raise ValueError("step size must be positive")
-
-    def direction(lu, u, r):
-        # Project out the mass defect: every Jacobian of the flux divergence,
-        # reused or not, has zero column sums, so the exact step keeps
-        # sum(u + du - hold) at zero; this removes rounding along that mode.
-        du = -lu.solve(r)
-        return du - ((u - hold) + du).sum() / hold.size
-
     while True:
-        if dt != sysm.factor_dt:
-            sysm.factor, sysm.factor_dt = None, dt
-        # Start from the linear extrapolation of the last accepted step, and
-        # correct that prediction at least once; a run's first step starts at hold.
-        u0, min_iter = hold, 0
+        u0 = hold
         if sysm.last_step is not None:
             h_prev, dt_prev = sysm.last_step
-            u0, min_iter = hold + (dt / dt_prev) * (hold - h_prev), 1
-        u, stats, sysm.factor = newton(
-            lambda u: sysm.residual(u, hold, dt), lambda u: sysm.jacobian(u, dt), u0,
-            tol, cfg.newton_max_iter, sysm.factor, direction, floor=NEWTON_FLOOR_SAFETY,
-            min_iter=min_iter,
-        )
-        if stats.failure is None and float(u.min()) >= -10.0 * stats.tol_used:
+            u0 = hold + (dt / dt_prev) * (hold - h_prev)
+        u, stats = sysm.solve(hold, dt, u0, tol, cfg.newton_max_iter)
+        u_min, bound = float(u.min()), -10.0 * stats.tol_used
+        if stats.failure is None and u_min >= bound:
             break
         dt *= 0.5
         if dt < cfg.dt_min:
+            cause = stats.message or f"min u {u_min:.3e} below the undershoot bound {bound:.3e}"
             raise StepFailure(
-                f"step size underflow below dt_min={cfg.dt_min} at t={state.t}"
-                + (" (diverged Newton iterate)" if stats.diverged else ""),
+                f"step size underflow below dt_min={cfg.dt_min} at t={state.t}: {cause}",
                 residual_sup=stats.residual,
                 t=state.t,
                 dt=dt,
                 diverged=stats.diverged,
             )
-    # A successful Newton solve took its last residual at u itself.
-    if sysm.last_flux[0] is not u:
-        sysm.interface_flux(u)
     sysm.last_step = (hold, dt)
     return EvolveState(
         t=state.t + dt,

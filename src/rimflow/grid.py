@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,9 +90,6 @@ class Grid:
     def constant(self, c: float) -> "PeriodicField":
         return PeriodicField(self, np.full(self.n, float(c)))
 
-    def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> "PeriodicField":
-        return PeriodicField(self, np.asarray(fn(self.x), dtype=float))
-
     def compatible(self, other: "Grid", tol: float = 1e-9) -> bool:
         """Same n, and length and origin within tol * max(1, length): a grid rebuilt from samples."""
         return (
@@ -123,10 +119,6 @@ class PeriodicField:
 
     def with_values(self, values) -> "PeriodicField":
         return PeriodicField(self.grid, values)
-
-    def shift(self, cells: int) -> "PeriodicField":
-        """Translate by a whole number of cells (periodic roll)."""
-        return PeriodicField(self.grid, np.roll(self.values, cells))
 
 
 def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:

@@ -1,9 +1,20 @@
-"""Reference formulas the tests compare rimflow against; no rimflow code calls them."""
+"""Reference formulas the tests compare rimflow against, and the field helpers they build
+data with; no rimflow code calls them."""
 import numpy as np
 
-from rimflow.grid import PeriodicField, periodic_pad
+from rimflow.grid import Grid, PeriodicField, periodic_pad
 
 ALPHA_RANGE = (-0.5, 1.0)
+
+
+def sample(grid: Grid, fn) -> PeriodicField:
+    """fn evaluated at the nodes of grid."""
+    return PeriodicField(grid, np.asarray(fn(grid.x), dtype=float))
+
+
+def shift(f: PeriodicField, cells: int) -> PeriodicField:
+    """f translated by a whole number of cells (periodic roll)."""
+    return f.with_values(np.roll(f.values, cells))
 
 
 def d3(f: PeriodicField) -> PeriodicField:

@@ -2,6 +2,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rimflow.evolve
 from rimflow import cli
 from rimflow.bounds import BoundReport
 from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config, write_field_csv
@@ -28,7 +30,8 @@ from rimflow.steady import (
     pukhnachov_bound,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 EVOLVE_TEMPLATE = """
 [run]
@@ -353,6 +356,53 @@ class TestSchema:
 
 
 class TestEvolveCommand:
+    def test_tracer_counts_match_an_untraced_run(self, tmp_path, monkeypatch):
+        # perfbench's tracer wraps rimflow.evolve.step and reads each accepted
+        # step's attempt, result and Newton iterations (its _step_tag).  Its
+        # counts must equal those read off the attempts of an untraced run.
+        text = (EVOLVE_TEMPLATE.replace("t_end = 0.5", "t_end = 2.0")
+                .replace("dt_init = 1e-4", "dt_init = 0.5")
+                .replace("dt_max = 0.001", "dt_max = 0.5\nnewton_max_iter = 4")
+                .replace("snapshots = 0.25", "snapshots = 0.7"))
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "out"))
+        attempts = []  # (hold, dt, stats) of every solve, rejected ones too
+        solve = rimflow.evolve._System.solve
+
+        def recording_solve(sysm, hold, dt, *args):
+            u, stats = solve(sysm, hold, dt, *args)
+            attempts.append((hold, dt, stats))
+            return u, stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rimflow.evolve._System, "solve", recording_solve)
+            assert main(["evolve", cfg]) == 0
+        # Attempts from one state share its array; the last of them is accepted.
+        steps = []
+        for hold, dt, stats in attempts:
+            if steps and steps[-1][0] is hold:
+                steps[-1][1].append((dt, stats))
+            else:
+                steps.append((hold, [(dt, stats)]))
+        counts = {"evolve.accepted_steps": len(steps),
+                  "evolve.rejected_attempts": sum(len(tries) - 1 for _, tries in steps),
+                  "evolve.newton_iters": sum(tries[-1][1].iterations for _, tries in steps)}
+        assert counts["evolve.accepted_steps"] == 10 and counts["evolve.rejected_attempts"] == 3
+        # One step is cut short to land on t = 0.7; the tracer must not count it as rejected.
+        ends = np.cumsum([tries[-1][0] for _, tries in steps])
+        assert np.abs(ends - 0.7).min() <= 1e-12 and ends[-1] == pytest.approx(2.0, abs=1e-12)
+
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            assert main(["evolve", cfg]) == 0
+        finally:
+            traced.restore()
+        metrics = tracer.layer_metrics(traced.spans, traced.absent, 0)
+        assert {name: metrics[name] for name in counts} == counts
+
     def test_end_to_end_outputs(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, EVOLVE_TEMPLATE.format(out=out))

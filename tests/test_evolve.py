@@ -1,6 +1,7 @@
 """Flux discretization, implicit stepping, adaptive runs, and conservation."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rimflow.model import (
     mobility,
     mobility_derivative,
 )
+from oracles import sample, shift
 
 
 def make_params(grid, a=(1.0, 16.0, 0.0, 0.0), forcing="sine"):
@@ -358,15 +360,15 @@ class TestStep:
         # Shifting the state and the forcing together commutes with stepping
         # (up to linear-solver rounding).
         g = Grid(n=64)
-        shift = 9
+        cells = 9
         h = random_positive(g, seed)
         w = Forcing.constant(g, 0.0)
         p = Params(1.0, 16.0, 0.0, 2.0, w)
         cfg = EvolveConfig(t_end=1.0, dt_init=1e-3,
                            knobs=RegularizationKnobs(epsilon=1e-6))
-        a = first_step(EvolveState(0.0, h.shift(shift), 1e-3), p, cfg)
+        a = first_step(EvolveState(0.0, shift(h, cells), 1e-3), p, cfg)
         b = first_step(EvolveState(0.0, h, 1e-3), p, cfg)
-        assert np.max(np.abs(a.h.values - b.h.shift(shift).values)) <= 1e-12
+        assert np.max(np.abs(a.h.values - shift(b.h, cells).values)) <= 1e-12
 
     def test_energy_decays_without_drift_terms(self):
         g = Grid(n=64)
@@ -385,6 +387,24 @@ class TestStep:
                            knobs=RegularizationKnobs(epsilon=0.0))
         out = first_step(EvolveState(0.0, g.constant(0.3), 0.2), p, cfg)
         assert out.dt == pytest.approx(0.21)
+
+
+class TestSolve:
+    def test_factor_is_kept_while_dt_holds(self):
+        g = Grid(n=64)
+        sysm = _System(g, make_params(g), RegularizationKnobs(epsilon=1e-6))
+        hold = random_positive(g, 4, mean=0.3, amp=0.05).values
+        u, first = sysm.solve(hold, 1e-3, hold, 1e-10, 12)
+        assert first.failure is None and first.factorizations >= 1
+        assert first.residual <= 1e-10
+        # Started at its solution, which is not hold: the solve still takes
+        # a step, with the factor kept from the first solve at this dt.
+        again, second = sysm.solve(hold, 1e-3, u, 1e-10, 12)
+        assert second.failure is None
+        assert second.iterations >= 1 and second.factorizations == 0
+        assert sysm.last_flux[0] is again
+        _, third = sysm.solve(hold, 2e-3, hold, 1e-10, 12)
+        assert third.failure is None and third.factorizations >= 1
 
 
 class TestRun:
@@ -631,7 +651,7 @@ class TestRecord:
         # pi up to O(dx^2).
         g = Grid(n=256)
         c = 2.0
-        rec = _record(g.sample(lambda x: c + np.cos(x)), 0.0, make_params(g),
+        rec = _record(sample(g, lambda x: c + np.cos(x)), 0.0, make_params(g),
                       EvolveConfig(t_end=1.0), 0.0)
         assert rec.l2 == pytest.approx(math.sqrt(2.0 * math.pi * c**2 + math.pi), abs=1e-10)
         assert rec.h1 == pytest.approx(math.sqrt(2.0 * math.pi * (c**2 + 1.0)), abs=g.dx**2)
@@ -717,6 +737,33 @@ class TestFailure:
         assert exc.trajectory.termination == "failed"
         assert exc.trajectory.snapshots[-1].t == 0.0
         assert exc.dt < cfg.dt_min
+
+    def test_underflow_names_a_positivity_undershoot(self):
+        # Near touchdown the last attempt's Newton converges, but its minimum
+        # undershoots -10x tol_used: that, not Newton, ends the run.
+        g = Grid(n=64)
+        h0 = g.field(np.maximum(0.3 + 0.299 * np.cos(g.x), 0.0) + 1e-6)
+        cfg = EvolveConfig(t_end=5.0, dt_init=1e-3, dt_min=1e-6, dt_max=0.05,
+                           knobs=RegularizationKnobs(epsilon=0.0))
+        with pytest.raises(StepFailure) as exc_info:
+            run(h0, make_params(g), cfg)
+        exc = exc_info.value
+        found = re.fullmatch(r"step size underflow below dt_min=1e-06 at t=\S+: "
+                             r"min u (\S+) below the undershoot bound (\S+)", str(exc))
+        assert found is not None, str(exc)
+        u_min, bound = map(float, found.groups())
+        assert u_min < bound < 0.0
+        assert exc.residual_sup <= -bound / 10.0 and not exc.diverged
+        assert "Newton" not in str(exc) and exc.trajectory.step_count > 0
+
+    def test_underflow_names_the_newton_failure(self, monkeypatch):
+        stats = NewtonStats(4, 0, 1, 1e-10, 1.0, "budget")
+        monkeypatch.setattr(rimflow.evolve, "newton", lambda residual, bands, z0, *a, **k: (z0, stats, None))
+        g = Grid(n=32)
+        cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
+        with pytest.raises(StepFailure) as exc:
+            first_step(EvolveState(0.0, random_positive(g, 3), 0.01), make_params(g), cfg)
+        assert str(exc.value).endswith(f"at t=0.0: {stats.message}")
 
 
 def monitor_hexes(traj) -> list:

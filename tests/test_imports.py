@@ -2,8 +2,8 @@
 only cli reads or writes files or compares grids with a tolerance, only newton
 reads meaning into a Newton failure's name, evolve does not depend on bounds,
 the time-stepping hot path reduces arrays with their methods, every module
-global the perfbench tracer wraps still exists, and every public function has
-a caller in rimflow or outside it."""
+global the perfbench tracer wraps still exists, and every public function,
+method and property has a caller in rimflow or outside it."""
 import ast
 import importlib
 from pathlib import Path
@@ -210,6 +210,17 @@ def unreferenced_functions(trees: dict) -> list:
                   and node.name not in read)
 
 
+def unreferenced_methods(trees: dict, readers: list) -> list:
+    """(module, "Class.name") of each public method or property of a
+    module-level class in trees that no tree in readers reads as an attribute.
+    """
+    read = {node.attr for tree in readers for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted((module, f"{cls.name}.{node.name}") for module, tree in trees.items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_") and node.name not in read)
+
+
 def cli_reads(tree: ast.Module) -> set:
     """The attributes tree reads as rimflow.cli.<name>."""
     return {node.attr for node in ast.walk(tree)
@@ -227,6 +238,15 @@ def test_finds_unreferenced_functions():
     assert cli_reads(tree) == {"main", "parse_config"}
 
 
+def test_finds_unreferenced_methods():
+    trees = {"a": ast.parse("class C:\n    def m(self):\n        return self.k()\n"
+                            "    def k(self):\n        pass\n    @property\n    def p(self):\n"
+                            "        pass\n    def _q(self):\n        pass\n")}
+    reader = ast.parse("x = obj.p\n")
+    assert unreferenced_methods(trees, [*trees.values()]) == [("a", "C.m"), ("a", "C.p")]
+    assert unreferenced_methods(trees, [*trees.values(), reader]) == [("a", "C.m")]
+
+
 def outside_callers() -> set:
     """(module, name) of what code outside src reaches: the tracer's bindings,
     perfbench's rimflow.cli.<name> reads, and the [project.scripts] targets."""
@@ -240,8 +260,12 @@ def outside_callers() -> set:
 
 
 def test_every_public_function_has_a_caller():
-    # The public API is no wider than the runs: a function that neither
-    # rimflow nor perfbench nor the console script calls goes, or moves to
-    # the tests that use it (tests/oracles.py).
+    # The public API is no wider than the runs: a function, method or
+    # property that neither rimflow nor perfbench nor the console script
+    # reaches goes, or moves to the tests that use it (tests/oracles.py).
+    # perfbench reaches methods and properties by attribute, as the tracer
+    # reads EvolveState.newton_iters_last.
     trees = {f"rimflow.{p.stem}": ast.parse(p.read_text()) for p in SOURCES}
     assert sorted(set(unreferenced_functions(trees)) - outside_callers()) == []
+    perfbench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_methods(trees, [*trees.values(), *perfbench]) == []
