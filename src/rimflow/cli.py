@@ -492,7 +492,8 @@ def _evolve(cfg: RunConfig, h0: PeriodicField) -> tuple:
                       "droplets": len(count_local_maxima(snap.field))})
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
     write_reports_json(_run_reports(traj, cfg.params), out / "bound_reports.json")
-    _write_manifest(out, cfg, termination=traj.termination, snapshots=index)
+    _write_manifest(out, cfg, initial_lift=cfg.evolve.knobs.lift, termination=traj.termination,
+                    snapshots=index)
     return code, traj.termination
 
 

@@ -7,31 +7,43 @@ Space is discretized in flux form on the periodic grid: the interface flux
 
 uses the arithmetic interface mean for h_{i+1/2}, the compact difference
 (h_{i+1} - h_i)/dx for the interface gradient, and the difference of the
-centred second differences at i+1 and i, (h_{i+2} - 3 h_{i+1} + 3 h_i -
-h_{i-1})/dx^3, for the interface third derivative.  The update
-dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx telescopes, so the discrete mass is
-conserved identically.
+centred second differences at i+1 and i for the interface third
+derivative.  Both are formed from the jumps d_i = h_{i+1} - h_i of one
+periodic pad: the gradient is d_i/dx, the third derivative
+(d_{i+1} - 2 d_i + d_{i-1})/dx^3, and the driving term is
+
+    g_i = c3 (d_{i+1} + d_{i-1}) + (c1 - 2 c3) d_i + a2 w'(x_{i+1/2}),
+
+with c3 = a0/dx^3 and c1 = a1/dx fixed once per _System.  Sums of jumps
+cancel terms of size dx h_x only, where the node form (h_{i+2} - 3 h_{i+1}
++ 3 h_i - h_{i-1})/dx^3 cancels terms of size h: on smooth data at
+n = 1024 the rounding of g is about 1e-12 of sup|g| instead of 1e-9.  The
+flux is evaluated on the n + 1 interfaces i = -1..n-1, interface -1 being
+interface n - 1 bit for bit, so the update
+dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx is one difference of two slices.  It
+telescopes, so the discrete mass is conserved identically.
 
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  They read the terms (t1, t3, g, f) that _System keeps of
-its last flux evaluation: Newton's last residual is taken at the very
-array it returns, so step hands that evaluation over.  run queues each
-accepted step's dt, state and terms, and evaluates the monitors over a
-stack of up to MONITOR_BLOCK_VALUES // n steps: one numpy call per term
-for the whole block, each row reduced along the last axis, since at n =
-256 numpy's fixed cost per call, not arithmetic, is what the monitors
-cost.  The per-step scalars are then folded into the running sums and
-maxima in step order.  The queue is emptied at every snapshot and before a
-StepFailure propagates, so each record and a partial trajectory cover
-every accepted step.  Elementwise operations and row reductions on a stack
-give the bits of the same calls on each row, so no monitor depends on the
-block size.  Only what steers the run is read at every step: the
-steady-exit rate and the Newton tolerance in force.  The snapshot
-functionals (energy, h1, gradient_sq) use the centred gradient grid.d1, as
-model.energy does; gradient_sq is grid.gradient_sq, the form the bound
-monitors use.
+of the scheme.  They read the terms (m, d, g, f) that _System keeps of its
+last flux evaluation: Newton's last residual is taken at the very array it
+returns, so step hands that evaluation over.  run queues each accepted
+step's dt, state and terms, and evaluates the monitors over a stack of up
+to MONITOR_BLOCK_VALUES // n steps: one numpy call per term for the whole
+block, each row reduced along the last axis, since at n = 256 numpy's fixed
+cost per call, not arithmetic, is what the monitors cost.  It forms t1 =
+d_i/dx and t3 on the interfaces 0..n-1 there, from the queued jumps, so
+Newton's residuals form neither.  The per-step scalars are then folded into
+the running sums and maxima in step order.  The queue is emptied at every
+snapshot and before a StepFailure propagates, so each record and a partial
+trajectory cover every accepted step.  Elementwise operations and row
+reductions on a stack give the bits of the same calls on each row, so no
+monitor depends on the block size.  Only what steers the run is read at
+every step: the steady-exit rate and the Newton tolerance in force.  The
+snapshot functionals (energy, h1, gradient_sq) use the centred gradient
+grid.d1, as model.energy does; gradient_sq is grid.gradient_sq, the form
+the bound monitors use.
 
 Time stepping is backward Euler (L-stable, first order), split the way
 implicit integrators are (Hairer & Wanner, Solving ODEs II, IV.8): one
@@ -90,6 +102,13 @@ MONITOR_BLOCK_VALUES = 8192
 
 @dataclass(frozen=True)
 class EvolveConfig:
+    """Run horizon, step sizes, Newton settings, snapshot times and knobs.
+
+    snapshot_times must be finite and nonnegative.  Times at or past t_end
+    are dropped (a sweep may vary t_end), as are times within 1e-14 of t = 0
+    or of a later target; run records t = 0 and t_end anyway.
+    """
+
     t_end: float
     dt_init: float = 1e-6
     dt_min: float = 1e-13
@@ -111,6 +130,9 @@ class EvolveConfig:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
+        bad = [t for t in self.snapshot_times or () if not (0.0 <= t < math.inf)]
+        if bad:
+            raise ValueError(f"snapshot times must be finite and nonnegative, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -188,12 +210,17 @@ def initial_lift(h0: PeriodicField, knobs: RegularizationKnobs) -> PeriodicField
     """Shift nonnegative initial data up by eps^theta so the run starts strictly positive."""
     if float(h0.values.min()) < 0.0:
         raise ValueError("initial data must be nonnegative")
-    lift = knobs.epsilon**knobs.theta if knobs.epsilon > 0.0 else 0.0
-    return h0.with_values(h0.values + lift)
+    return h0.with_values(h0.values + knobs.lift)
 
 
 class _System:
-    """Discrete flux, divergence, and Jacobian for a fixed (grid, params, knobs)."""
+    """Discrete flux, residual, and Jacobian for a fixed (grid, params, knobs).
+
+    Interface i lies between nodes i and i + 1.  Interface arrays hold the
+    n + 1 interfaces i = -1..n-1, so the divergence at node i is the
+    difference of entries i + 1 and i; interface -1 equals interface n - 1
+    bit for bit.
+    """
 
     def __init__(self, grid: Grid, params: Params, knobs: RegularizationKnobs):
         if grid != params.grid:
@@ -201,56 +228,69 @@ class _System:
         self.params = params
         self.knobs = knobs
         self.dx = grid.dx
-        self.drive = params.a2 * params.w.wp_mid  # the a2 w' term of g, fixed in time
+        self.c1, self.c3 = params.a1 / grid.dx, params.a0 / grid.dx**3
+        # The a2 w' term of g on interfaces -1..n-1, fixed in time; None when a2 = 0.
+        self.drive = None if params.a2 == 0.0 else params.a2 * periodic_pad(params.w.wp_mid, 1)[:-1]
         self._factor, self._factor_dt = None, None  # kept by solve() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
-        self.last_flux = None  # (u, (m, t1, t3, g, f)) of the last interface_flux call
+        self.last_flux = None  # (u, (m, d, g, f)) of the last interface_flux call
 
     def interface_values(self, u: np.ndarray):
-        """(m, t1, t3, g): interface mean, gradient, third derivative and driving term."""
-        p = self.params
-        dx = self.dx
+        """(m, d, g): interface mean and driving term on interfaces -1..n-1, jumps on -2..n.
+
+        d holds the n + 3 jumps u_{i+1} - u_i; g is a0 u_xxx + a1 u_x + a2 w'
+        from the jumps, c3 (d_{i+1} + d_{i-1}) + (c1 - 2 c3) d_i.
+        """
         pad = periodic_pad(u, 2)
-        up1, up2, um1 = pad[3:-1], pad[4:], pad[1:-3]
-        m = 0.5 * (u + up1)
-        t1 = (up1 - u) / dx
-        t3 = (up2 - 3.0 * up1 + 3.0 * u - um1) / dx**3
-        g = p.a0 * t3 + p.a1 * t1 + self.drive
-        return m, t1, t3, g
+        d = pad[1:] - pad[:-1]
+        m = 0.5 * (pad[1:-2] + pad[2:-1])
+        g = self.c3 * (d[2:] + d[:-2])
+        g += (self.c1 - 2.0 * self.c3) * d[1:-1]
+        if self.drive is not None:
+            g += self.drive
+        return m, d, g
 
     def interface_flux(self, u: np.ndarray) -> np.ndarray:
-        m, t1, t3, g = self.interface_values(u)
+        """f(m) g + a3 m on interfaces -1..n-1."""
+        m, d, g = self.interface_values(u)
         f = mobility(m, self.knobs)
-        self.last_flux = (u, (m, t1, t3, g, f))
-        return f * g + self.params.a3 * m
-
-    def divergence(self, u: np.ndarray) -> np.ndarray:
-        F = self.interface_flux(u)
-        return (F - periodic_pad(F, 1)[:-2]) / self.dx
+        self.last_flux = (u, (m, d, g, f))
+        F = f * g
+        if self.params.a3 != 0.0:
+            F += self.params.a3 * m
+        return F
 
     def residual(self, u: np.ndarray, hold: np.ndarray, dt: float) -> np.ndarray:
-        return u - hold + dt * self.divergence(u)
+        """(dt/dx) (F_i - F_{i-1}) + u - hold, formed in one buffer."""
+        F = self.interface_flux(u)
+        r = np.subtract(F[1:], F[:-1])
+        r *= dt / self.dx
+        r += u
+        r -= hold
+        return r
 
     def jacobian(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Residual Jacobian as (5, n) bands: [k][i] = dR_i/du_{i+k-2}."""
-        p = self.params
-        dx = self.dx
-        m, _, _, g = self.interface_values(u)
+        """Residual Jacobian as (5, n) bands: [k][i] = dR_i/du_{i+k-2}.
+
+        A, B, C, D are dF_i/du_{i-1..i+2} on interfaces -1..n-1.
+        """
+        m, _, g = self.interface_values(u)
         f = mobility(m, self.knobs)
-        fp = mobility_derivative(m, self.knobs)
-        half_fp_g = 0.5 * fp * g
-        A = f * (-p.a0 / dx**3)
-        B = half_fp_g + f * (3.0 * p.a0 / dx**3 - p.a1 / dx) + 0.5 * p.a3
-        C = half_fp_g + f * (-3.0 * p.a0 / dx**3 + p.a1 / dx) + 0.5 * p.a3
-        D = f * (p.a0 / dx**3)
-        s = dt / dx
-        A_m1, B_m1, C_m1, D_m1 = periodic_pad(np.stack([A, B, C, D]), 1)[:, :-2]
-        diag_m2 = -s * A_m1
-        diag_m1 = s * (A - B_m1)
-        diag_0 = 1.0 + s * (B - C_m1)
-        diag_p1 = s * (C - D_m1)
-        diag_p2 = s * D
-        return np.stack([diag_m2, diag_m1, diag_0, diag_p1, diag_p2])
+        half_fp_g = 0.5 * mobility_derivative(m, self.knobs) * g
+        half_a3 = 0.5 * self.params.a3
+        D = f * self.c3
+        A = -D
+        f_k = f * (3.0 * self.c3 - self.c1)
+        B = half_fp_g + f_k + half_a3
+        C = half_fp_g - f_k + half_a3
+        s = dt / self.dx
+        return np.stack([
+            -s * A[:-1],
+            s * (A[1:] - B[:-1]),
+            1.0 + s * (B[1:] - C[:-1]),
+            s * (C[1:] - D[:-1]),
+            s * D[1:],
+        ])
 
     def solve(self, hold: np.ndarray, dt: float, u0: np.ndarray, tol: float, max_iter: int):
         """Solve u - hold + dt div F(u) = 0 by Newton from u0: (u, NewtonStats).
@@ -380,7 +420,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     a_ratio = p.a1 / p.a0
     k1_weight = a_ratio * (a_ratio + 2.0 * cfg.knobs.delta)
     block = max(1, MONITOR_BLOCK_VALUES // state.h.grid.n)
-    pending = []  # (dt_used, u, t1, t3, g, f) of accepted steps not yet in the monitors
+    pending = []  # (dt_used, u, d, g, f) of accepted steps not yet in the monitors
     diss_cum = diss3_cum = e_prev = 0.0
 
     def k1(positive: bool, grad: float, ent: float) -> float:
@@ -393,7 +433,11 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             return
         dts, *rows = zip(*pending)
         pending.clear()
-        u, t1, t3, g, f = (np.stack(r) for r in rows)
+        u, d, g, f = (np.stack(r) for r in rows)
+        # The monitors read interfaces 0..n-1: jumps d[2:-1], g and f[1:].
+        t1 = d[:, 2:-1] / dx
+        t3 = (d[:, 3:] - 2.0 * d[:, 2:-1] + d[:, 1:-2]) / dx**3
+        g, f = g[:, 1:], f[:, 1:]
         diss = (dx * (f * g**2).sum(axis=-1)).tolist()
         diss3 = (dx * (f * t3**2).sum(axis=-1)).tolist()
         positive, grad, ent = _k1_terms(u, t1, dx, epsilon)
@@ -411,7 +455,8 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             e_prev = energies[i]
 
     u0 = state.h.values
-    positive, grad, ent = _k1_terms(u0[None], sysm.interface_values(u0)[1][None], dx, epsilon)
+    d0 = sysm.interface_values(u0)[1]
+    positive, grad, ent = _k1_terms(u0[None], d0[None, 2:-1] / dx, dx, epsilon)
     traj = Trajectory(
         snapshots=[],
         termination="t_end",

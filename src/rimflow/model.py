@@ -40,6 +40,11 @@ class RegularizationKnobs:
                 f"theta must lie in ({THETA_RANGE[0]}, {THETA_RANGE[1]}), got {self.theta}"
             )
 
+    @property
+    def lift(self) -> float:
+        """eps^theta, the shift that makes nonnegative initial data strictly positive; 0 when eps = 0."""
+        return self.epsilon**self.theta if self.epsilon > 0.0 else 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class Forcing:
@@ -129,9 +134,9 @@ def from_physical(chi: float, mu: float, grid: Optional[Grid] = None) -> Params:
 def mobility(z, knobs: RegularizationKnobs):
     """Regularized mobility |z|^4 / (|z| + eps) + delta (plain |z|^3 + delta when eps = 0)."""
     az = np.abs(z)
-    if knobs.epsilon > 0.0:
-        return az**4 / (az + knobs.epsilon) + knobs.delta
-    return az**3 + knobs.delta
+    f = az**4 / (az + knobs.epsilon) if knobs.epsilon > 0.0 else az**3
+    # f >= +0, so skipping + 0.0 gives the same bits.
+    return f + knobs.delta if knobs.delta > 0.0 else f
 
 
 def mobility_derivative(z, knobs: RegularizationKnobs):

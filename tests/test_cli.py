@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import rimflow.evolve
 from rimflow import cli
 from rimflow.bounds import BoundReport
-from rimflow.cli import OUTPUT_DIR_ENV, ConfigError, main, parse_config, write_field_csv
+from rimflow.cli import (OUTPUT_DIR_ENV, ConfigError, main, parse_config, read_field_csv,
+                         write_field_csv)
 from rimflow.evolve import EvolveConfig
 from rimflow.grid import Grid
 from rimflow.model import Forcing, RegularizationKnobs
@@ -639,6 +640,18 @@ class TestModeAndParseErrors:
         assert "at most" in single_error(capsys, "ConfigError")["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_manifest_records_the_initial_lift(self, tmp_path):
+        out = tmp_path / "out"
+        text = (EVOLVE_TEMPLATE.format(out=out).replace("epsilon = 0.0", "epsilon = 1e-4")
+                .replace("t_end = 0.5", "t_end = 0.002"))
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["initial_lift"] == RegularizationKnobs(epsilon=1e-4).lift == 1e-4**0.3
+        cfg = parse_config(text)
+        h0 = cfg.initial.build(cfg.grid).values
+        first = read_field_csv(out / manifest["snapshots"][0]["file"]).values
+        assert first.tobytes() == (h0 + manifest["initial_lift"]).tobytes()
+
     def test_largest_grid_parses(self):
         # A steady config builds no field at parse time, so the bound itself
         # is accepted without allocating it.
@@ -664,6 +677,8 @@ class TestModeAndParseErrors:
         ("evolve", "evolve", "t_end", "inf", "[evolve] t_end must be positive"),
         ("evolve", "evolve", "dt_max", "inf", "[evolve] need 0 < dt_min <= dt_init <= dt_max"),
         ("evolve", "evolve", "newton_tol", "inf", "[evolve] newton_tol must be positive"),
+        ("evolve", "evolve", "snapshots", "nan, -1, 0.005, 5",
+         "[evolve] snapshot times must be finite and nonnegative, got [nan, -1.0]"),
         ("steady", "steady", "tol", "inf", "[steady] tol must be positive"),
     ])
     def test_bad_values_exit_two(self, tmp_path, capsys, mode, section, key, value, needle):

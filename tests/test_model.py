@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rimflow.grid import Grid, PeriodicField, d1, integrate
@@ -46,6 +48,11 @@ class TestKnobs:
     def test_non_finite_knobs_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             RegularizationKnobs(**{name: value})
+
+    @pytest.mark.parametrize("epsilon,theta,lift", [
+        (0.0, 0.3, 0.0), (1e-8, 0.3, 1e-8**0.3), (1e-4, 0.2, 1e-4**0.2)])
+    def test_lift(self, epsilon, theta, lift):
+        assert RegularizationKnobs(epsilon=epsilon, theta=theta).lift == lift
 
 
 class TestForcing:
@@ -169,6 +176,26 @@ class TestMobility:
         eta = 1e-6
         fd = (mobility(z + eta, k) - mobility(z - eta, k)) / (2 * eta)
         assert_allclose(mobility_derivative(z, k), fd, rtol=1e-6, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+        eps=st.sampled_from([0.0, 1e-3, 0.1]),
+        delta=st.sampled_from([0.0, 0.05]),
+    )
+    @example(z=[-0.0, 0.0], eps=0.0, delta=0.0)
+    def test_properties_on_random_data(self, z, eps, delta):
+        k = RegularizationKnobs(delta=delta, epsilon=eps)
+        z = np.array(z)
+        f = mobility(z, k)
+        eta = 1e-6
+        fd = (mobility(z + eta, k) - mobility(z - eta, k)) / (2 * eta)
+        assert_allclose(mobility_derivative(z, k), fd, rtol=1e-6, atol=1e-9)
+        assert mobility(-z, k).tobytes() == f.tobytes()
+        assert np.all(f >= delta)
+        if delta == 0.0:
+            # The delta = 0 path skips + 0.0, which is the identity on f >= +0.
+            assert f.tobytes() == (f + 0.0).tobytes()
 
     def test_derivative_odd_symmetry(self):
         k = RegularizationKnobs(epsilon=0.1)
