@@ -10,18 +10,12 @@ uses the arithmetic interface mean for h_{i+1/2}, the compact difference
 centred second differences at i+1 and i for the interface third
 derivative.  Both are formed from the jumps d_i = h_{i+1} - h_i of one
 periodic pad: the gradient is d_i/dx, the third derivative
-(d_{i+1} - 2 d_i + d_{i-1})/dx^3, and the driving term is
-
-    g_i = c3 (d_{i+1} + d_{i-1}) + (c1 - 2 c3) d_i + a2 w'(x_{i+1/2}),
-
-with c3 = a0/dx^3 and c1 = a1/dx fixed once per _System.  Sums of jumps
-cancel terms of size dx h_x only, where the node form (h_{i+2} - 3 h_{i+1}
-+ 3 h_i - h_{i-1})/dx^3 cancels terms of size h: on smooth data at
-n = 1024 the rounding of g is about 1e-12 of sup|g| instead of 1e-9.  The
-flux is evaluated on the n + 1 interfaces i = -1..n-1, interface -1 being
-interface n - 1 bit for bit, so the update
-dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx is one difference of two slices.  It
-telescopes, so the discrete mass is conserved identically.
+(d_{i+1} - 2 d_i + d_{i-1})/dx^3, and the driving term g_i is
+grid.jump_terms' form with c3 = a0/dx^3 and c1 = a1/dx, fixed once per
+_System, plus a2 w'(x_{i+1/2}).  The flux is evaluated on the n + 1
+interfaces i = -1..n-1, interface -1 being interface n - 1 bit for bit, so
+the update dh_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx is one difference of two
+slices.  It telescopes, so the discrete mass is conserved identically.
 
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
@@ -75,7 +69,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, PeriodicField, gradient_sq, integrate, periodic_pad
+from .grid import Grid, PeriodicField, gradient_sq, integrate, jump_coefficients, jump_terms, periodic_pad
 from .model import (
     Params,
     RegularizationKnobs,
@@ -238,14 +232,11 @@ class _System:
     def interface_values(self, u: np.ndarray):
         """(m, d, g): interface mean and driving term on interfaces -1..n-1, jumps on -2..n.
 
-        d holds the n + 3 jumps u_{i+1} - u_i; g is a0 u_xxx + a1 u_x + a2 w'
-        from the jumps, c3 (d_{i+1} + d_{i-1}) + (c1 - 2 c3) d_i.
+        d holds the n + 3 jumps u_{i+1} - u_i; g is a0 u_xxx + a1 u_x + a2 w',
+        grid.jump_terms' g plus the drive.
         """
-        pad = periodic_pad(u, 2)
-        d = pad[1:] - pad[:-1]
+        pad, d, g = jump_terms(u, self.c1, self.c3)
         m = 0.5 * (pad[1:-2] + pad[2:-1])
-        g = self.c3 * (d[2:] + d[:-2])
-        g += (self.c1 - 2.0 * self.c3) * d[1:-1]
         if self.drive is not None:
             g += self.drive
         return m, d, g
@@ -272,17 +263,17 @@ class _System:
     def jacobian(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Residual Jacobian as (5, n) bands: [k][i] = dR_i/du_{i+k-2}.
 
-        A, B, C, D are dF_i/du_{i-1..i+2} on interfaces -1..n-1.
+        A, B, C, D are dF_i/du_{i-1..i+2} on interfaces -1..n-1, f times
+        grid.jump_coefficients plus, in B and C, the interface mean's share.
         """
         m, _, g = self.interface_values(u)
         f = mobility(m, self.knobs)
         half_fp_g = 0.5 * mobility_derivative(m, self.knobs) * g
         half_a3 = 0.5 * self.params.a3
-        D = f * self.c3
-        A = -D
-        f_k = f * (3.0 * self.c3 - self.c1)
-        B = half_fp_g + f_k + half_a3
-        C = half_fp_g - f_k + half_a3
+        ka, kb, kc, kd = jump_coefficients(self.c1, self.c3)
+        A, D = f * ka, f * kd
+        B = half_fp_g + f * kb + half_a3
+        C = half_fp_g + f * kc + half_a3
         s = dt / self.dx
         return np.stack([
             -s * A[:-1],

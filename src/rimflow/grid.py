@@ -147,6 +147,31 @@ def gradient_sq(f: PeriodicField) -> float:
     return float(f.grid.dx * (_centred_diff(f.values, f.grid.dx) ** 2).sum())
 
 
+def jump_terms(v: np.ndarray, c1: float, c3: float) -> tuple:
+    """(pad, d, g): the jumps of v and their form g of c1 dx v_x + c3 dx^3 v_xxx.
+
+    pad is periodic_pad(v, 2) and d the n + 3 jumps v_{i+1} - v_i on
+    interfaces -2..n, interface i lying between nodes i and i + 1.  On the
+    n + 1 interfaces -1..n-1, interface -1 being interface n - 1 bit for bit,
+
+        g_i = c3 (d_{i+1} + d_{i-1}) + (c1 - 2 c3) d_i.
+
+    Sums of jumps cancel terms of size dx v_x only, where a node form cancels
+    terms of size v: on smooth data at n = 1024 the rounding of g is about
+    1e-12 of sup|g| instead of 1e-9.
+    """
+    pad = periodic_pad(v, 2)
+    d = pad[1:] - pad[:-1]
+    g = c3 * (d[2:] + d[:-2])
+    g += (c1 - 2.0 * c3) * d[1:-1]
+    return pad, d, g
+
+
+def jump_coefficients(c1: float, c3: float) -> tuple:
+    """dg_i/dv_{i-1..i+2} of jump_terms' g on interface i: (-c3, 3 c3 - c1, c1 - 3 c3, c3)."""
+    return -c3, 3.0 * c3 - c1, c1 - 3.0 * c3, c3
+
+
 def integrate(f: PeriodicField) -> float:
     """Periodic rectangle rule, exact for trigonometric polynomials below the grid cutoff."""
     return float(f.grid.dx * f.values.sum())

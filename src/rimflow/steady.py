@@ -11,9 +11,11 @@ periodic ODE
 
     h - (mu/3) h^3 cos x + (chi/3) h^3 (h_x + h_xxx) = q,
 
-discretized with centred second-order differences (_capillary_stencil) and
-solved by the shared damped simplified-Newton solver (rimflow.newton),
-either at fixed flux q or at fixed mass with q as the extra unknown.
+discretized at the nodes with centred second-order differences and solved
+by the shared damped simplified-Newton solver (rimflow.newton), either at
+fixed flux q or at fixed mass with q as the extra unknown.  The capillary
+term at node i is the mean of evolve's interface driving term on the
+interfaces either side: grid.jump_terms with c1 = chi/(3 dx), c3 = chi/(3 dx^3).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, periodic_pad
+from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, jump_coefficients, jump_terms
 from .newton import newton
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
@@ -155,25 +157,6 @@ def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.nda
     return _polish(mu, q, c, low), _polish(mu, q, c, high)
 
 
-def moffatt_roots(mu: float, q: float, x: float) -> list[float]:
-    """Positive real roots of h - (mu/3) h^3 cos(x) = q at one angle, ascending.
-
-    Near-degenerate pairs (the fold point) collapse to a single root.
-    """
-    if not (mu > 0.0 and q > 0.0):
-        raise ValueError("mu and q must be positive")
-    c = math.cos(x)
-    if abs(c) < 1e-14:
-        return [q]
-    low, high = _cubic_roots(mu, q, np.array([c]))
-    dedup: list[float] = []
-    for r in (float(low[0]), float(high[0])):
-        if not r > 0.0 or (dedup and abs(r - dedup[-1]) <= 1e-6 * max(1.0, r)):
-            continue
-        dedup.append(r)
-    return dedup
-
-
 def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     """Pointwise branch below the fold; None when the fold is crossed somewhere.
 
@@ -214,31 +197,31 @@ def asymptotic_guess(q: float, grid: Grid) -> PeriodicField:
     return PeriodicField(grid, q + (q**3 / 3.0) * np.cos(grid.x))
 
 
-def _capillary_stencil(grid: Grid) -> np.ndarray:
-    """h_x + h_xxx as five coefficients at offsets -2..2.
+def _capillary_term(v: np.ndarray, c1: float, c3: float) -> np.ndarray:
+    """(chi/3)(v_x + v_xxx) at the nodes for c1 = chi/(3 dx), c3 = chi/(3 dx^3).
 
-    The sum of the centred second-order differences (v[i+1] - v[i-1]) / (2 dx),
-    grid.d1, and (v[i+2] - 2 v[i+1] + 2 v[i-1] - v[i-2]) / (2 dx^3).
+    The mean of grid.jump_terms' g on the interfaces either side of each node
+    is the centred five-point difference, formed from jumps: at n = 768 its
+    rounding was 5e-12 of the sup on smooth data, where the node stencil left 4.5e-10.
     """
-    c1, c3 = 1.0 / (2.0 * grid.dx), 1.0 / (2.0 * grid.dx**3)
-    return np.array([-c3, 2.0 * c3 - c1, 0.0, c1 - 2.0 * c3, c3])
+    g = jump_terms(v, c1, c3)[2]
+    return 0.5 * (g[1:] + g[:-1])
 
 
-def _apply_stencil(stencil: np.ndarray, v: np.ndarray) -> np.ndarray:
-    p = periodic_pad(v, 2)
-    return (stencil[0] * p[:-4] + stencil[1] * p[1:-3]
-            + stencil[3] * p[3:-1] + stencil[4] * p[4:])
-
-
-def _capillary_lhs(v, q, mu, chi, cosx, stencil) -> np.ndarray:
+def _capillary_lhs(v, q, mu, cosx, c1, c3) -> np.ndarray:
     v3 = v**3
-    return v - (mu / 3.0) * v3 * cosx + (chi / 3.0) * v3 * _apply_stencil(stencil, v) - q
+    return v - (mu / 3.0) * v3 * cosx + v3 * _capillary_term(v, c1, c3) - q
 
 
-def _capillary_bands(v, mu, chi, cosx, stencil) -> np.ndarray:
-    """Jacobian of _capillary_lhs in v as (5, n) bands: [k][i] = d lhs_i / d v_{i+k-2}."""
-    bands = np.outer(stencil, (chi / 3.0) * v**3)
-    bands[2] += 1.0 - mu * cosx * v**2 + chi * v**2 * _apply_stencil(stencil, v)
+def _capillary_bands(v, mu, cosx, c1, c3) -> np.ndarray:
+    """Jacobian of _capillary_lhs in v as (5, n) bands: [k][i] = d lhs_i / d v_{i+k-2}.
+
+    The capillary row is the mean of grid.jump_coefficients on interfaces i - 1 and i.
+    """
+    k = np.array(jump_coefficients(c1, c3))
+    v2 = v * v
+    bands = np.outer(0.5 * (np.r_[k, 0.0] + np.r_[0.0, k]), v2 * v)
+    bands[2] += 1.0 - mu * cosx * v2 + 3.0 * v2 * _capillary_term(v, c1, c3)
     return bands
 
 
@@ -272,13 +255,13 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
     grid = init.h.grid
     _require_full_period(grid)
     mu, chi, n, dx = init.mu, init.chi, grid.n, grid.dx
-    stencil, cosx = _capillary_stencil(grid), np.cos(grid.x)
+    c1, c3, cosx = chi / (3.0 * dx), chi / (3.0 * dx**3), np.cos(grid.x)
     fixed_mass = step.mode == "fixed_mass"
 
     def residual(z):
         if not fixed_mass:
-            return _capillary_lhs(z, step.target, mu, chi, cosx, stencil)
-        r = _capillary_lhs(z[:n], z[n], mu, chi, cosx, stencil)
+            return _capillary_lhs(z, step.target, mu, cosx, c1, c3)
+        r = _capillary_lhs(z[:n], z[n], mu, cosx, c1, c3)
         return np.append(r, dx * float(np.sum(z[:n])) - step.target)
 
     ones_solution = functools.lru_cache(maxsize=1)(lambda lu: lu.solve(np.ones(n)))
@@ -291,7 +274,7 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
         if min_h <= 0.0:
             raise BranchLost(f"iterate turned nonpositive (min {min_h:.3e})", min_h=min_h)
 
-    z, stats, _ = newton(residual, lambda z: _capillary_bands(z[:n], mu, chi, cosx, stencil),
+    z, stats, _ = newton(residual, lambda z: _capillary_bands(z[:n], mu, cosx, c1, c3),
                          np.append(init.h.values, init.q) if fixed_mass else init.h.values,
                          step.tol, step.max_newton, direction=bordered if fixed_mass else None,
                          accept=accept)

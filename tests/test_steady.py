@@ -1,6 +1,7 @@
 """Steady profiles: cubic branch, capillary Newton solves, continuation."""
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from numpy.testing import assert_allclose
 
 import rimflow.newton
 import rimflow.steady
-from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, integrate
+from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, integrate, jump_terms
 from rimflow.newton import newton
 from rimflow.steady import (
     DOUBLE_ROOT_ULPS,
-    _apply_stencil,
     _bordered_solve,
     _capillary_bands,
     _capillary_lhs,
-    _capillary_stencil,
+    _capillary_term,
     _cubic_roots,
     FLUX_BOUND_RATIO,
     BranchLost,
@@ -30,7 +30,6 @@ from rimflow.steady import (
     continue_branch,
     critical_flux,
     moffatt_profile,
-    moffatt_roots,
     nonexistence_threshold,
     pukhnachov_bound,
     solvability_residuals,
@@ -108,39 +107,46 @@ class TestThresholds:
 
 
 class TestMoffattRoots:
+    """Moffatt's cubic h - (mu/3) h^3 cos x = q at single angles, through
+    _cubic_roots (c = cos x) and moffatt_profile."""
+
     def test_double_root_at_critical_flux(self):
         # At q = 2/(3 sqrt(mu)) and cos x = 1 the cubic factors as
-        # (mu/3)(h - hc)^2 (h + 2 hc); the degenerate pair collapses.
-        roots = moffatt_roots(1.0, 2.0 / 3.0, 0.0)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(1.0, abs=1e-7)
+        # (mu/3)(h - hc)^2 (h + 2 hc): the double root is the fold, not below it.
+        low, high = _cubic_roots(1.0, 2.0 / 3.0, np.ones(1))
+        assert np.isnan(low[0])
+        assert high[0] == pytest.approx(1.0, abs=1e-7)
+        assert moffatt_profile(1.0, 2.0 / 3.0, Grid(n=64)) is None
 
     def test_zero_cosine_gives_flux(self):
-        assert moffatt_roots(2.0, 0.37, math.pi / 2.0) == [0.37]
+        # cos x vanishes to rounding at the nodes x = pi/2 and 3 pi/2 of n = 64.
+        h = moffatt_profile(2.0, 0.37, Grid(n=64)).h.values
+        assert h[16] == h[48] == 0.37
 
     def test_two_roots_below_critical(self):
-        roots = moffatt_roots(1.0, 0.5, 0.0)
-        assert len(roots) == 2
-        assert roots[0] < 1.0 < roots[1]
-        for h in roots:
+        low, high = _cubic_roots(1.0, 0.5, np.ones(1))
+        assert low[0] < 1.0 < high[0]
+        for h in (low[0], high[0]):
             assert h - h**3 / 3.0 == pytest.approx(0.5, abs=1e-13)
 
     def test_unique_root_on_rising_side(self):
         # cos x < 0 makes the cubic strictly increasing in h.
-        roots = moffatt_roots(1.0, 0.5, math.pi)
-        assert len(roots) == 1
-        h = roots[0]
+        low, high = _cubic_roots(1.0, 0.5, -np.ones(1))
+        assert np.isnan(high[0])
+        h = low[0]
         assert 0.0 < h < 0.5
         assert h + h**3 / 3.0 == pytest.approx(0.5, abs=1e-14)
 
     def test_no_root_above_fold(self):
-        assert moffatt_roots(1.0, 0.7, 0.0) == []
+        low, high = _cubic_roots(1.0, 0.7, np.ones(1))
+        assert np.isnan(low[0]) and np.isnan(high[0])
+        assert moffatt_profile(1.0, 0.7, Grid(n=64)) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            moffatt_roots(0.0, 0.5, 0.0)
+            moffatt_profile(0.0, 0.5, Grid(n=64))
         with pytest.raises(ValueError):
-            moffatt_roots(1.0, -0.5, 0.0)
+            moffatt_profile(1.0, -0.5, Grid(n=64))
 
 
 @st.composite
@@ -335,50 +341,72 @@ class TestCapillarySolve:
             ContinuationStep("fixed_flux", 0.1, tol=0.0)
 
 
-def _derivative_stencil(dx: float, order: int) -> np.ndarray:
-    """Centred stencil of d1 or d3 at offsets -2..2, the parts of _capillary_stencil."""
-    if order == 1:
-        c1 = 1.0 / (2.0 * dx)
-        return np.array([0.0, -c1, 0.0, c1, 0.0])
-    c3 = 1.0 / (2.0 * dx**3)
-    return np.array([-c3, 2.0 * c3, 0.0, -2.0 * c3, c3])
+def _capillary_term_bands(g: Grid, c1: float, c3: float) -> np.ndarray:
+    """Bands of v -> _capillary_term(v, c1, c3): _capillary_bands at v = 1 and mu = 0, less 1.
+
+    The capillary term of a constant is exactly 0, so that is all the diagonal holds.
+    """
+    bands = _capillary_bands(np.ones(g.n), 0.0, np.cos(g.x), c1, c3)
+    bands[2] -= 1.0
+    return bands
 
 
 class TestCapillaryStencil:
+    """The steady node operator: the mean of grid.jump_terms' g either side of each node."""
+
     @pytest.mark.parametrize("order", [1, 3])
     def test_stencil_matches_operator(self, order, dense_from_bands):
+        # c1 alone is d1 and c3 alone the d3 oracle, as values and as bands.
         g = Grid(n=32)
-        rng = np.random.default_rng(order)
-        v = rng.normal(size=g.n)
+        v = np.random.default_rng(order).normal(size=g.n)
         f = PeriodicField(g, v)
-        op = {1: d1, 3: d3}[order]
-        bands = np.outer(_derivative_stencil(g.dx, order), np.ones(g.n))
-        assert_allclose(dense_from_bands(bands) @ v, op(f).values, atol=1e-12)
+        c1, c3 = (1.0 / g.dx, 0.0) if order == 1 else (0.0, 1.0 / g.dx**3)
+        expect = {1: d1, 3: d3}[order](f).values
+        assert_allclose(_capillary_term(v, c1, c3), expect, atol=1e-12)
+        assert_allclose(dense_from_bands(_capillary_term_bands(g, c1, c3)) @ v, expect, atol=1e-12)
 
     def test_bands_match_d1_plus_d3(self, dense_from_bands):
-        g = Grid(n=32)
-        rng = np.random.default_rng(7)
-        v = 1.0 + sum(rng.normal() * 0.1 / k * np.cos(k * g.x + rng.normal())
-                      for k in range(1, 4))
-        f = PeriodicField(g, v)
-        stencil = _capillary_stencil(g)
-        expect = d1(f).values + d3(f).values
-        bands = np.outer(stencil, np.ones(g.n))
-        assert_allclose(dense_from_bands(bands) @ v, expect, atol=1e-12)
-        assert_allclose(_apply_stencil(stencil, v), expect, atol=1e-12)
-        # Bit for bit the sum of the d1 and d3 stencils, each at offsets -2..2.
-        for n in (8, 32, 256, 4096):
-            dx = Grid(n=n).dx
-            per_order = _derivative_stencil(dx, 1) + _derivative_stencil(dx, 3)
-            assert np.array_equal(_capillary_stencil(Grid(n=n)), per_order)
+        # At c1 = chi/(3 dx), c3 = chi/(3 dx^3): (chi/3) (d1 + d3) to the
+        # rounding of the node form, eps c3 sup|v| up to a small factor.
+        chi = 2.5
+        for n in (8, 32, 256, 768):
+            g = Grid(n=n)
+            rng = np.random.default_rng(n)
+            v = 1.0 + sum(rng.normal() * 0.1 / k * np.cos(k * g.x + rng.normal()) for k in range(1, 4))
+            f = PeriodicField(g, v)
+            c1, c3 = chi / (3.0 * g.dx), chi / (3.0 * g.dx**3)
+            expect = (chi / 3.0) * (d1(f).values + d3(f).values)
+            atol = 4.0 * np.finfo(float).eps * c3 * np.max(np.abs(v))
+            assert_allclose(_capillary_term(v, c1, c3), expect, atol=atol)
+            bands = _capillary_term_bands(g, c1, c3)
+            assert np.all(bands[2] == 0.0)
+            assert_allclose(dense_from_bands(bands) @ v, expect, atol=atol)
+
+    def test_rounding_against_exact_arithmetic(self):
+        # Jumps of neighbouring samples are exact, so the jump form cancels
+        # terms of size dx h_x only; the five-point node stencil, which
+        # cancels terms of size h, was 4.5e-10 of the sup off on this sample.
+        g = Grid(n=768)
+        v = 1.0 + 0.5 * np.cos(g.x) + 0.2 * np.sin(2.0 * g.x + 0.3)
+        dx, third = Fraction(g.dx), Fraction(1, 3)
+        r = [Fraction(float(a)) for a in v]
+        exact = np.array([float(third * ((r[(i + 1) % g.n] - r[i - 1]) / (2 * dx)
+                                         + (r[(i + 2) % g.n] - 2 * r[(i + 1) % g.n]
+                                            + 2 * r[i - 1] - r[i - 2]) / (2 * dx**3)))
+                          for i in range(g.n)])
+        got = _capillary_term(v, 1.0 / (3.0 * g.dx), 1.0 / (3.0 * g.dx**3))
+        assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("n", [8, 10, 256])
-    def test_apply_stencil_bit_identical_to_roll(self, n):
+    def test_jump_terms_bit_identical_to_roll(self, n):
         rng = np.random.default_rng(n)
-        stencil, v = rng.normal(size=5), rng.normal(size=n)
-        expect = (stencil[0] * np.roll(v, 2) + stencil[1] * np.roll(v, 1)
-                  + stencil[3] * np.roll(v, -1) + stencil[4] * np.roll(v, -2))
-        assert np.array_equal(_apply_stencil(stencil, v), expect)
+        c1, c3, v = rng.normal(), rng.normal(), rng.normal(size=n)
+        pad, d, g = jump_terms(v, c1, c3)
+        jump = np.roll(v, -1) - v  # on interfaces 0..n-1
+        expect = c3 * (np.roll(jump, -1) + np.roll(jump, 1)) + (c1 - 2.0 * c3) * jump
+        assert np.array_equal(pad[2:-2], v)
+        assert np.array_equal(d[2:-1], jump)
+        assert np.array_equal(g[1:], expect) and g[0] == g[-1]
 
 
 class TestCapillaryJacobian:
@@ -398,12 +426,12 @@ class TestCapillaryJacobian:
         rng = np.random.default_rng(seed)
         v = q + np.abs(sum(rng.normal() * 0.2 / k * np.cos(k * g.x + rng.normal())
                            for k in range(1, 4)))
-        stencil, cosx = _capillary_stencil(g), np.cos(g.x)
-        J = dense_from_bands(_capillary_bands(v, mu, chi, cosx, stencil))
+        c1, c3, cosx = chi / (3.0 * g.dx), chi / (3.0 * g.dx**3), np.cos(g.x)
+        J = dense_from_bands(_capillary_bands(v, mu, cosx, c1, c3))
         eta = 1e-6
         fd = np.column_stack([
-            (_capillary_lhs(v + eta * e, q, mu, chi, cosx, stencil)
-             - _capillary_lhs(v - eta * e, q, mu, chi, cosx, stencil)) / (2 * eta)
+            (_capillary_lhs(v + eta * e, q, mu, cosx, c1, c3)
+             - _capillary_lhs(v - eta * e, q, mu, cosx, c1, c3)) / (2 * eta)
             for e in np.eye(n)
         ])
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
