@@ -43,7 +43,7 @@ from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     FLUX_BOUND_RATIO,
     BranchLost,
-    ContinuationStep,
+    Continuation,
     NoConvergence,
     SteadyProfile,
     asymptotic_guess,
@@ -53,6 +53,7 @@ from .steady import (
     moffatt_profile,
     nonexistence_threshold,
     pukhnachov_bound,
+    require_full_period,
     solvability_residuals,
 )
 
@@ -92,8 +93,8 @@ _MODE_SECTIONS = {
 }
 _MODES = tuple(_MODE_SECTIONS)
 _SWEEP_SECTIONS = set.union(*_MODE_SECTIONS["evolve"])
-# [initial] kind -> the key that kind requires.
-_INITIAL_KINDS = {"constant": "value", "trig": "mean", "file": "path"}
+# [initial] kind -> the keys that kind reads, the one it requires first.
+_INITIAL_KINDS = {"constant": ("value",), "trig": ("mean", "cos", "sin"), "file": ("path",)}
 
 
 class ConfigError(ValueError):
@@ -114,7 +115,7 @@ class InitialData:
     def __post_init__(self) -> None:
         if self.kind not in _INITIAL_KINDS:
             raise ValueError(f"kind must be constant, trig, or file, got {self.kind!r}")
-        key = _INITIAL_KINDS[self.kind]
+        key = _INITIAL_KINDS[self.kind][0]
         if getattr(self, key) is None:
             raise ValueError(f"kind={self.kind} requires key {key!r}")
 
@@ -144,32 +145,6 @@ class InitialData:
         if float(np.min(f.values)) < 0.0:
             raise ConfigError("[initial] evaluated initial data must be nonnegative")
         return f
-
-
-@dataclass(frozen=True)
-class SteadySpec:
-    """[steady]: one ContinuationStep per target, built (and so checked) with the spec."""
-
-    targets: tuple
-    mu: float
-    chi: float = 0.0
-    mode: str = "fixed_flux"
-    tol: float = ContinuationStep.tol
-    max_newton: int = ContinuationStep.max_newton
-    steps: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise ValueError("targets must not be empty")
-        for name in ("mu", "chi"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
-        if self.chi == 0.0 and self.mode == "fixed_mass":
-            raise ValueError("chi=0 profiles support only fixed_flux targets")
-        if self.chi == 0.0 and self.mu == 0.0:
-            raise ValueError("chi=0 profiles need mu > 0")
-        steps = tuple(ContinuationStep(self.mode, t, self.max_newton, self.tol) for t in self.targets)
-        object.__setattr__(self, "steps", steps)
 
 
 def _sweep_dir(vary: str, value: float) -> str:
@@ -209,7 +184,7 @@ class RunConfig:
     params: Optional[Params]
     initial: Optional[InitialData]
     evolve: Optional[EvolveConfig]
-    steady: Optional[SteadySpec]
+    steady: Optional[Continuation]
     sweep: Optional[SweepSpec]
     output_dir: str = "out"
     seed: int = 0
@@ -289,6 +264,11 @@ def _build(raw: dict) -> RunConfig:
         grid = Grid(**_read(raw, "grid"))
     if grid.n > MAX_GRID_N:
         raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {grid.n}")
+    if mode == "steady":
+        try:
+            require_full_period(grid)
+        except ValueError as exc:
+            raise ConfigError(f"[grid] length: {exc}") from None
 
     params = None
     if "params" in raw:
@@ -309,8 +289,13 @@ def _build(raw: dict) -> RunConfig:
 
     initial = None
     if "initial" in raw:
+        keys = _read(raw, "initial", "kind")
         with _section("initial"):
-            initial = InitialData(**_read(raw, "initial", "kind"))
+            initial = InitialData(**keys)
+        # A key its kind does not read would be dropped, and a sweep over it would repeat one run.
+        unread = sorted(set(keys) - {"kind", *_INITIAL_KINDS[initial.kind]})
+        if unread:
+            raise ConfigError(f"[initial] kind={initial.kind} does not take key(s) {unread}")
 
     evolve_cfg = None
     if "evolve" in raw:
@@ -326,7 +311,7 @@ def _build(raw: dict) -> RunConfig:
     steady_spec = None
     if "steady" in raw:
         with _section("steady"):
-            steady_spec = SteadySpec(**_read(raw, "steady", "targets", "mu"))
+            steady_spec = Continuation(**_read(raw, "steady", "targets", "mu"))
 
     sweep_spec = None
     if "sweep" in raw:
@@ -517,8 +502,7 @@ def cmd_steady(cfg: RunConfig) -> int:
             else:
                 q0 = first / grid.length
                 h0 = grid.constant(q0)
-            init = SteadyProfile(h=h0, q=q0, mu=spec.mu, chi=spec.chi, residual_sup=math.inf, mass=0.0)
-            profiles = continue_branch(capillary_solve(init, spec.steps[0]), spec.steps[1:])
+            profiles = continue_branch(capillary_solve(h0, q0, first, spec), spec)
     except (BranchLost, NoConvergence) as exc:
         # Past the fold, or no first profile: the profiles before it are still written.
         lost = exc

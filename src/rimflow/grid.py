@@ -84,9 +84,6 @@ class Grid:
     def x(self) -> np.ndarray:
         return self.origin + self.dx * np.arange(self.n)
 
-    def field(self, values) -> "PeriodicField":
-        return PeriodicField(self, values)
-
     def constant(self, c: float) -> "PeriodicField":
         return PeriodicField(self, np.full(self.n, float(c)))
 

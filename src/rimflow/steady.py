@@ -16,13 +16,17 @@ by the shared damped simplified-Newton solver (rimflow.newton), either at
 fixed flux q or at fixed mass with q as the extra unknown.  The capillary
 term at node i is the mean of evolve's interface driving term on the
 interfaces either side: grid.jump_terms with c1 = chi/(3 dx), c3 = chi/(3 dx^3).
+
+Continuation is the one steady schedule: targets, mu, chi, mode, tol and
+max_newton.  capillary_solve takes it with a starting field and flux, and
+continue_branch walks its targets from a solved first profile.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,7 +61,6 @@ class SteadyProfile:
     h: PeriodicField
     q: float
     mu: float
-    chi: float
     residual_sup: float
     mass: float
 
@@ -68,19 +71,35 @@ class SteadyProfile:
 
 
 @dataclass(frozen=True)
-class ContinuationStep:
-    """One continuation target: mode is "fixed_flux" (target = q) or "fixed_mass"."""
+class Continuation:
+    """One steady schedule: targets in order at fixed flux (target = q) or fixed mass.
 
-    mode: str
-    target: float
-    max_newton: int = 30
+    chi = 0 selects the surface-tension-free branch (fixed flux only); tol and
+    max_newton bound each capillary_solve.
+    """
+
+    targets: tuple
+    mu: float
+    chi: float = 0.0
+    mode: str = "fixed_flux"
     tol: float = 1e-10
+    max_newton: int = 30
 
     def __post_init__(self) -> None:
+        if not self.targets:
+            raise ValueError("targets must not be empty")
+        for name in ("mu", "chi"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        if self.chi == 0.0 and self.mode == "fixed_mass":
+            raise ValueError("chi=0 profiles support only fixed_flux targets")
+        if self.chi == 0.0 and self.mu == 0.0:
+            raise ValueError("chi=0 profiles need mu > 0")
         if self.mode not in ("fixed_flux", "fixed_mass"):
             raise ValueError(f"mode must be fixed_flux or fixed_mass, got {self.mode!r}")
-        if not (0.0 < self.target < math.inf):
-            raise ValueError(f"continuation target must be positive and finite, got {self.target}")
+        for target in self.targets:
+            if not (0.0 < target < math.inf):
+                raise ValueError(f"continuation target must be positive and finite, got {target}")
         if self.max_newton < 1:
             raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
         if not (0.0 < self.tol < math.inf):
@@ -108,9 +127,10 @@ def pukhnachov_bound(mu: float) -> float:
     return 2.0 * math.sqrt(3.0 / mu)
 
 
-def _require_full_period(grid: Grid) -> None:
+def require_full_period(grid: Grid) -> None:
+    """The steady layer's one 2*pi check, also run on a steady config's [grid]."""
     if abs(grid.length - TWO_PI) > 1e-9:
-        raise ValueError("steady profiles are defined on a full period of length 2*pi")
+        raise ValueError(f"steady profiles are defined on a full period of length 2*pi, got {grid.length}")
 
 
 def _polish(mu: float, q: float, c: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -168,7 +188,7 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     """
     if not (mu > 0.0 and q > 0.0):
         raise ValueError("mu and q must be positive")
-    _require_full_period(grid)
+    require_full_period(grid)
     cosx = np.cos(grid.x)
     far = np.abs(cosx) >= 1e-14
     c = cosx[far]
@@ -183,7 +203,6 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
         h=prof,
         q=q,
         mu=mu,
-        chi=0.0,
         residual_sup=float(np.max(np.abs(resid))),
         mass=integrate(prof),
     )
@@ -193,7 +212,7 @@ def asymptotic_guess(q: float, grid: Grid) -> PeriodicField:
     """Small-flux expansion h = q + (q^3/3) cos x, a Newton starter for small q."""
     if not (q > 0.0):
         raise ValueError("q must be positive")
-    _require_full_period(grid)
+    require_full_period(grid)
     return PeriodicField(grid, q + (q**3 / 3.0) * np.cos(grid.x))
 
 
@@ -240,29 +259,30 @@ def _bordered_solve(lu: CyclicBandedFactor, b: np.ndarray, r: np.ndarray, dx: fl
     return np.append(dq * b - a, dq)
 
 
-def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfile:
-    """Solve the capillary steady equation starting from init's profile.
+def capillary_solve(h: PeriodicField, q: float, target: float, spec: Continuation) -> SteadyProfile:
+    """Solve the capillary steady equation of spec at target, starting from (h, q).
 
-    mode "fixed_flux" solves for h at q = target; "fixed_mass" solves for
-    z = [h; q], with the mass defect integrate(h) - target as the last
-    residual entry and the border eliminated in each step (_bordered_solve,
-    J^{-1} 1 computed once per factorization).  The shared Newton solver
-    must bring the residual to step.tol itself: no floor.  Raises BranchLost
-    when an iterate turns nonpositive, NoConvergence on any other failure.
+    spec.mode "fixed_flux" solves for h at q = target, and the starting q is
+    not read; "fixed_mass" solves for z = [h; q], with the mass defect
+    integrate(h) - target as the last residual entry and the border
+    eliminated in each step (_bordered_solve, J^{-1} 1 computed once per
+    factorization).  The shared Newton solver must bring the residual to
+    spec.tol itself: no floor.  Raises BranchLost when an iterate turns
+    nonpositive, NoConvergence on any other failure.
     """
-    if not (init.chi > 0.0):
+    if not (spec.chi > 0.0):
         raise ValueError("capillary solve needs chi > 0")
-    grid = init.h.grid
-    _require_full_period(grid)
-    mu, chi, n, dx = init.mu, init.chi, grid.n, grid.dx
+    grid = h.grid
+    require_full_period(grid)
+    mu, chi, n, dx = spec.mu, spec.chi, grid.n, grid.dx
     c1, c3, cosx = chi / (3.0 * dx), chi / (3.0 * dx**3), np.cos(grid.x)
-    fixed_mass = step.mode == "fixed_mass"
+    fixed_mass = spec.mode == "fixed_mass"
 
     def residual(z):
         if not fixed_mass:
-            return _capillary_lhs(z, step.target, mu, cosx, c1, c3)
+            return _capillary_lhs(z, target, mu, cosx, c1, c3)
         r = _capillary_lhs(z[:n], z[n], mu, cosx, c1, c3)
-        return np.append(r, dx * float(np.sum(z[:n])) - step.target)
+        return np.append(r, dx * float(np.sum(z[:n])) - target)
 
     ones_solution = functools.lru_cache(maxsize=1)(lambda lu: lu.solve(np.ones(n)))
 
@@ -275,15 +295,15 @@ def capillary_solve(init: SteadyProfile, step: ContinuationStep) -> SteadyProfil
             raise BranchLost(f"iterate turned nonpositive (min {min_h:.3e})", min_h=min_h)
 
     z, stats, _ = newton(residual, lambda z: _capillary_bands(z[:n], mu, cosx, c1, c3),
-                         np.append(init.h.values, init.q) if fixed_mass else init.h.values,
-                         step.tol, step.max_newton, direction=bordered if fixed_mass else None,
+                         np.append(h.values, q) if fixed_mass else h.values,
+                         spec.tol, spec.max_newton, direction=bordered if fixed_mass else None,
                          accept=accept)
     if stats.failure is not None:
         raise NoConvergence(stats.message, residual_sup=stats.residual, iterations=stats.iterations,
                             reason=stats.failure)
     prof = PeriodicField(grid, z[:n])
-    q = float(z[n]) if fixed_mass else step.target
-    return SteadyProfile(h=prof, q=q, mu=mu, chi=chi, residual_sup=stats.residual, mass=integrate(prof))
+    q = float(z[n]) if fixed_mass else target
+    return SteadyProfile(h=prof, q=q, mu=mu, residual_sup=stats.residual, mass=integrate(prof))
 
 
 @dataclass(frozen=True)
@@ -300,7 +320,7 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     satisfies both beyond beta = 8/27 (FLUX_BOUND_RATIO).
     """
     grid = prof.h.grid
-    _require_full_period(grid)
+    require_full_period(grid)
     hv = prof.h.values
     if float(np.min(hv)) <= 0.0:
         raise ValueError("solvability residuals need a strictly positive profile")
@@ -315,36 +335,32 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     )
 
 
-def continue_branch(
-    start: SteadyProfile, schedule: Sequence[ContinuationStep]
-) -> list[SteadyProfile]:
-    """Walk a continuation schedule, bisecting into the gap where the branch ends.
+def continue_branch(start: SteadyProfile, spec: Continuation) -> list[SteadyProfile]:
+    """Walk spec.targets[1:] from start, bisecting into the gap where the branch ends.
 
     Returns the profiles actually obtained, starting with start, which must
-    be a solved profile.  A failed step, the first one included, triggers
-    bisection of its parameter interval down to a relative increment of
-    2^-12, after which the deepest reachable profile is the recorded branch
-    endpoint.
+    be a solved profile at spec.targets[0].  A failed target, the first of
+    these included, triggers bisection of its parameter interval down to a
+    relative increment of 2^-12, after which the deepest reachable profile
+    is the recorded branch endpoint.
     """
     profiles = [start]
-    for st in schedule:
+    for target in spec.targets[1:]:
         cur = profiles[-1]
         try:
-            profiles.append(capillary_solve(cur, st))
+            profiles.append(capillary_solve(cur.h, cur.q, target, spec))
             continue
         except (BranchLost, NoConvergence):
             pass
-        lo = cur.q if st.mode == "fixed_flux" else cur.mass
-        hi = st.target
+        lo = cur.q if spec.mode == "fixed_flux" else cur.mass
+        hi = target
         min_inc = abs(hi - lo) / 4096.0
         while abs(hi - lo) > min_inc:
             mid = 0.5 * (lo + hi)
-            trial = ContinuationStep(st.mode, mid, st.max_newton, st.tol)
             try:
-                profiles.append(capillary_solve(profiles[-1], trial))
+                profiles.append(capillary_solve(profiles[-1].h, profiles[-1].q, mid, spec))
                 lo = mid
             except (BranchLost, NoConvergence):
                 hi = mid
         break
     return profiles
-

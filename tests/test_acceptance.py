@@ -27,9 +27,8 @@ from rimflow.model import (
 )
 from rimflow.steady import (
     BranchLost,
-    ContinuationStep,
+    Continuation,
     NoConvergence,
-    SteadyProfile,
     asymptotic_guess,
     capillary_solve,
     moffatt_profile,
@@ -55,7 +54,7 @@ def timed_run(h0, p, cfg):
 def fig3():
     g = Grid(n=256)
     p = Params(1.0, 16.0, 0.0, 0.0, Forcing.sine(g))
-    h0 = g.field(0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x))
+    h0 = PeriodicField(g, 0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x))
     cfg = EvolveConfig(t_end=140.0, dt_init=1e-6, dt_max=0.05,
                        snapshot_times=list(np.linspace(2.0, 140.0, 70)),
                        knobs=RegularizationKnobs())
@@ -174,10 +173,8 @@ def test_criterion_08_flux_bound_on_random_sample():
         chi = rng.uniform(0.5, 5.0)
         mu = rng.uniform(0.5, 5.0)
         q = rng.uniform(0.05, 1.05) * nonexistence_threshold(mu)
-        init = SteadyProfile(h=asymptotic_guess(q, g), q=q, mu=mu, chi=chi,
-                             residual_sup=math.inf, mass=0.0)
         try:
-            prof = capillary_solve(init, ContinuationStep("fixed_flux", q))
+            prof = capillary_solve(asymptotic_guess(q, g), q, q, Continuation((q,), mu, chi))
         except (BranchLost, NoConvergence):
             continue
         converged += 1
@@ -192,9 +189,7 @@ def test_criterion_09_solvability_residuals():
     g = Grid(n=256)
     worst = 0.0
     for q in (0.05, 0.1, 0.2):
-        init = SteadyProfile(h=asymptotic_guess(q, g), q=q, mu=3.0, chi=3.0,
-                             residual_sup=math.inf, mass=0.0)
-        prof = capillary_solve(init, ContinuationStep("fixed_flux", q))
+        prof = capillary_solve(asymptotic_guess(q, g), q, q, Continuation((q,), mu=3.0, chi=3.0))
         rep = solvability_residuals(prof)
         worst = max(worst, abs(rep.r0), abs(rep.r1))
     ok = worst <= 1e-6
@@ -219,7 +214,7 @@ def test_criterion_11_interpolation_inequality():
         for k in range(1, 6):
             a, b = rng.normal(size=2) / k
             v += a * np.cos(k * g.x) + b * np.sin(k * g.x)
-        rep = interpolation_check(g.field(np.abs(v)))
+        rep = interpolation_check(PeriodicField(g, np.abs(v)))
         holds += int(rep.satisfied)
     const = interpolation_check(g.constant(rng.uniform(0.1, 2.0)))
     eq_gap = abs(const.lhs - const.rhs) / max(1.0, abs(const.rhs))
@@ -268,7 +263,7 @@ def test_criterion_13_h1_growth_bound(fig5):
 def test_criterion_14_dispersion_relation():
     g = Grid(n=128)
     p = Params(1.0, 16.0, 0.0, 0.0, Forcing.sine(g))
-    h0 = g.field(0.3 + 1e-4 * np.cos(g.x))
+    h0 = PeriodicField(g, 0.3 + 1e-4 * np.cos(g.x))
     cfg = EvolveConfig(t_end=0.1, dt_init=1e-3, dt_max=1e-3,
                        knobs=RegularizationKnobs(epsilon=0.0))
     traj = run(h0, p, cfg)
@@ -287,7 +282,7 @@ def test_criterion_15_refinement_convergence():
     def solve(n, dt):
         g = Grid(n=n)
         p = Params(1.0, 16.0, 0.0, 0.0, Forcing.sine(g))
-        h0 = g.field(0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x))
+        h0 = PeriodicField(g, 0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x))
         cfg = EvolveConfig(t_end=1.0, dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
                            knobs=RegularizationKnobs())
         return run(h0, p, cfg).snapshots[-1].field.values

@@ -117,7 +117,7 @@ class TestLocalExistenceTime:
     def test_touchdown_gives_zero_horizon(self):
         p = sine_params(64, (1.0, 16.0, 8.0, 0.0))
         g = p.grid
-        h = g.field(1.0 - np.cos(g.x))
+        h = PeriodicField(g, 1.0 - np.cos(g.x))
         assert local_existence_time(h, p) == 0.0
 
 
@@ -136,13 +136,13 @@ class TestInterpolation:
         for k in range(1, 6):
             a, b = rng.normal(size=2) / k
             v += a * np.cos(k * g.x) + b * np.sin(k * g.x)
-        rep = interpolation_check(g.field(np.abs(v)))
+        rep = interpolation_check(PeriodicField(g, np.abs(v)))
         assert rep.satisfied
 
     def test_rejects_negative_data(self):
         g = Grid(n=64)
         with pytest.raises(ValueError):
-            interpolation_check(g.field(np.cos(g.x)))
+            interpolation_check(PeriodicField(g, np.cos(g.x)))
 
 
 class TestGrowthConstants:
@@ -194,7 +194,7 @@ class TestGrowthConstants:
 def short_run():
     g = Grid(n=64)
     p = sine_params(64, (1.0, 16.0, -8.0, 3.0))
-    h0 = g.field(0.3 + 0.02 * np.cos(g.x))
+    h0 = PeriodicField(g, 0.3 + 0.02 * np.cos(g.x))
     cfg = EvolveConfig(t_end=1.0, dt_init=1e-4, dt_max=0.05,
                        snapshot_times=[0.5, 1.0],
                        knobs=RegularizationKnobs(epsilon=1e-6))
@@ -216,7 +216,7 @@ class TestTrajectoryChecks:
         p = sine_params(64, (1.0, 16.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=0.5, dt_init=1e-4, dt_max=1e-3,
                            knobs=RegularizationKnobs(epsilon=0.0))
-        traj = run(g.field(0.3 + 0.02 * np.cos(g.x)), p, cfg)
+        traj = run(PeriodicField(g, 0.3 + 0.02 * np.cos(g.x)), p, cfg)
         rep = dissipation_check(traj, p)
         assert rep.satisfied
         assert rep.rhs == pytest.approx(traj.records[0].energy, abs=1e-12)
@@ -231,12 +231,12 @@ class TestTrajectoryChecks:
 class TestCountLocalMaxima:
     def test_counts_cosine_peaks(self):
         g = Grid(n=256)
-        assert len(count_local_maxima(g.field(np.cos(4.0 * g.x)))) == 4
-        assert len(count_local_maxima(g.field(np.cos(g.x)))) == 1
+        assert len(count_local_maxima(PeriodicField(g, np.cos(4.0 * g.x)))) == 4
+        assert len(count_local_maxima(PeriodicField(g, np.cos(g.x)))) == 1
 
     def test_peak_indices_point_at_peaks(self):
         g = Grid(n=256)
-        h = g.field(np.cos(g.x - 1.0))
+        h = PeriodicField(g, np.cos(g.x - 1.0))
         idx = count_local_maxima(h)
         assert len(idx) == 1
         assert h.values[idx[0]] == pytest.approx(1.0, abs=1e-3)
@@ -249,8 +249,8 @@ class TestCountLocalMaxima:
         g = Grid(n=256)
         main = np.exp(-10.0 * (g.x - math.pi) ** 2)
         bump = np.exp(-40.0 * (g.x - 1.0) ** 2)
-        assert len(count_local_maxima(g.field(main + 5e-3 * bump))) == 1
-        assert len(count_local_maxima(g.field(main + 5e-2 * bump))) == 2
+        assert len(count_local_maxima(PeriodicField(g, main + 5e-3 * bump))) == 1
+        assert len(count_local_maxima(PeriodicField(g, main + 5e-2 * bump))) == 2
 
     def test_plateau_twins_merge(self):
         v = np.zeros(64)

@@ -21,10 +21,10 @@ from rimflow.bounds import BoundReport
 from rimflow.cli import (OUTPUT_DIR_ENV, ConfigError, main, parse_config, read_field_csv,
                          write_field_csv)
 from rimflow.evolve import EvolveConfig
-from rimflow.grid import Grid
+from rimflow.grid import Grid, PeriodicField
 from rimflow.model import Forcing, RegularizationKnobs
 from rimflow.steady import (
-    ContinuationStep,
+    Continuation,
     NoConvergence,
     critical_flux,
     nonexistence_threshold,
@@ -250,14 +250,11 @@ class TestParseConfig:
 
 # (section, key) -> (config text, value it must reach) for every key in the
 # schema, none of them at its default.  grid.length stays 2*pi where the sine
-# forcing of chi/mu needs it.
+# forcing of chi/mu or a steady profile needs it.
 EVERY_KEY = {
     "grid": {"n": ("64", 64), "length": ("4.0", 4.0), "origin": ("0.25", 0.25)},
     "params": {"a0": ("2", 2.0), "a1": ("3", 3.0), "a2": ("-1", -1.0), "a3": ("0.5", 0.5),
                "forcing": ("constant", "constant")},
-    "initial": {"kind": ("trig", "trig"), "value": ("0.4", 0.4), "mean": ("0.35", 0.35),
-                "cos": ("0.01, 0.02", (0.01, 0.02)), "sin": ("0.03", (0.03,)),
-                "path": ("h0.csv", "h0.csv")},
     "evolve": {"t_end": ("0.5", 0.5), "dt_init": ("2e-6", 2e-6), "dt_min": ("1e-12", 1e-12),
                "dt_max": ("0.02", 0.02), "newton_tol": ("1e-9", 1e-9),
                "newton_max_iter": ("9", 9), "snapshots": ("0.1, 0.2", (0.1, 0.2)),
@@ -268,6 +265,13 @@ EVERY_KEY = {
     "sweep": {"vary": ("params.chi", "params.chi"), "values": ("2, 4", (2.0, 4.0)),
               "workers": ("1", 1)},
 }
+# [initial] per kind: each kind takes only the keys it reads.
+INITIAL_KEYS = {
+    "constant": {"kind": ("constant", "constant"), "value": ("0.4", 0.4)},
+    "trig": {"kind": ("trig", "trig"), "mean": ("0.35", 0.35),
+             "cos": ("0.01, 0.02", (0.01, 0.02)), "sin": ("0.03", (0.03,))},
+    "file": {"kind": ("file", "file"), "path": ("h0.csv", "h0.csv")},
+}
 PHYSICAL = {"chi": ("6", 6.0), "mu": ("1.5", 1.5)}
 MODE_SECTIONS = {"evolve": ("grid", "params", "initial", "evolve"), "steady": ("grid", "steady"),
                  "sweep": ("grid", "params", "initial", "evolve", "sweep"), "check": ()}
@@ -277,7 +281,7 @@ REQUIRED = {"params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
             "steady": {"mu": "1", "targets": "0.2"}, "sweep": {"vary": "params.a3", "values": "0"}}
 # The dataclass a key sets when it is left out.
 OWNER = {"run": cli.RunConfig, "grid": Grid, "initial": cli.InitialData, "evolve": EvolveConfig,
-         "steady": cli.SteadySpec, "sweep": cli.SweepSpec}
+         "steady": Continuation, "sweep": cli.SweepSpec}
 
 
 def reached(cfg, section, key):
@@ -304,28 +308,34 @@ def render(sections):
 class TestSchema:
     @pytest.mark.parametrize("mode", sorted(MODE_SECTIONS))
     def test_every_key_reaches_its_field(self, mode):
+        # [initial] is given once per kind, with the keys that kind reads.
         run = {"mode": (mode, mode), "output_dir": ("elsewhere", "elsewhere"), "seed": ("7", 7)}
-        given = {"run": run, **{s: dict(EVERY_KEY[s]) for s in MODE_SECTIONS[mode]}}
-        if mode == "sweep":
-            # The other form of [params]; its sine forcing needs a 2*pi domain.
-            given["params"] = PHYSICAL
-            given["grid"]["length"] = (repr(2.0 * math.pi), 2.0 * math.pi)
-        cfg = parse_config(render({s: {k: t for k, (t, _) in kv.items()} for s, kv in given.items()}))
-        for section, keys in given.items():
-            for key, (_, value) in keys.items():
-                if section != "params":
-                    assert reached(cfg, section, key) == value, (section, key)
-        if mode == "evolve":
-            assert (cfg.params.a0, cfg.params.a1, cfg.params.a2, cfg.params.a3) == (2.0, 3.0, -1.0, 0.5)
-            assert not np.any(cfg.params.w.w) and not np.any(cfg.params.w.wp)
-        if mode == "sweep":
-            assert (cfg.params.a0, cfg.params.a2) == (2.0, -0.5)
-        if mode == "steady":
-            assert cfg.steady.steps == (ContinuationStep("fixed_mass", 0.8, 20, 1e-9),
-                                        ContinuationStep("fixed_mass", 0.9, 20, 1e-9))
+        kinds = INITIAL_KEYS.values() if "initial" in MODE_SECTIONS[mode] else [None]
+        for initial in kinds:
+            given = {"run": run, **{s: dict(EVERY_KEY[s]) for s in MODE_SECTIONS[mode] if s != "initial"}}
+            if initial is not None:
+                given["initial"] = initial
+            if mode == "sweep":
+                # The other form of [params]; its sine forcing needs a 2*pi domain.
+                given["params"] = PHYSICAL
+            if mode in ("sweep", "steady"):
+                given["grid"]["length"] = (repr(2.0 * math.pi), 2.0 * math.pi)
+            cfg = parse_config(render({s: {k: t for k, (t, _) in kv.items()} for s, kv in given.items()}))
+            for section, keys in given.items():
+                for key, (_, value) in keys.items():
+                    if section != "params":
+                        assert reached(cfg, section, key) == value, (section, key)
+            if mode == "evolve":
+                assert (cfg.params.a0, cfg.params.a1, cfg.params.a2, cfg.params.a3) == (2.0, 3.0, -1.0, 0.5)
+                assert not np.any(cfg.params.w.w) and not np.any(cfg.params.w.wp)
+            if mode == "sweep":
+                assert (cfg.params.a0, cfg.params.a2) == (2.0, -0.5)
+            if mode == "steady":
+                assert cfg.steady == Continuation((0.8, 0.9), 2.0, 3.0, "fixed_mass", 1e-9, 20)
 
     def test_every_schema_key_is_covered(self):
         covered = {s: set(EVERY_KEY[s]) for s in EVERY_KEY}
+        covered["initial"] = set().union(*INITIAL_KEYS.values())
         covered["params"] |= set(PHYSICAL)
         covered["run"] = {"mode", "output_dir", "seed"}
         assert covered == {s: set(keys) for s, keys in cli._SECTION_KEYS.items()}
@@ -350,7 +360,7 @@ class TestSchema:
                 checked += 1
         assert checked >= 2
         if mode == "steady":
-            assert cfg.steady.steps == (ContinuationStep("fixed_flux", 0.2),)
+            assert cfg.steady == Continuation((0.2,), 1.0)
         if mode in ("evolve", "sweep"):
             assert np.array_equal(cfg.params.w.wp_mid, Forcing.sine(cfg.grid).wp_mid)
             assert cfg.evolve.knobs == RegularizationKnobs()
@@ -493,7 +503,7 @@ epsilon = 0.0
     def test_file_initial_data(self, tmp_path):
         g = Grid(n=64)
         field_path = tmp_path / "h0.csv"
-        write_field_csv(g.field(0.3 + 0.02 * np.cos(g.x)), field_path,
+        write_field_csv(PeriodicField(g, 0.3 + 0.02 * np.cos(g.x)), field_path,
                         value_name="h")
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace(
@@ -615,14 +625,47 @@ class TestModeAndParseErrors:
         ("n = 7", "grid size must be even"),
         ("length = -1", "grid length must be positive and finite"),
         ("length = inf", "grid length must be positive and finite"),
+        # Steady profiles need the full period, within 1e-9 of 2*pi.
+        ("length = 4.0", "length: steady profiles are defined on a full period of length 2*pi, got 4.0"),
+        ("length = 6.2831853", "length: steady profiles are defined on a full period"),
     ])
     def test_bad_grid_values_are_config_errors(self, tmp_path, capsys, line, needle):
         text = ("[run]\nmode = steady\noutput_dir = {}\n[grid]\n{}\n"
                 "[steady]\nmu = 1.0\ntargets = 0.2\n").format(tmp_path / "out", line)
-        with pytest.raises(ConfigError, match=r"\[grid\] " + needle):
+        with pytest.raises(ConfigError, match=r"\[grid\] " + re.escape(needle)):
             parse_config(text)
         assert main(["steady", write_cfg(tmp_path, text)]) == 2
         assert needle in single_error(capsys, "ConfigError")["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("initial,unread", [
+        ("kind = constant\nvalue = 0.3\nmean = 0.5\ncos = 0.1\npath = nowhere.csv",
+         "kind=constant does not take key(s) ['cos', 'mean', 'path']"),
+        ("kind = trig\nmean = 0.3\ncos = 0.02\nvalue = 0.3", "kind=trig does not take key(s) ['value']"),
+        ("kind = file\npath = h0.csv\nsin =", "kind=file does not take key(s) ['sin']"),
+    ], ids=["constant", "trig", "file"])
+    def test_initial_keys_the_kind_does_not_read_are_config_errors(self, tmp_path, capsys,
+                                                                  initial, unread):
+        out = tmp_path / "out"
+        text = EVOLVE_TEMPLATE.format(out=out).replace("kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
+                                                       initial)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"[initial] {unread}"
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+        assert single_error(capsys, "ConfigError")["message"] == f"[initial] {unread}"
+        assert not out.exists()
+
+    def test_sweep_over_a_key_the_initial_kind_does_not_read_is_config_error(self, tmp_path, capsys):
+        # Each run would drop the varied mean: N identical trees.
+        out = tmp_path / "out"
+        text = (EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve", "mode = sweep")
+                .replace("kind = trig\nmean = 0.3\ncos = 0.02, 0.02", "kind = constant\nvalue = 0.3")
+                + "[sweep]\nvary = initial.mean\nvalues = 0.3, 0.4\n")
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        assert single_error(capsys, "ConfigError")["message"] == (
+            "[sweep] run mean=0.3: [initial] kind=constant does not take key(s) ['mean']")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [cli.MAX_GRID_N + 2, 10**15, 2**70])
     def test_huge_grid_is_config_error_before_sampling(self, tmp_path, capsys, monkeypatch, n):

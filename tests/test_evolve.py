@@ -290,7 +290,7 @@ class TestJacobian:
         assert np.array_equal(u, hold)
         cfg = EvolveConfig(t_end=1.0, dt_init=0.01, dt_min=1e-3, dt_max=0.01)
         with pytest.raises(StepFailure) as exc:
-            step(EvolveState(0.0, g.field(hold), 0.01), cfg, sysm)
+            step(EvolveState(0.0, PeriodicField(g, hold), 0.01), cfg, sysm)
         assert exc.value.diverged
 
     @pytest.mark.parametrize("failure", ["budget", "stalled"])
@@ -518,7 +518,7 @@ class TestRun:
         p = make_params(g, a=(1.0, 0.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=2000.0, dt_init=1e-3, dt_max=0.5,
                            knobs=RegularizationKnobs(epsilon=0.0))
-        h0 = g.field(0.3 + 0.01 * np.cos(g.x))
+        h0 = PeriodicField(g, 0.3 + 0.01 * np.cos(g.x))
         traj = run(h0, p, cfg)
         assert traj.termination == "steady"
         assert traj.snapshots[-1].t < 2000.0
@@ -603,7 +603,7 @@ class TestRun:
             return u, stats, factor
 
         monkeypatch.setattr(rimflow.evolve, "newton", counting_newton)
-        traj = run(g.field(0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x)), p, cfg)
+        traj = run(PeriodicField(g, 0.3 + 0.02 * np.cos(g.x) + 0.02 * np.cos(2.0 * g.x)), p, cfg)
         assert traj.termination == "t_end"
         assert sum(iterations) <= 3.5 * traj.step_count
 
@@ -707,7 +707,7 @@ class TestRecord:
     def test_entropies_blow_up_at_touchdown(self):
         g = Grid(n=32)
         cfg = EvolveConfig(t_end=1.0, knobs=RegularizationKnobs(epsilon=0.1))
-        rec = _record(g.field(np.maximum(np.sin(g.x), 0.0)), 0.0, make_params(g), cfg, 0.0)
+        rec = _record(PeriodicField(g, np.maximum(np.sin(g.x), 0.0)), 0.0, make_params(g), cfg, 0.0)
         assert rec.entropy0 == rec.entropy_eps == math.inf
 
     @settings(max_examples=20, deadline=None)
@@ -722,7 +722,7 @@ class TestRecord:
         x, dx = g.x, g.dx
         # Amplitudes scaled to 90% of the mean keep the data positive.
         amps = 0.9 * mean * np.asarray(coeffs) / max(1.0, float(np.sum(np.abs(coeffs))))
-        h0 = g.field(mean + amps[0] * np.cos(x) + amps[1] * np.sin(x)
+        h0 = PeriodicField(g, mean + amps[0] * np.cos(x) + amps[1] * np.sin(x)
                      + amps[2] * np.cos(2 * x) + amps[3] * np.sin(3 * x))
         knobs = RegularizationKnobs(epsilon=epsilon)
         p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
@@ -736,7 +736,7 @@ class TestRecord:
         assert rec.gradient_sq == pytest.approx(dx * np.sum(grad**2), rel=1e-12, abs=1e-14)
         assert rec.h1**2 == pytest.approx(rec.l2**2 + rec.gradient_sq, rel=1e-13)
         assert rec.min_h == np.min(v)
-        assert rec.energy == energy(g.field(v), p)
+        assert rec.energy == energy(PeriodicField(g, v), p)
         assert rec.entropy0 == dx * np.sum(entropy_G(v, 0.0))
         assert rec.entropy_eps == dx * np.sum(entropy_G(v, epsilon))
         assert rec.dissipation_cum == 0.0
@@ -767,7 +767,7 @@ class TestFailure:
             newton_max_iter=2,
             knobs=RegularizationKnobs(epsilon=0.0),
         )
-        h0 = Grid(n=64).field(0.3 + 0.05 * np.cos(g.x))
+        h0 = PeriodicField(Grid(n=64), 0.3 + 0.05 * np.cos(g.x))
         with pytest.raises(StepFailure) as exc_info:
             run(h0, p, cfg)
         exc = exc_info.value
@@ -780,7 +780,7 @@ class TestFailure:
         # Near touchdown the last attempt's Newton converges, but its minimum
         # undershoots -10x tol_used: that, not Newton, ends the run.
         g = Grid(n=64)
-        h0 = g.field(np.maximum(0.3 + 0.299 * np.cos(g.x), 0.0) + 1e-6)
+        h0 = PeriodicField(g, np.maximum(0.3 + 0.299 * np.cos(g.x), 0.0) + 1e-6)
         cfg = EvolveConfig(t_end=5.0, dt_init=1e-3, dt_min=1e-6, dt_max=0.05,
                            knobs=RegularizationKnobs(epsilon=0.0))
         with pytest.raises(StepFailure) as exc_info:
@@ -846,7 +846,7 @@ class TestMonitorBlocks:
         p = make_params(g, a=(1.0, 0.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=2000.0, dt_init=1e-3, dt_max=0.5,
                            knobs=RegularizationKnobs(epsilon=0.0))
-        trajs = self.run_each_block(monkeypatch, lambda: run(g.field(1.0 + 0.01 * np.cos(g.x)), p, cfg))
+        trajs = self.run_each_block(monkeypatch, lambda: run(PeriodicField(g, 1.0 + 0.01 * np.cos(g.x)), p, cfg))
         assert trajs[0].termination == "steady"
         assert trajs[0].step_count % self.ROWS != 0
         assert monitor_hexes(trajs[1]) == monitor_hexes(trajs[2]) == monitor_hexes(trajs[0])

@@ -347,7 +347,7 @@ class TestQuadratureAndNorms:
     def test_integrate_sin_squared_is_pi(self):
         for n in (16, 64, 256):
             g = Grid(n=n)
-            f = g.field(np.sin(g.x) ** 2)
+            f = PeriodicField(g, np.sin(g.x) ** 2)
             assert integrate(f) == pytest.approx(math.pi, abs=1e-12)
 
 

@@ -272,7 +272,7 @@ class TestEnergyAndIntegrals:
         v = 0.3 + 0.1 * np.random.default_rng(n + rows).standard_normal((rows, n))
         e = energy(v, p)
         assert e.shape == (rows,)
-        assert [x.hex() for x in e.tolist()] == [energy(g.field(r), p).hex() for r in v]
+        assert [x.hex() for x in e.tolist()] == [energy(PeriodicField(g, r), p).hex() for r in v]
 
     def test_energy_grid_mismatch(self):
         g = Grid(n=64)

@@ -22,7 +22,7 @@ from rimflow.steady import (
     _cubic_roots,
     FLUX_BOUND_RATIO,
     BranchLost,
-    ContinuationStep,
+    Continuation,
     NoConvergence,
     SteadyProfile,
     asymptotic_guess,
@@ -39,11 +39,9 @@ from rimflow.cli import write_branch_csv
 from oracles import d3
 
 
-def make_profile(grid, q, mu, chi):
-    """Wrap the small-flux guess as a continuation starting point."""
-    h = asymptotic_guess(q, grid)
-    return SteadyProfile(h=h, q=q, mu=mu, chi=chi, residual_sup=math.inf,
-                         mass=integrate(h))
+def flux_solve(grid, q, mu, chi):
+    """The capillary profile at fixed flux q, solved from the small-flux guess."""
+    return capillary_solve(asymptotic_guess(q, grid), q, q, Continuation((q,), mu, chi))
 
 
 def np_roots_positive(mu, q, c):
@@ -215,7 +213,6 @@ class TestMoffattProfile:
         prof = moffatt_profile(1.0, 0.5, g)
         assert prof is not None
         assert prof.residual_sup <= 1e-12
-        assert prof.chi == 0.0
         assert prof.q == 0.5
         assert float(np.min(prof.h.values)) > 0.0
         assert prof.mass == pytest.approx(integrate(prof.h), rel=1e-15)
@@ -287,58 +284,53 @@ class TestAsymptoticGuess:
 class TestCapillarySolve:
     def test_fixed_flux_converges(self):
         g = Grid(n=256)
-        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
-        prof = capillary_solve(init, ContinuationStep("fixed_flux", 0.1))
+        chi = 3.0
+        prof = flux_solve(g, 0.1, mu=3.0, chi=chi)
         assert prof.residual_sup <= 1e-10
         assert prof.q == 0.1
         assert float(np.min(prof.h.values)) > 0.0
         # The reported residual is the same quantity the checker recomputes.
         h = prof.h.values
         lhs = (h - (prof.mu / 3.0) * h**3 * np.cos(g.x)
-               + (prof.chi / 3.0) * h**3 * (d1(prof.h).values + d3(prof.h).values))
+               + (chi / 3.0) * h**3 * (d1(prof.h).values + d3(prof.h).values))
         assert np.max(np.abs(lhs - prof.q)) <= prof.residual_sup + 1e-12
 
     @pytest.mark.parametrize("chi", [0.5, 3.0])
     def test_small_capillary_number_tracks_cubic_branch(self, chi):
         g = Grid(n=256)
         cubic = moffatt_profile(3.0, 0.1, g)
-        init = make_profile(g, 0.1, mu=3.0, chi=chi)
-        prof = capillary_solve(init, ContinuationStep("fixed_flux", 0.1))
+        prof = flux_solve(g, 0.1, mu=3.0, chi=chi)
         assert np.max(np.abs(prof.h.values - cubic.h.values)) <= 1e-3 * chi
 
     def test_fixed_mass_roundtrip(self):
         g = Grid(n=256)
-        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
-        by_flux = capillary_solve(init, ContinuationStep("fixed_flux", 0.1))
-        by_mass = capillary_solve(by_flux,
-                                  ContinuationStep("fixed_mass", by_flux.mass))
+        by_flux = flux_solve(g, 0.1, mu=3.0, chi=3.0)
+        by_mass = capillary_solve(by_flux.h, by_flux.q, by_flux.mass,
+                                  Continuation((by_flux.mass,), 3.0, 3.0, "fixed_mass"))
         assert by_mass.q == pytest.approx(0.1, abs=1e-11)
         assert np.max(np.abs(by_mass.h.values - by_flux.h.values)) <= 1e-11
         assert by_mass.mass == pytest.approx(by_flux.mass, rel=1e-12)
 
     def test_flux_beyond_threshold_fails(self):
         g = Grid(n=128)
-        init = make_profile(g, 0.5, mu=1.0, chi=3.0)
-        init = capillary_solve(init, ContinuationStep("fixed_flux", 0.5))
+        init = flux_solve(g, 0.5, mu=1.0, chi=3.0)
         with pytest.raises((BranchLost, NoConvergence)):
-            capillary_solve(init, ContinuationStep("fixed_flux", 1.0))
+            capillary_solve(init.h, init.q, 1.0, Continuation((0.5, 1.0), 1.0, 3.0))
 
     def test_needs_positive_chi(self):
         g = Grid(n=64)
-        init = SteadyProfile(h=asymptotic_guess(0.1, g), q=0.1, mu=1.0,
-                             chi=0.0, residual_sup=math.inf, mass=0.2 * math.tau)
-        with pytest.raises(ValueError):
-            capillary_solve(init, ContinuationStep("fixed_flux", 0.1))
+        with pytest.raises(ValueError, match="needs chi > 0"):
+            capillary_solve(asymptotic_guess(0.1, g), 0.1, 0.1, Continuation((0.1,), mu=1.0))
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            ContinuationStep("fixed_q", 0.1)
-        with pytest.raises(ValueError):
-            ContinuationStep("fixed_flux", 0.0)
-        with pytest.raises(ValueError):
-            ContinuationStep("fixed_flux", 0.1, max_newton=0)
-        with pytest.raises(ValueError):
-            ContinuationStep("fixed_flux", 0.1, tol=0.0)
+        with pytest.raises(ValueError, match="mode must be fixed_flux or fixed_mass"):
+            Continuation((0.1,), 1.0, 1.0, "fixed_q")
+        with pytest.raises(ValueError, match="target must be positive and finite, got 0.0"):
+            Continuation((0.1, 0.0), 1.0, 1.0)
+        with pytest.raises(ValueError, match="max_newton must be at least 1"):
+            Continuation((0.1,), 1.0, 1.0, max_newton=0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            Continuation((0.1,), 1.0, 1.0, tol=0.0)
 
 
 def _capillary_term_bands(g: Grid, c1: float, c3: float) -> np.ndarray:
@@ -464,7 +456,8 @@ class TestNewtonLinearAlgebra:
         # Every step, with a fresh or a reused factor, solves the bordered
         # system of the factored bands: J^{-1} 1 is cached per factor.
         g = Grid(n=64)
-        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
+        h0 = asymptotic_guess(0.1, g)
+        target = 2.0 * integrate(h0)
         factored, steps = [], []
 
         def checking_newton(residual, bands, z0, tol, max_iter, direction=None, **kwargs):
@@ -488,8 +481,8 @@ class TestNewtonLinearAlgebra:
 
         monkeypatch.setattr(rimflow.steady, "newton", checking_newton)
         # Doubling the mass takes more than one factor, so both kinds of step are checked.
-        prof = capillary_solve(init, ContinuationStep("fixed_mass", 2.0 * init.mass))
-        assert prof.mass == pytest.approx(2.0 * init.mass, rel=1e-12)
+        prof = capillary_solve(h0, 0.1, target, Continuation((target,), 3.0, 3.0, "fixed_mass"))
+        assert prof.mass == pytest.approx(target, rel=1e-12)
         assert len(steps) > len(factored) >= 2
 
     @pytest.mark.parametrize("mode", ["fixed_flux", "fixed_mass"])
@@ -503,22 +496,22 @@ class TestNewtonLinearAlgebra:
 
         monkeypatch.setattr(rimflow.newton, "CyclicBandedFactor", singular)
         g = Grid(n=64)
-        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
-        target = 0.1 if mode == "fixed_flux" else init.mass
+        h0 = asymptotic_guess(0.1, g)
+        target = 0.1 if mode == "fixed_flux" else integrate(h0)
         with pytest.raises(NoConvergence, match="^singular Jacobian$") as exc:
-            capillary_solve(init, ContinuationStep(mode, target))
+            capillary_solve(h0, 0.1, target, Continuation((target,), 3.0, 3.0, mode))
         assert exc.value.iterations == 0
 
     def test_first_target_past_the_threshold_stalls(self):
         # No positive profile exists at q = 1.4 > (2/3) sqrt(2) for mu = 1:
         # Newton from the small-flux guess stops when it finds no descent,
         # well before the budget, and the error says why.
-        step = ContinuationStep("fixed_flux", 1.4)
+        spec = Continuation((1.4,), mu=1.0, chi=1.0)
         with pytest.raises(NoConvergence, match="^Newton stalled at residual ") as exc:
-            capillary_solve(make_profile(Grid(n=64), 1.4, mu=1.0, chi=1.0), step)
+            flux_solve(Grid(n=64), 1.4, mu=1.0, chi=1.0)
         assert exc.value.reason == "stalled"
-        assert exc.value.iterations < step.max_newton
-        assert exc.value.residual_sup > step.tol
+        assert exc.value.iterations < spec.max_newton
+        assert exc.value.residual_sup > spec.tol
 
 
 class TestSolvability:
@@ -531,8 +524,7 @@ class TestSolvability:
 
     def test_capillary_profile_satisfies_identities(self):
         g = Grid(n=256)
-        init = make_profile(g, 0.1, mu=3.0, chi=3.0)
-        prof = capillary_solve(init, ContinuationStep("fixed_flux", 0.1))
+        prof = flux_solve(g, 0.1, mu=3.0, chi=3.0)
         rep = solvability_residuals(prof)
         assert abs(rep.r0) <= 1e-8
         assert abs(rep.r1) <= 1e-8
@@ -555,9 +547,9 @@ class TestSolvability:
         # Fixed-flux continuation up to q; criterion 9's tolerance.
         g = Grid(n=128)
         q = ratio * nonexistence_threshold(mu)
-        steps = [ContinuationStep("fixed_flux", f * q) for f in (0.25, 0.5, 0.75, 1.0)]
-        init = make_profile(g, steps[0].target, mu=mu, chi=chi)
-        prof = continue_branch(capillary_solve(init, steps[0]), steps[1:])[-1]
+        spec = Continuation(tuple(f * q for f in (0.25, 0.5, 0.75, 1.0)), mu, chi)
+        first = spec.targets[0]
+        prof = continue_branch(capillary_solve(asymptotic_guess(first, g), first, first, spec), spec)[-1]
         assert prof.q == q
         rep = solvability_residuals(prof)
         assert abs(rep.r0) <= 1e-6
@@ -569,7 +561,7 @@ class TestSolvability:
         g = Grid(n=128)
         prof = moffatt_profile(1.0, 0.5, g)
         scaled = SteadyProfile(h=PeriodicField(g, 2.0 * prof.h.values),
-                               q=1.0, mu=0.25, chi=0.0,
+                               q=1.0, mu=0.25,
                                residual_sup=0.0, mass=2.0 * prof.mass)
         a, b = solvability_residuals(prof), solvability_residuals(scaled)
         assert b.r0 == a.r0
@@ -578,7 +570,7 @@ class TestSolvability:
 
     def test_violation_flag(self):
         g = Grid(n=64)
-        fake = SteadyProfile(h=g.constant(1.0), q=1.0, mu=1.0, chi=0.0,
+        fake = SteadyProfile(h=g.constant(1.0), q=1.0, mu=1.0,
                              residual_sup=0.0, mass=math.tau)
         rep = solvability_residuals(fake)
         assert fake.beta == pytest.approx(1.0 / 3.0)
@@ -588,7 +580,7 @@ class TestSolvability:
 
     def test_needs_positive_profile(self):
         g = Grid(n=64)
-        bad = SteadyProfile(h=g.field(np.cos(g.x)), q=0.5, mu=1.0, chi=0.0,
+        bad = SteadyProfile(h=PeriodicField(g, np.cos(g.x)), q=0.5, mu=1.0,
                             residual_sup=0.0, mass=0.0)
         with pytest.raises(ValueError):
             solvability_residuals(bad)
@@ -597,11 +589,9 @@ class TestSolvability:
 class TestContinueBranch:
     def test_walks_schedule_and_stops_before_threshold(self):
         g = Grid(n=128)
-        start = capillary_solve(make_profile(g, 0.1, mu=3.0, chi=3.0),
-                                ContinuationStep("fixed_flux", 0.1))
-        targets = np.arange(0.15, 0.651, 0.05)
-        schedule = [ContinuationStep("fixed_flux", float(t)) for t in targets]
-        branch = continue_branch(start, schedule)
+        start = flux_solve(g, 0.1, mu=3.0, chi=3.0)
+        spec = Continuation((0.1, *np.arange(0.15, 0.651, 0.05).tolist()), mu=3.0, chi=3.0)
+        branch = continue_branch(start, spec)
         qs = [p.q for p in branch]
         assert len(branch) >= 3
         assert all(b >= a for a, b in zip(qs, qs[1:]))
@@ -615,11 +605,11 @@ class TestContinueBranch:
         # start is a solved profile, so a failed first step bisects its gap
         # just as a later one does.
         g = Grid(n=128)
-        start = capillary_solve(make_profile(g, 0.05, mu=1.0, chi=3.0),
-                                ContinuationStep("fixed_flux", 0.05))
+        start = flux_solve(g, 0.05, mu=1.0, chi=3.0)
+        spec = Continuation((0.05, 1.5), mu=1.0, chi=3.0)
         with pytest.raises((BranchLost, NoConvergence)):
-            capillary_solve(start, ContinuationStep("fixed_flux", 1.5))
-        branch = continue_branch(start, [ContinuationStep("fixed_flux", 1.5)])
+            capillary_solve(start.h, start.q, 1.5, spec)
+        branch = continue_branch(start, spec)
         qs = [p.q for p in branch]
         assert branch[0] is start and len(branch) >= 2
         assert all(b > a for a, b in zip(qs, qs[1:]))
@@ -627,12 +617,26 @@ class TestContinueBranch:
 
     def test_later_failure_bisects_without_raising(self):
         g = Grid(n=128)
-        start = capillary_solve(make_profile(g, 0.1, mu=1.0, chi=3.0),
-                                ContinuationStep("fixed_flux", 0.1))
-        branch = continue_branch(start, [ContinuationStep("fixed_flux", 0.3),
-                                         ContinuationStep("fixed_flux", 1.5)])
+        start = flux_solve(g, 0.1, mu=1.0, chi=3.0)
+        branch = continue_branch(start, Continuation((0.1, 0.3, 1.5), mu=1.0, chi=3.0))
         assert len(branch) >= 2
         assert branch[-1].q < nonexistence_threshold(1.0) + 1e-9
+
+    def test_fixed_mass_failure_bisects(self):
+        # No profile holds mass 3 (2 pi qn) at (mu, chi) = (1, 3): the branch
+        # ends near 1.81 (2 pi qn), at q about 0.55 qn, after bisecting that gap.
+        g = Grid(n=128)
+        scale = math.tau * nonexistence_threshold(1.0)
+        spec = Continuation((0.1 * scale, 3.0 * scale), mu=1.0, chi=3.0, mode="fixed_mass")
+        q0 = spec.targets[0] / g.length
+        start = capillary_solve(g.constant(q0), q0, spec.targets[0], spec)
+        branch = continue_branch(start, spec)
+        masses = [p.mass for p in branch]
+        assert branch[0] is start and len(branch) >= 3
+        assert all(b > a for a, b in zip(masses, masses[1:]))
+        assert all(float(np.min(p.h.values)) > 0.0 for p in branch)
+        assert all(p.residual_sup <= spec.tol for p in branch)
+        assert masses[-1] < spec.targets[-1]
 
 
 class TestBranchCsv:
