@@ -38,7 +38,7 @@ from .bounds import (
     local_existence_time,
 )
 from .evolve import DiagnosticsRecord, EvolveConfig, StepFailure, run
-from .grid import Grid, PeriodicField, d1, integrate
+from .grid import Grid, PeriodicField, d1, integrate, require_full_period
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     FLUX_BOUND_RATIO,
@@ -53,7 +53,6 @@ from .steady import (
     moffatt_profile,
     nonexistence_threshold,
     pukhnachov_bound,
-    require_full_period,
     solvability_residuals,
 )
 
@@ -220,6 +219,12 @@ def _section(name: str):
         raise ConfigError(f"[{name}] {exc}") from None
 
 
+def _require_full_period(grid: Grid, what: str) -> None:
+    """grid.require_full_period as a ConfigError on [grid] length."""
+    with _section("grid"):
+        require_full_period(grid, f"length: {what}")
+
+
 def _sections(text: str) -> dict:
     """The config text as {section: {key: text}}; nothing is checked but the syntax."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
@@ -265,10 +270,7 @@ def _build(raw: dict) -> RunConfig:
     if grid.n > MAX_GRID_N:
         raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {grid.n}")
     if mode == "steady":
-        try:
-            require_full_period(grid)
-        except ValueError as exc:
-            raise ConfigError(f"[grid] length: {exc}") from None
+        _require_full_period(grid, "steady profiles are")
 
     params = None
     if "params" in raw:
@@ -279,6 +281,8 @@ def _build(raw: dict) -> RunConfig:
             raise ConfigError("[params] forcing: the chi/mu form always uses sine forcing")
         keys = _read(raw, "params", *(("chi", "mu") if physical else ("a0", "a1", "a2", "a3")))
         forcing = keys.pop("forcing", "sine")
+        if physical or forcing == "sine":
+            _require_full_period(grid, "sine forcing is")
         with _section("params"):
             if physical:
                 params = from_physical(grid=grid, **keys)

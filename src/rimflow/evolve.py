@@ -43,12 +43,12 @@ Time stepping is backward Euler (L-stable, first order), split the way
 implicit integrators are (Hairer & Wanner, Solving ODEs II, IV.8): one
 implicit solve and one step-size controller around it.  _System.solve
 solves u - hold + dt div F(u) = 0 with the shared damped simplified-Newton
-solver rimflow.newton.newton on an analytic pentadiagonal-plus-corners
+solver rimflow.newton.newton on an analytic cyclic pentadiagonal
 Jacobian, and is the only caller of newton here.  It keeps the Jacobian's
-CyclicBandedFactor (one banded LU, the periodic corners added by a cached
-rank-4 correction) from solve to solve while dt is unchanged and the
-reused factor keeps contracting the residual by 0.3 a step, or lands
-within the tolerance; a new dt (a rejection, a step growth or a snapshot
+CyclicBandedFactor (one banded LU in a node order that puts the periodic
+corners inside the band) from solve to solve while dt is unchanged and the
+reused factor keeps contracting the residual by 0.3 a step, or lands within
+the tolerance; a new dt (a rejection, a step growth or a snapshot
 landing) or a poorer step refactors (see rimflow.newton).  It projects the
 mass defect out of every Newton direction, floors the tolerance at the
 representable residual, corrects a start other than hold at least once, so

@@ -1,11 +1,12 @@
 """Uniform periodic grid and the discrete calculus built on it.
 
-All spatial operators are second-order centered differences on a uniform
-periodic grid; quadrature is the periodic rectangle rule, which is
-spectrally accurate for smooth periodic integrands.
+d1 and gradient_sq are second-order centred differences, jump_terms the
+interface jump form both Newton solvers share; quadrature is the periodic
+rectangle rule, spectrally accurate for smooth periodic integrands.
 """
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -96,6 +97,12 @@ class Grid:
         )
 
 
+def require_full_period(grid: Grid, what: str) -> None:
+    """The one 2*pi check, for what needs a full period: "sine forcing is", "steady profiles are"."""
+    if abs(grid.length - TWO_PI) > 1e-9:
+        raise ValueError(f"{what} defined on a full period of length 2*pi, got {grid.length}")
+
+
 @dataclass(frozen=True)
 class PeriodicField:
     """Immutable sampled values on a periodic grid."""
@@ -174,52 +181,48 @@ def integrate(f: PeriodicField) -> float:
     return float(f.grid.dx * f.values.sum())
 
 
-class CyclicBandedFactor:
-    """LU factorization of a pentadiagonal matrix with periodic corners.
+@functools.lru_cache(maxsize=8)
+def _zigzag(n: int) -> tuple:
+    """Read-only (order, position, flat): node order 0, n-1, 1, n-2, ..., its inverse, and flat[k, i], the
+    index of bands[k][i] in the (n, 13) C-order transpose of band storage ab[8 + p - q, q] = A'[p, q]."""
+    i = np.arange(n)
+    position = np.minimum(2 * i, 2 * (n - 1 - i) + 1)
+    q = position[(i + np.arange(-2, 3)[:, None]) % n]
+    layout = np.argsort(position), position, 13 * q + 8 + position - q
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
-    bands has shape (5, n) with bands[k][i] = A[i, (i + k - 2) mod n].  The
-    six corner entries that wrap around the period are split off as
-    A = B + P K P^T, where B is the plain band, P holds the unit columns
-    e_0, e_1, e_{n-2}, e_{n-1} and K is the 4x4 corner block.  One dgbtrf
-    factors B; W = B^{-1} P and the Woodbury correction
-    G = W K (I + P^T W K)^{-1} are formed once, so solve() is one banded
-    back-substitution and one (n x 4)(4 x m) update.  Raises
-    np.linalg.LinAlgError when B or the 4x4 capacitance is singular;
-    det A = det B det(capacitance).  row_norm is ||A||_inf.
+
+class CyclicBandedFactor:
+    """LU factorization of a cyclic pentadiagonal matrix.
+
+    bands has shape (5, n) with bands[k][i] = A[i, (i + k - 2) mod n].  In
+    the zig-zag node order 0, n-1, 1, n-2, ... the entries that wrap around
+    the period lie inside a band of four sub- and four superdiagonals, so
+    one dgbtrf with partial pivoting, backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, 9.5), factors A'[p, q] =
+    A[order[p], order[q]].  solve() is one gather, one dgbtrs and one
+    gather back.  Raises np.linalg.LinAlgError on an exact zero pivot.
+    row_norm is ||A||_inf.
     """
 
     def __init__(self, bands: np.ndarray):
         n = bands.shape[1]
         if bands.shape != (5, n) or n < 5:
             raise ValueError(f"need bands of shape (5, n) with n >= 5, got {bands.shape}")
-        # LAPACK band storage: ab[4 + i - j, j] = B[i, j], rows 0-1 for fill-in.
-        ab = np.zeros((7, n), order="F")
-        ab[2, 2:] = bands[4, :-2]
-        ab[3, 1:] = bands[3, :-1]
-        ab[4] = bands[2]
-        ab[5, :-1] = bands[1, 1:]
-        ab[6, :-2] = bands[0, 2:]
-        self.lu, self.piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        self.n, (self.order, self.position, flat) = n, _zigzag(n)
+        ab = np.zeros((n, 13))
+        ab.reshape(-1)[flat] = bands
+        self.lu, self.piv, info = dgbtrf(ab.T, 4, 4, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular banded matrix")
-        self.n, self.corner_idx = n, np.array([0, 1, n - 2, n - 1])
-        p = np.zeros((n, 4), order="F")
-        p[self.corner_idx, np.arange(4)] = 1.0
-        w, _ = dgbtrs(self.lu, 2, 2, p, self.piv, overwrite_b=1)
-        corners = np.zeros((4, 4))
-        corners[0, 2], corners[0, 3], corners[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
-        corners[2, 0], corners[3, 0], corners[3, 1] = bands[4, n - 2], bands[3, n - 1], bands[4, n - 1]
-        capacitance = np.eye(4) + w[self.corner_idx, :] @ corners
-        self.correction = w @ (corners @ np.linalg.inv(capacitance))
         self.row_norm = float(np.abs(bands).sum(axis=0).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs for rhs of shape (n,) or (n, m)."""
+        """A^{-1} rhs for one right-hand side of shape (n,)."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[:1] != (self.n,):
-            raise ValueError(f"rhs needs {self.n} rows, got shape {rhs.shape}")
-        b = np.array(rhs.reshape(self.n, -1), order="F")
-        y, _ = dgbtrs(self.lu, 2, 2, b, self.piv, overwrite_b=1)
-        y -= self.correction @ y[self.corner_idx, :]
-        return y.reshape(rhs.shape)
-
+        if rhs.shape != (self.n,):
+            raise ValueError(f"rhs needs shape ({self.n},), got {rhs.shape}")
+        y, _ = dgbtrs(self.lu, 4, 4, rhs[self.order], self.piv, overwrite_b=1)
+        return y[self.position]

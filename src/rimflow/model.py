@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, Grid, PeriodicField, _centred_diff, d1, periodic_pad
+from .grid import Grid, PeriodicField, _centred_diff, d1, periodic_pad, require_full_period
 
 THETA_RANGE = (0.0, 0.4)
 
@@ -67,10 +67,7 @@ class Forcing:
 
     @classmethod
     def sine(cls, grid: Grid) -> "Forcing":
-        if abs(grid.length - TWO_PI) > 1e-9:
-            raise ValueError(
-                f"sine forcing needs a domain of length 2*pi, got {grid.length}"
-            )
+        require_full_period(grid, "sine forcing is")
         x = grid.x
         return cls(grid, np.sin(x), np.cos(x), np.cos(x + 0.5 * grid.dx))
 

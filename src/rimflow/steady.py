@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TWO_PI, CyclicBandedFactor, Grid, PeriodicField, integrate, jump_coefficients, jump_terms
+from .grid import (CyclicBandedFactor, Grid, PeriodicField, integrate, jump_coefficients, jump_terms,
+                   require_full_period)
 from .newton import newton
 
 FLUX_BOUND_RATIO = 8.0 / 27.0
@@ -127,12 +128,6 @@ def pukhnachov_bound(mu: float) -> float:
     return 2.0 * math.sqrt(3.0 / mu)
 
 
-def require_full_period(grid: Grid) -> None:
-    """The steady layer's one 2*pi check, also run on a steady config's [grid]."""
-    if abs(grid.length - TWO_PI) > 1e-9:
-        raise ValueError(f"steady profiles are defined on a full period of length 2*pi, got {grid.length}")
-
-
 def _polish(mu: float, q: float, c: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One Newton step on (mu c/3) h^3 - h + q = 0, kept only where it does not raise |residual|.
 
@@ -188,7 +183,7 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     """
     if not (mu > 0.0 and q > 0.0):
         raise ValueError("mu and q must be positive")
-    require_full_period(grid)
+    require_full_period(grid, "steady profiles are")
     cosx = np.cos(grid.x)
     far = np.abs(cosx) >= 1e-14
     c = cosx[far]
@@ -212,7 +207,7 @@ def asymptotic_guess(q: float, grid: Grid) -> PeriodicField:
     """Small-flux expansion h = q + (q^3/3) cos x, a Newton starter for small q."""
     if not (q > 0.0):
         raise ValueError("q must be positive")
-    require_full_period(grid)
+    require_full_period(grid, "steady profiles are")
     return PeriodicField(grid, q + (q**3 / 3.0) * np.cos(grid.x))
 
 
@@ -273,7 +268,7 @@ def capillary_solve(h: PeriodicField, q: float, target: float, spec: Continuatio
     if not (spec.chi > 0.0):
         raise ValueError("capillary solve needs chi > 0")
     grid = h.grid
-    require_full_period(grid)
+    require_full_period(grid, "steady profiles are")
     mu, chi, n, dx = spec.mu, spec.chi, grid.n, grid.dx
     c1, c3, cosx = chi / (3.0 * dx), chi / (3.0 * dx**3), np.cos(grid.x)
     fixed_mass = spec.mode == "fixed_mass"
@@ -320,7 +315,7 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     satisfies both beyond beta = 8/27 (FLUX_BOUND_RATIO).
     """
     grid = prof.h.grid
-    require_full_period(grid)
+    require_full_period(grid, "steady profiles are")
     hv = prof.h.values
     if float(np.min(hv)) <= 0.0:
         raise ValueError("solvability residuals need a strictly positive profile")

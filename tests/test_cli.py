@@ -638,6 +638,26 @@ class TestModeAndParseErrors:
         assert needle in single_error(capsys, "ConfigError")["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("params", [
+        "chi = 1.0\nmu = 1.0",
+        "a0 = 1.0\na1 = 16.0\na2 = 0.0\na3 = 0.0",
+        "a0 = 1.0\na1 = 16.0\na2 = 0.0\na3 = 0.0\nforcing = sine",
+    ], ids=["chi_mu", "default_forcing", "sine_forcing"])
+    def test_sine_forcing_off_two_pi_is_a_grid_length_error(self, tmp_path, capsys, params):
+        # The steady profiles' 2*pi rule, with the same message form and exit code.
+        out = tmp_path / "out"
+        text = (EVOLVE_TEMPLATE.format(out=out).replace("n = 64\n", "n = 64\nlength = 4.0\n")
+                .replace("a0 = 1.0\na1 = 16.0\na2 = 0.0\na3 = 0.0", params))
+        message = "[grid] length: sine forcing is defined on a full period of length 2*pi, got 4.0"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+        assert main(["evolve", write_cfg(tmp_path, text)]) == 2
+        assert single_error(capsys, "ConfigError")["message"] == message
+        assert not out.exists()
+        constant = text.replace(params, "a0 = 1.0\na1 = 16.0\na2 = 0.0\na3 = 0.0\nforcing = constant")
+        assert parse_config(constant).grid.length == 4.0
+
     @pytest.mark.parametrize("initial,unread", [
         ("kind = constant\nvalue = 0.3\nmean = 0.5\ncos = 0.1\npath = nowhere.csv",
          "kind=constant does not take key(s) ['cos', 'mean', 'path']"),

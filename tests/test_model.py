@@ -18,6 +18,7 @@ from rimflow.model import (
     mobility,
     mobility_derivative,
 )
+from rimflow.steady import asymptotic_guess
 
 from oracles import alpha_entropy, sample
 
@@ -68,6 +69,17 @@ class TestForcing:
     def test_sine_needs_full_period(self):
         with pytest.raises(ValueError):
             Forcing.sine(Grid(n=64, length=1.0))
+
+    @pytest.mark.parametrize("length", [1.0, 6.2831853, 2.0 * math.pi + 2e-9])
+    def test_sine_forcing_and_steady_share_one_full_period_rule(self, length):
+        g = Grid(n=64, length=length)
+        with pytest.raises(ValueError, match=rf"^sine forcing is defined .* 2\*pi, got {length}$"):
+            Forcing.sine(g)
+        with pytest.raises(ValueError, match=rf"^steady profiles are defined .* 2\*pi, got {length}$"):
+            asymptotic_guess(0.2, g)
+        near = Grid(n=64, length=2.0 * math.pi * (1.0 + 1e-12))
+        Forcing.sine(near)
+        asymptotic_guess(0.2, near)
 
     def test_sine_interface_samples_are_analytic(self):
         g = Grid(n=64)
