@@ -121,7 +121,8 @@ def local_existence_time(h: PeriodicField, p: Params) -> float:
         return math.inf
     if float(np.min(h.values)) <= 0.0:
         return 0.0
-    v0 = gradient_sq(h) + 2.0 * (cc.c3 / p.a0) * integrate(h.with_values(entropy_G(h.values, 0.0)))
+    entropy = integrate(h.with_values(entropy_G(h.values, 0.0)))
+    v0 = gradient_sq(h.values, h.grid.dx) + 2.0 * (cc.c3 / p.a0) * entropy
     return 9.0 / (40.0 * cc.c9) * min(1.0, v0**-2)
 
 
@@ -131,7 +132,7 @@ def interpolation_check(h: PeriodicField) -> BoundReport:
         raise ValueError("interpolation bound applies to nonnegative fields")
     L = h.grid.length
     mass = integrate(h)
-    grad_sq = gradient_sq(h)
+    grad_sq = gradient_sq(h.values, h.grid.dx)
     lhs = float(h.grid.dx * np.sum(h.values**2))
     rhs = 6.0 ** (2.0 / 3.0) * mass ** (4.0 / 3.0) * grad_sq ** (1.0 / 3.0) + mass**2 / L
     return BoundReport.check("interpolation", lhs, rhs, tolerance=1e-12 * max(1.0, abs(rhs)))
@@ -140,15 +141,14 @@ def interpolation_check(h: PeriodicField) -> BoundReport:
 def k_constant(p: Params, k1: float, mass: float) -> float:
     """Linear-in-time energy production rate K = |a2 a3| ||w'||_inf (|domain|^2 sqrt(K1) + 2M).
 
-    K1 is math.inf once a run touches zero.  K is then inf, or 0 when the
-    coefficient |a2 a3| ||w'||_inf vanishes, where the product reads 0 * inf.
+    K1 is math.inf once a run touches zero, NaN when evolve.run skipped it
+    (only when the coefficient vanishes).  K is then inf, or 0 when the
+    coefficient vanishes, where the product reads 0 * inf or 0 * NaN.
     """
     if k1 < 0.0:
         raise ValueError("K1 must be nonnegative")
-    coeff = abs(p.a2 * p.a3) * p.w.sup_wp
-    if coeff == 0.0:
-        return 0.0
-    return coeff * (p.grid.length**2 * math.sqrt(k1) + 2.0 * mass)
+    coeff = p.k_coefficient
+    return 0.0 if coeff == 0.0 else coeff * (p.grid.length**2 * math.sqrt(k1) + 2.0 * mass)
 
 
 def k3_constant(p: Params, mass: float) -> float:

@@ -26,18 +26,16 @@ returns, so step hands that evaluation over.  run queues each accepted
 step's dt, state and terms, and evaluates the monitors over a stack of up
 to MONITOR_BLOCK_VALUES // n steps: one numpy call per term for the whole
 block, each row reduced along the last axis, since at n = 256 numpy's fixed
-cost per call, not arithmetic, is what the monitors cost.  It forms t1 =
-d_i/dx and t3 on the interfaces 0..n-1 there, from the queued jumps, so
-Newton's residuals form neither.  The per-step scalars are then folded into
-the running sums and maxima in step order.  The queue is emptied at every
-snapshot and before a StepFailure propagates, so each record and a partial
-trajectory cover every accepted step.  Elementwise operations and row
-reductions on a stack give the bits of the same calls on each row, so no
-monitor depends on the block size.  Only what steers the run is read at
-every step: the steady-exit rate and the Newton tolerance in force.  The
-snapshot functionals (energy, h1, gradient_sq) use the centred gradient
-grid.d1, as model.energy does; gradient_sq is grid.gradient_sq, the form
-the bound monitors use.
+cost per call, not arithmetic, is what the monitors cost.  It forms t3
+there from the queued jumps, so Newton's residuals do not.  The per-step
+scalars are then folded into the running sums and maxima in step order.
+The queue is emptied at every snapshot and before a StepFailure propagates,
+so each record and a partial trajectory cover every accepted step.
+Elementwise operations and row reductions on a stack give the bits of the
+same calls on each row, so no monitor depends on the block size.  Only what
+steers the run is read at every step: the steady-exit rate and the Newton
+tolerance in force.  K1 is evaluated only when p.k_coefficient, its factor
+in bounds.k_constant, is nonzero; else k1_observed is NaN.
 
 Time stepping is backward Euler (L-stable, first order), split the way
 implicit integrators are (Hairer & Wanner, Solving ODEs II, IV.8): one
@@ -188,7 +186,7 @@ class Trajectory:
     step_count: int
     energy_rise_max: float  # largest rise between consecutive steps' energies; 0 before two steps
     newton_tol_effective: float  # largest tolerance in force over accepted steps
-    k1_observed: float
+    k1_observed: float  # largest K1 over the run; NaN when p.k_coefficient is 0
     supcube_time_integral: float
 
     @property
@@ -362,8 +360,8 @@ def _entropy(v: np.ndarray, dx: float, epsilon: float):
     return dx * entropy_G(v, epsilon).sum(axis=-1)
 
 
-def _k1_terms(u: np.ndarray, t1: np.ndarray, dx: float, epsilon: float) -> tuple:
-    """Per row of the stacks u, t1: (positive, dx sum t1^2, entropy), as lists.
+def _k1_terms(u: np.ndarray, dx: float, epsilon: float) -> tuple:
+    """Per row of the stack u: (positive, gradient_sq, entropy), as lists.
 
     Only rows with min > 0 reach entropy_G; the others read inf, and their
     K1 is inf.
@@ -372,13 +370,13 @@ def _k1_terms(u: np.ndarray, t1: np.ndarray, dx: float, epsilon: float) -> tuple
     ent = np.full(len(u), math.inf)
     if positive.any():
         ent[positive] = _entropy(u[positive], dx, epsilon)
-    return positive.tolist(), (dx * (t1**2).sum(axis=-1)).tolist(), ent.tolist()
+    return positive.tolist(), gradient_sq(u, dx).tolist(), ent.tolist()
 
 
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
     l2_sq = float(dx * (v * v).sum())
-    grad_sq = gradient_sq(h)
+    grad_sq = gradient_sq(v, dx)
     min_h = float(v.min())
     if min_h > 0.0:
         entropy0, entropy_eps = float(_entropy(v, dx, 0.0)), float(_entropy(v, dx, cfg.knobs.epsilon))
@@ -408,8 +406,8 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     state = EvolveState(t=0.0, h=initial_lift(h0, cfg.knobs), dt=cfg.dt_init)
     sysm = _System(state.h.grid, p, cfg.knobs)
     dx, epsilon = sysm.dx, cfg.knobs.epsilon
-    a_ratio = p.a1 / p.a0
-    k1_weight = a_ratio * (a_ratio + 2.0 * cfg.knobs.delta)
+    with_k1 = p.k_coefficient != 0.0  # else bounds.k_constant never reads K1
+    k1_weight = (p.a1 / p.a0) * (p.a1 / p.a0 + 2.0 * cfg.knobs.delta)
     block = max(1, MONITOR_BLOCK_VALUES // state.h.grid.n)
     pending = []  # (dt_used, u, d, g, f) of accepted steps not yet in the monitors
     diss_cum = diss3_cum = e_prev = 0.0
@@ -422,41 +420,35 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         nonlocal diss_cum, diss3_cum, e_prev
         if not pending:
             return
-        dts, *rows = zip(*pending)
+        dts, u, d, g, f = zip(*pending)
         pending.clear()
-        u, d, g, f = (np.stack(r) for r in rows)
-        # The monitors read interfaces 0..n-1: jumps d[2:-1], g and f[1:].
-        t1 = d[:, 2:-1] / dx
-        t3 = (d[:, 3:] - 2.0 * d[:, 2:-1] + d[:, 1:-2]) / dx**3
-        g, f = g[:, 1:], f[:, 1:]
+        # The monitors read interfaces 0..n-1: g and f[1:], and t3 the jumps d[1:].
+        u, g, f = np.stack(u), np.stack(g)[:, 1:], np.stack(f)[:, 1:]
         diss = (dx * (f * g**2).sum(axis=-1)).tolist()
-        diss3 = (dx * (f * t3**2).sum(axis=-1)).tolist()
-        positive, grad, ent = _k1_terms(u, t1, dx, epsilon)
+        if with_k1:
+            d = np.stack(d)
+            t3 = (d[:, 3:] - 2.0 * d[:, 2:-1] + d[:, 1:-2]) / dx**3
+            diss3 = (dx * (f * t3**2).sum(axis=-1)).tolist()
+            positive, grad, ent = _k1_terms(u, dx, epsilon)
         sup = np.abs(u).max(axis=-1).tolist()
         energies = energy(u, p).tolist()
         for i, dt_used in enumerate(dts):
             diss_cum += dt_used * diss[i]
-            diss3_cum += dt_used * diss3[i]
             traj.supcube_time_integral += dt_used * sup[i]**3
-            traj.k1_observed = max(traj.k1_observed, k1(positive[i], grad[i], ent[i]))
+            if with_k1:
+                diss3_cum += dt_used * diss3[i]
+                traj.k1_observed = max(traj.k1_observed, k1(positive[i], grad[i], ent[i]))
             if traj.step_count > 0:
                 rise = energies[i] - e_prev
                 traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
             traj.step_count += 1
             e_prev = energies[i]
 
-    u0 = state.h.values
-    d0 = sysm.interface_values(u0)[1]
-    positive, grad, ent = _k1_terms(u0[None], d0[None, 2:-1] / dx, dx, epsilon)
-    traj = Trajectory(
-        snapshots=[],
-        termination="t_end",
-        step_count=0,
-        energy_rise_max=0.0,
-        newton_tol_effective=0.0,
-        k1_observed=k1(positive[0], grad[0], ent[0]),
-        supcube_time_integral=0.0,
-    )
+    traj = Trajectory(snapshots=[], termination="t_end", step_count=0, energy_rise_max=0.0,
+                      newton_tol_effective=0.0, k1_observed=math.nan, supcube_time_integral=0.0)
+    if with_k1:
+        positive, grad, ent = _k1_terms(state.h.values[None], dx, epsilon)
+        traj.k1_observed = k1(positive[0], grad[0], ent[0])
 
     # A requested time within 1e-14 (relative) of the next target, or of t = 0,
     # is dropped: no step fits between them, so both would record one state.

@@ -1,8 +1,8 @@
 """Uniform periodic grid and the discrete calculus built on it.
 
-d1 and gradient_sq are second-order centred differences, jump_terms the
-interface jump form both Newton solvers share; quadrature is the periodic
-rectangle rule, spectrally accurate for smooth periodic integrands.
+d1 is the centred difference, gradient_sq sums squared compact jumps, and
+jump_terms is the interface jump form both Newton solvers share; quadrature
+is the periodic rectangle rule, spectrally accurate for smooth integrands.
 """
 from __future__ import annotations
 
@@ -146,9 +146,10 @@ def d1(f: PeriodicField) -> PeriodicField:
     return f.with_values(_centred_diff(f.values, f.grid.dx))
 
 
-def gradient_sq(f: PeriodicField) -> float:
-    """Integral of the squared centred gradient, dx * sum(d1(f)^2)."""
-    return float(f.grid.dx * (_centred_diff(f.values, f.grid.dx) ** 2).sum())
+def gradient_sq(v: np.ndarray, dx: float):
+    """sum((v[i+1] - v[i])^2) / dx, the flux's periodic jumps, along the last axis: a float or one per row."""
+    s = (np.diff(v, axis=-1, append=v[..., :1]) ** 2).sum(axis=-1) / dx
+    return float(s) if v.ndim == 1 else s
 
 
 def jump_terms(v: np.ndarray, c1: float, c3: float) -> tuple:

@@ -116,6 +116,11 @@ class Params:
     def grid(self) -> Grid:
         return self.w.grid
 
+    @property
+    def k_coefficient(self) -> float:
+        """|a2 a3| sup|w'|, the factor of K1 in bounds.k_constant: K1 bounds nothing when it is 0."""
+        return abs(self.a2 * self.a3) * self.w.sup_wp
+
 
 def from_physical(chi: float, mu: float, grid: Optional[Grid] = None) -> Params:
     """Coefficients for the rotating-cylinder film: a0 = a1 = chi/3, a2 = -mu/3, a3 = 1, w = sin."""
@@ -165,6 +170,8 @@ def energy(h, p: Params):
 
     h is a PeriodicField on p's grid (a float is returned), or an array
     whose rows are samples on that grid (an array of each row's energy).
+    h_x is centred, not grid.gradient_sq's compact jump: the dissipation
+    ledger closes on a compact energy only with the backward-Euler remainder.
     """
     if isinstance(h, PeriodicField):
         if h.grid != p.grid:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rimflow.bounds import (
@@ -143,6 +145,31 @@ class TestInterpolation:
         g = Grid(n=64)
         with pytest.raises(ValueError):
             interpolation_check(PeriodicField(g, np.cos(g.x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(4, 512).map(lambda k: 2 * k),
+        kind=st.sampled_from(["uniform", "eighth_power", "spike", "alternating"]),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(0.0, 1.0),
+    )
+    @example(n=64, kind="alternating", seed=0, a=0.5)
+    def test_discrete_inequality_on_rough_nonnegative_data(self, n, kind, seed, a):
+        # The inequality holds for the discrete gradient the flux uses.  The
+        # alternating field 1 + a (-1)^i is the grid-scale mode, which a
+        # centred difference reads as flat: with it, a = 0.5 at n = 64 gives
+        # lhs 7.854 > rhs 6.283.
+        g = Grid(n=n)
+        rng = np.random.default_rng(seed)
+        if kind == "alternating":
+            v = 1.0 + a * (-1.0) ** np.arange(n)
+        elif kind == "spike":
+            v = np.zeros(n)
+            v[rng.integers(n)] = 1.0
+        else:
+            v = rng.uniform(0.0, 1.0, n) ** (8 if kind == "eighth_power" else 1)
+        rep = interpolation_check(PeriodicField(g, v))
+        assert rep.satisfied, rep
 
 
 class TestGrowthConstants:

@@ -22,7 +22,7 @@ from rimflow.evolve import (
     run,
     step,
 )
-from rimflow.grid import Grid, PeriodicField, integrate
+from rimflow.grid import Grid, PeriodicField, gradient_sq, integrate
 from rimflow.newton import NewtonStats, newton
 from rimflow.model import (
     Forcing,
@@ -625,11 +625,11 @@ class TestRun:
         return run(random_positive(g, 5, mean=0.3, amp=0.02), p, cfg), calls
 
     def test_monitors_read_newtons_last_flux_evaluation(self, monkeypatch):
-        # The accounting evaluates no interface values of its own: only the
-        # residuals, the Jacobians and the initial K1 do.
+        # The accounting evaluates no interface values of its own, nor does
+        # the initial K1: only the residuals and the Jacobians do.
         traj, calls = self._counted_run(monkeypatch)
         assert traj.step_count > 10
-        assert calls["interface_values"] == calls["residual"] + calls["jacobian"] + 1
+        assert calls["interface_values"] == calls["residual"] + calls["jacobian"]
 
     def test_step_leaves_the_flux_terms_of_the_accepted_state(self, monkeypatch):
         # The accounting reads sysm.last_flux after each step: it must hold
@@ -660,7 +660,7 @@ class TestRun:
         monkeypatch.setattr(rimflow.evolve, "newton", copying_newton)
         fresh, fresh_calls = self._counted_run(monkeypatch)
         assert (fresh_calls["interface_values"]
-                == fresh_calls["residual"] + fresh_calls["jacobian"] + 1 + fresh.step_count)
+                == fresh_calls["residual"] + fresh_calls["jacobian"] + fresh.step_count)
         assert fresh.step_count == traj.step_count
         # float.hex tells every bit apart, signed zeros included.
         assert ([r.dissipation_cum.hex() for r in fresh.records]
@@ -680,13 +680,17 @@ class TestRun:
         assert diss[0] == 0.0
         assert all(b >= a for a, b in zip(diss, diss[1:]))
         assert traj.supcube_time_integral > 0.0
-        assert math.isfinite(traj.k1_observed)
+        # K1 feeds only bounds.k_constant, which reads it only when a2 a3 sup|w'| != 0.
+        assert p.k_coefficient == 0.0 and math.isnan(traj.k1_observed)
+        p = make_params(g, a=(1.0, 16.0, -8.0, 3.0))
+        assert p.k_coefficient > 0.0
+        assert math.isfinite(run(random_positive(g, 4, mean=0.3, amp=0.02), p, cfg).k1_observed)
 
 
 class TestRecord:
     def test_norms_of_shifted_cos(self):
-        # h = c + cos x: l2^2 = 2 pi c^2 + pi, and the centred gradient adds
-        # pi up to O(dx^2).
+        # h = c + cos x: l2^2 = 2 pi c^2 + pi, and the compact gradient adds
+        # pi (2 sin(dx/2)/dx)^2 = pi up to O(dx^2).
         g = Grid(n=256)
         c = 2.0
         rec = _record(sample(g, lambda x: c + np.cos(x)), 0.0, make_params(g),
@@ -729,7 +733,7 @@ class TestRecord:
         traj = run(h0, p, EvolveConfig(t_end=1e-6, dt_init=1e-6, dt_max=1e-6, knobs=knobs))
         rec = traj.records[0]
         v = h0.values + (epsilon**knobs.theta if epsilon > 0.0 else 0.0)
-        grad = np.array([(v[(i + 1) % n] - v[i - 1]) / (2.0 * dx) for i in range(n)])
+        grad = np.array([(v[(i + 1) % n] - v[i]) / dx for i in range(n)])
         assert rec.t == 0.0
         assert rec.mass == pytest.approx(dx * np.sum(v), rel=1e-13)
         assert rec.l2 == pytest.approx(math.sqrt(dx * np.sum(v**2)), rel=1e-13)
@@ -885,10 +889,10 @@ class TestMonitorBlocks:
         g = Grid(n=256)
         rows = np.stack([random_positive(g, s).values for s in range(7)])
         rows[3, 10] = 0.0
-        t1 = np.stack([np.sin((k + 1) * g.x) for k in range(7)])
-        positive, grad, ent = _k1_terms(rows, t1, g.dx, 1e-4)
+        positive, grad, ent = _k1_terms(rows, g.dx, 1e-4)
         assert positive == [k != 3 for k in range(7)]
         assert ent[3] == math.inf
+        for k in range(7):
+            assert grad[k].hex() == gradient_sq(rows[k], g.dx).hex()
         for k in (0, 1, 2, 4, 5, 6):
             assert ent[k].hex() == float(g.dx * entropy_G(rows[k], 1e-4).sum()).hex()
-            assert grad[k].hex() == float(g.dx * (t1[k] ** 2).sum()).hex()
