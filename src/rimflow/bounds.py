@@ -116,24 +116,25 @@ def local_existence_time(h: PeriodicField, p: Params) -> float:
     Returns math.inf when c9 vanishes (the bound degenerates to no constraint)
     and 0.0 when the field touches zero, where the entropy term is infinite.
     """
-    cc = c_constants(p, integrate(h), delta=0.0)
+    v, dx = h.values, h.grid.dx
+    cc = c_constants(p, integrate(v, dx), delta=0.0)
     if cc.c9 == 0.0:
         return math.inf
-    if float(np.min(h.values)) <= 0.0:
+    if float(np.min(v)) <= 0.0:
         return 0.0
-    entropy = integrate(h.with_values(entropy_G(h.values, 0.0)))
-    v0 = gradient_sq(h.values, h.grid.dx) + 2.0 * (cc.c3 / p.a0) * entropy
+    entropy = integrate(entropy_G(v, 0.0), dx)
+    v0 = gradient_sq(v, dx) + 2.0 * (cc.c3 / p.a0) * entropy
     return 9.0 / (40.0 * cc.c9) * min(1.0, v0**-2)
 
 
 def interpolation_check(h: PeriodicField) -> BoundReport:
     """||h||_2^2 <= 6^(2/3) M^(4/3) (int h_x^2)^(1/3) + M^2/|domain| for h >= 0."""
-    if float(np.min(h.values)) < 0.0:
+    v, dx, L = h.values, h.grid.dx, h.grid.length
+    if float(np.min(v)) < 0.0:
         raise ValueError("interpolation bound applies to nonnegative fields")
-    L = h.grid.length
-    mass = integrate(h)
-    grad_sq = gradient_sq(h.values, h.grid.dx)
-    lhs = float(h.grid.dx * np.sum(h.values**2))
+    mass = integrate(v, dx)
+    grad_sq = gradient_sq(v, dx)
+    lhs = integrate(v**2, dx)
     rhs = 6.0 ** (2.0 / 3.0) * mass ** (4.0 / 3.0) * grad_sq ** (1.0 / 3.0) + mass**2 / L
     return BoundReport.check("interpolation", lhs, rhs, tolerance=1e-12 * max(1.0, abs(rhs)))
 

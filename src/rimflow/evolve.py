@@ -20,7 +20,7 @@ slices.  It telescopes, so the discrete mass is conserved identically.
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
 derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  They read the terms (m, d, g, f) that _System keeps of its
+of the scheme.  They read the terms (d, g, f) that _System keeps of its
 last flux evaluation: Newton's last residual is taken at the very array it
 returns, so step hands that evaluation over.  run queues each accepted
 step's dt, state and terms, and evaluates the monitors over a stack of up
@@ -225,7 +225,7 @@ class _System:
         self.drive = None if params.a2 == 0.0 else params.a2 * periodic_pad(params.w.wp_mid, 1)[:-1]
         self._factor, self._factor_dt = None, None  # kept by solve() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
-        self.last_flux = None  # (u, (m, d, g, f)) of the last interface_flux call
+        self.last_flux = None  # (u, (d, g, f)) of the last interface_flux call
 
     def interface_values(self, u: np.ndarray):
         """(m, d, g): interface mean and driving term on interfaces -1..n-1, jumps on -2..n.
@@ -243,7 +243,7 @@ class _System:
         """f(m) g + a3 m on interfaces -1..n-1."""
         m, d, g = self.interface_values(u)
         f = mobility(m, self.knobs)
-        self.last_flux = (u, (m, d, g, f))
+        self.last_flux = (u, (d, g, f))
         F = f * g
         if self.params.a3 != 0.0:
             F += self.params.a3 * m
@@ -355,11 +355,6 @@ def step(state: EvolveState, cfg: EvolveConfig, sysm: _System) -> EvolveState:
     )
 
 
-def _entropy(v: np.ndarray, dx: float, epsilon: float):
-    """dx * sum G_eps(v) along the last axis: the touchdown entropy of strictly positive samples."""
-    return dx * entropy_G(v, epsilon).sum(axis=-1)
-
-
 def _k1_terms(u: np.ndarray, dx: float, epsilon: float) -> tuple:
     """Per row of the stack u: (positive, gradient_sq, entropy), as lists.
 
@@ -369,26 +364,27 @@ def _k1_terms(u: np.ndarray, dx: float, epsilon: float) -> tuple:
     positive = u.min(axis=-1) > 0.0
     ent = np.full(len(u), math.inf)
     if positive.any():
-        ent[positive] = _entropy(u[positive], dx, epsilon)
+        ent[positive] = integrate(entropy_G(u[positive], epsilon), dx)
     return positive.tolist(), gradient_sq(u, dx).tolist(), ent.tolist()
 
 
 def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
-    l2_sq = float(dx * (v * v).sum())
+    l2_sq = integrate(v * v, dx)
     grad_sq = gradient_sq(v, dx)
     min_h = float(v.min())
     if min_h > 0.0:
-        entropy0, entropy_eps = float(_entropy(v, dx, 0.0)), float(_entropy(v, dx, cfg.knobs.epsilon))
+        entropy0 = integrate(entropy_G(v, 0.0), dx)
+        entropy_eps = integrate(entropy_G(v, cfg.knobs.epsilon), dx)
     else:
         entropy0 = entropy_eps = math.inf
     return DiagnosticsRecord(
         t=t,
-        mass=integrate(h),
+        mass=integrate(v, dx),
         l2=math.sqrt(l2_sq),
         h1=math.sqrt(l2_sq + grad_sq),
         min_h=min_h,
-        energy=energy(h, p),
+        energy=energy(v, p),
         entropy0=entropy0,
         entropy_eps=entropy_eps,
         gradient_sq=grad_sq,
@@ -424,11 +420,11 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
         pending.clear()
         # The monitors read interfaces 0..n-1: g and f[1:], and t3 the jumps d[1:].
         u, g, f = np.stack(u), np.stack(g)[:, 1:], np.stack(f)[:, 1:]
-        diss = (dx * (f * g**2).sum(axis=-1)).tolist()
+        diss = integrate(f * g**2, dx).tolist()
         if with_k1:
             d = np.stack(d)
             t3 = (d[:, 3:] - 2.0 * d[:, 2:-1] + d[:, 1:-2]) / dx**3
-            diss3 = (dx * (f * t3**2).sum(axis=-1)).tolist()
+            diss3 = integrate(f * t3**2, dx).tolist()
             positive, grad, ent = _k1_terms(u, dx, epsilon)
         sup = np.abs(u).max(axis=-1).tolist()
         energies = energy(u, p).tolist()
@@ -474,7 +470,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             # the flux terms step left there, a block of steps at a time.
             dt_used = new.t - state.t
             u = new.h.values
-            pending.append((dt_used, u, *sysm.last_flux[1][1:]))
+            pending.append((dt_used, u, *sysm.last_flux[1]))
             if len(pending) == block:
                 flush()
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)

@@ -1,8 +1,10 @@
 """Uniform periodic grid and the discrete calculus built on it.
 
-d1 is the centred difference, gradient_sq sums squared compact jumps, and
-jump_terms is the interface jump form both Newton solvers share; quadrature
-is the periodic rectangle rule, spectrally accurate for smooth integrands.
+Every functional is composed from three reductions on bare samples along
+the last axis: integrate, the one quadrature (the periodic rectangle rule,
+exact for trigonometric polynomials below the grid cutoff), d1, the centred
+difference, and gradient_sq, the sum of squared compact jumps.  jump_terms
+is the interface jump form both Newton solvers share.
 """
 from __future__ import annotations
 
@@ -135,15 +137,16 @@ def periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((v[..., -width:], v, v[..., :width]), axis=-1)
 
 
-def _centred_diff(v: np.ndarray, dx: float) -> np.ndarray:
-    """(v[i+1] - v[i-1]) / (2 dx) along the last axis of v: d1's formula on bare samples."""
+def integrate(v: np.ndarray, dx: float):
+    """dx * sum(v) along the last axis, the periodic rectangle rule: a float or one per row."""
+    s = dx * v.sum(axis=-1)
+    return float(s) if v.ndim == 1 else s
+
+
+def d1(v: np.ndarray, dx: float) -> np.ndarray:
+    """(v[i+1] - v[i-1]) / (2 dx) along the last axis of v: the centred first derivative, second order."""
     p = periodic_pad(v, 1)
     return (p[..., 2:] - p[..., :-2]) / (2.0 * dx)
-
-
-def d1(f: PeriodicField) -> PeriodicField:
-    """Centered first derivative, second order."""
-    return f.with_values(_centred_diff(f.values, f.grid.dx))
 
 
 def gradient_sq(v: np.ndarray, dx: float):
@@ -175,11 +178,6 @@ def jump_terms(v: np.ndarray, c1: float, c3: float) -> tuple:
 def jump_coefficients(c1: float, c3: float) -> tuple:
     """dg_i/dv_{i-1..i+2} of jump_terms' g on interface i: (-c3, 3 c3 - c1, c1 - 3 c3, c3)."""
     return -c3, 3.0 * c3 - c1, c1 - 3.0 * c3, c3
-
-
-def integrate(f: PeriodicField) -> float:
-    """Periodic rectangle rule, exact for trigonometric polynomials below the grid cutoff."""
-    return float(f.grid.dx * f.values.sum())
 
 
 @functools.lru_cache(maxsize=8)

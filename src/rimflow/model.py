@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, PeriodicField, _centred_diff, d1, periodic_pad, require_full_period
+from .grid import Grid, PeriodicField, d1, integrate, periodic_pad, require_full_period
 
 THETA_RANGE = (0.0, 0.4)
 
@@ -73,9 +73,9 @@ class Forcing:
 
     @classmethod
     def tabulated(cls, grid: Grid, w) -> "Forcing":
-        wf = PeriodicField(grid, w)
-        wp = d1(wf).values
-        return cls(grid, wf.values, wp, 0.5 * (wp + periodic_pad(wp, 1)[2:]))
+        w = PeriodicField(grid, w).values
+        wp = d1(w, grid.dx)
+        return cls(grid, w, wp, 0.5 * (wp + periodic_pad(wp, 1)[2:]))
 
     @classmethod
     def constant(cls, grid: Grid, value: float = 0.0) -> "Forcing":
@@ -84,15 +84,15 @@ class Forcing:
     # Norms used by the a priori constants.
     @property
     def sup_w(self) -> float:
-        return float(np.max(np.abs(self.w)))
+        return float(np.abs(self.w).max())
 
     @property
     def sup_wp(self) -> float:
-        return float(np.max(np.abs(self.wp)))
+        return float(np.abs(self.wp).max())
 
     @property
     def l2_wp(self) -> float:
-        return math.sqrt(self.grid.dx * float(np.sum(self.wp**2)))
+        return math.sqrt(integrate(self.wp**2, self.grid.dx))
 
 
 @dataclass(frozen=True)
@@ -165,24 +165,16 @@ def entropy_G(z, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def energy(h, p: Params):
+def energy(v: np.ndarray, p: Params):
     """E(h) = 1/2 * integral of a0 h_x^2 - a1 h^2 - 2 a2 w h.
 
-    h is a PeriodicField on p's grid (a float is returned), or an array
-    whose rows are samples on that grid (an array of each row's energy).
-    h_x is centred, not grid.gradient_sq's compact jump: the dissipation
-    ledger closes on a compact energy only with the backward-Euler remainder.
+    v is one row of samples on p's grid (a float is returned) or a stack
+    of such rows (an array of each row's energy).  h_x is grid.d1's centred
+    difference, not grid.gradient_sq's compact jump: the dissipation ledger
+    closes on a compact energy only with the backward-Euler remainder.
     """
-    if isinstance(h, PeriodicField):
-        if h.grid != p.grid:
-            raise ValueError("field and forcing live on different grids")
-        v = h.values
-    else:
-        v = h
-        if v.ndim != 2 or v.shape[1] != p.grid.n:
-            raise ValueError(f"need rows of {p.grid.n} samples, got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != p.grid.n:
+        raise ValueError(f"need one row or rows of {p.grid.n} samples, got shape {v.shape}")
     dx = p.grid.dx
-    hx = _centred_diff(v, dx)
-    dens = p.a0 * hx**2 - p.a1 * v**2 - 2.0 * p.a2 * p.w.w * v
-    e = 0.5 * (dx * dens.sum(axis=-1))
-    return float(e) if v.ndim == 1 else e
+    dens = p.a0 * d1(v, dx)**2 - p.a1 * v**2 - 2.0 * p.a2 * p.w.w * v
+    return 0.5 * integrate(dens, dx)

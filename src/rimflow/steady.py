@@ -199,7 +199,7 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
         q=q,
         mu=mu,
         residual_sup=float(np.max(np.abs(resid))),
-        mass=integrate(prof),
+        mass=integrate(h, grid.dx),
     )
 
 
@@ -247,10 +247,10 @@ def _bordered_solve(lu: CyclicBandedFactor, b: np.ndarray, r: np.ndarray, dx: fl
     du = dq b - a and dx sum(du) = -r_m.
     """
     a = lu.solve(r[:-1])
-    denom = dx * float(np.sum(b))
+    denom = integrate(b, dx)
     if denom == 0.0:
         raise np.linalg.LinAlgError("singular bordered system")
-    dq = (dx * float(np.sum(a)) - r[-1]) / denom
+    dq = (integrate(a, dx) - r[-1]) / denom
     return np.append(dq * b - a, dq)
 
 
@@ -277,7 +277,7 @@ def capillary_solve(h: PeriodicField, q: float, target: float, spec: Continuatio
         if not fixed_mass:
             return _capillary_lhs(z, target, mu, cosx, c1, c3)
         r = _capillary_lhs(z[:n], z[n], mu, cosx, c1, c3)
-        return np.append(r, dx * float(np.sum(z[:n])) - target)
+        return np.append(r, integrate(z[:n], dx) - target)
 
     ones_solution = functools.lru_cache(maxsize=1)(lambda lu: lu.solve(np.ones(n)))
 
@@ -298,7 +298,7 @@ def capillary_solve(h: PeriodicField, q: float, target: float, spec: Continuatio
                             reason=stats.failure)
     prof = PeriodicField(grid, z[:n])
     q = float(z[n]) if fixed_mass else target
-    return SteadyProfile(h=prof, q=q, mu=mu, residual_sup=stats.residual, mass=integrate(prof))
+    return SteadyProfile(h=prof, q=q, mu=mu, residual_sup=stats.residual, mass=integrate(prof.values, dx))
 
 
 @dataclass(frozen=True)
@@ -325,8 +325,8 @@ def solvability_residuals(prof: SteadyProfile) -> SolvabilityReport:
     f = 1.0 / y**2 - 1.0 / y**3
     dx = grid.dx
     return SolvabilityReport(
-        r0=float(dx * np.sum(f)),
-        r1=float(dx * np.sum(f * np.cos(grid.x))) - math.pi * prof.beta,
+        r0=integrate(f, dx),
+        r1=integrate(f * np.cos(grid.x), dx) - math.pi * prof.beta,
     )
 
 

@@ -330,7 +330,7 @@ class TestStep:
         h = random_positive(g, seed)
         state = EvolveState(t=0.0, h=h, dt=1e-3)
         out = first_step(state, p, cfg)
-        assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+        assert integrate(out.h.values, g.dx) == pytest.approx(integrate(h.values, g.dx), rel=1e-14)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -355,10 +355,10 @@ class TestStep:
         # The second step on one _System starts from the extrapolated first.
         sysm = _System(g, p, cfg.knobs)
         out = step(EvolveState(t=0.0, h=h, dt=dt), cfg, sysm)
-        assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+        assert integrate(out.h.values, g.dx) == pytest.approx(integrate(h.values, g.dx), rel=1e-14)
         assert sysm.last_step is not None
         out = step(out, cfg, sysm)
-        assert integrate(out.h) == pytest.approx(integrate(h), rel=1e-14)
+        assert integrate(out.h.values, g.dx) == pytest.approx(integrate(h.values, g.dx), rel=1e-14)
 
     def test_newton_starts_from_the_extrapolated_last_step(self, monkeypatch):
         # On a fresh _System's first step Newton starts from h_n; after an
@@ -410,7 +410,7 @@ class TestStep:
         h = random_positive(g, 2, mean=0.3, amp=0.02)
         state = EvolveState(t=0.0, h=h, dt=1e-3)
         out = first_step(state, p, cfg)
-        assert energy(out.h, p) <= energy(h, p) + 1e-10
+        assert energy(out.h.values, p) <= energy(h.values, p) + 1e-10
 
     def test_grown_trial_size_capped(self):
         g = Grid(n=64)
@@ -548,7 +548,7 @@ class TestRun:
 
         def recording_step(state, cfg, sysm):
             new = original(state, cfg, sysm)
-            accepted.append(energy(new.h, p))
+            accepted.append(energy(new.h.values, p))
             return new
 
         monkeypatch.setattr(rimflow.evolve, "step", recording_step)
@@ -639,7 +639,7 @@ class TestRun:
         def checking_step(state, cfg, sysm):
             new = step(state, cfg, sysm)
             m, d, gv = sysm.interface_values(new.h.values)
-            fresh = (m, d, gv, mobility(m, sysm.knobs))
+            fresh = (d, gv, mobility(m, sysm.knobs))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(sysm.last_flux[1], fresh))
             checked.append(new.t)
             return new
@@ -740,7 +740,7 @@ class TestRecord:
         assert rec.gradient_sq == pytest.approx(dx * np.sum(grad**2), rel=1e-12, abs=1e-14)
         assert rec.h1**2 == pytest.approx(rec.l2**2 + rec.gradient_sq, rel=1e-13)
         assert rec.min_h == np.min(v)
-        assert rec.energy == energy(PeriodicField(g, v), p)
+        assert rec.energy == energy(v, p)
         assert rec.entropy0 == dx * np.sum(entropy_G(v, 0.0))
         assert rec.entropy_eps == dx * np.sum(entropy_G(v, epsilon))
         assert rec.dissipation_cum == 0.0
@@ -890,9 +890,11 @@ class TestMonitorBlocks:
         rows = np.stack([random_positive(g, s).values for s in range(7)])
         rows[3, 10] = 0.0
         positive, grad, ent = _k1_terms(rows, g.dx, 1e-4)
+        mass = integrate(rows, g.dx)
         assert positive == [k != 3 for k in range(7)]
         assert ent[3] == math.inf
         for k in range(7):
             assert grad[k].hex() == gradient_sq(rows[k], g.dx).hex()
+            assert mass[k].hex() == integrate(rows[k], g.dx).hex()
         for k in (0, 1, 2, 4, 5, 6):
             assert ent[k].hex() == float(g.dx * entropy_G(rows[k], 1e-4).sum()).hex()

@@ -1,9 +1,10 @@
 """Source hygiene: every name a rimflow module imports is used in that module,
 only cli reads or writes files or compares grids with a tolerance, only newton
 reads meaning into a Newton failure's name, evolve does not depend on bounds,
-the time-stepping hot path reduces arrays with their methods, every module
-global the perfbench tracer wraps still exists, and every public function,
-method and property has a caller in rimflow or outside it."""
+the time-stepping hot path reduces arrays with their methods, only grid sums
+a quadrature, every module global the perfbench tracer wraps still exists,
+and every public function, method and property has a caller in rimflow or
+outside it."""
 import ast
 import importlib
 from pathlib import Path
@@ -149,13 +150,44 @@ def test_finds_function_form_reductions():
     assert function_form_reductions(tree) == [1, 2, 4, 4, 5]
 
 
-@pytest.mark.parametrize("name", ["evolve.py", "newton.py", "grid.py"])
+@pytest.mark.parametrize("name", ["evolve.py", "newton.py", "grid.py", "model.py"])
 def test_hot_path_reduces_with_array_methods(name):
     # np.sum(x) and x.sum() run the same ufunc reduce, but the function form
     # first passes through numpy's Python-level dispatch, a fixed cost paid
     # about 14 times per evolve step.
     path = next(p for p in SOURCES if p.name == name)
     assert function_form_reductions(ast.parse(path.read_text())) == []
+
+
+def sum_sites(node: ast.AST, scope: str = "") -> list:
+    """The innermost enclosing function of each x.sum( or np.sum( call under node ("" at module level)."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "sum":
+            sites.append(scope)
+        sites += sum_sites(child, inner)
+    return sorted(sites)
+
+
+def test_finds_sum_sites():
+    tree = ast.parse(
+        "a = np.sum(x)\ndef f(v):\n    return v.sum(axis=-1) + sum(v)\n"
+        "class C:\n    def g(self):\n        def h(u):\n            return np.abs(u).sum()\n"
+        "        return h, np.add.reduce(self.x)\n"
+    )
+    assert sum_sites(tree) == ["", "f", "h"]
+
+
+# The mass projection of evolve's Newton direction is a mean, not a quadrature.
+SUMS_OUTSIDE_GRID = {"evolve.py": ["direction"]}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_only_grid_sums_a_quadrature(path):
+    # dx * sum(v) is grid.integrate's rule; every functional calls integrate,
+    # d1 or gradient_sq instead of summing samples itself.
+    assert sum_sites(ast.parse(path.read_text())) == SUMS_OUTSIDE_GRID.get(path.name, [])
 
 
 def compatible_calls(tree: ast.Module) -> list:
