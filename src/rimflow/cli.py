@@ -38,7 +38,7 @@ from .bounds import (
     local_existence_time,
 )
 from .evolve import DiagnosticsRecord, EvolveConfig, StepFailure, run
-from .grid import Grid, PeriodicField, d1, integrate, require_full_period
+from .grid import Grid, PeriodicField, d1, require_full_period
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     FLUX_BOUND_RATIO,
@@ -358,19 +358,18 @@ def write_csv(path, columns: Sequence[str], rows) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _field_csv_template(grid: Grid, value_name: str) -> str:
-    """write_csv's text for the columns (x, value_name) on grid, with a %.17g slot per value.
+def _field_csv_template(grid: Grid) -> str:
+    """write_csv's text for the columns (x, h) on grid, with a %.17g slot per value.
 
     Every field written on one grid repeats the same x column, so it is
     formatted once here.
     """
-    header = f"x,{value_name}\n".replace("%", "%%")
-    return header + "".join("%.17g,%%.17g\n" % x for x in grid.x.tolist())
+    return "x,h\n" + "".join("%.17g,%%.17g\n" % x for x in grid.x.tolist())
 
 
-def write_field_csv(f: PeriodicField, path, value_name: str = "value") -> None:
-    """Serialize as CSV rows "x,value" with full (17 significant digit) precision."""
-    text = _field_csv_template(f.grid, value_name) % tuple(f.values.tolist())
+def write_field_csv(f: PeriodicField, path) -> None:
+    """Serialize as CSV under the header x,h, one row per sample, every value to 17 significant digits."""
+    text = _field_csv_template(f.grid) % tuple(f.values.tolist())
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -476,7 +475,7 @@ def _evolve(cfg: RunConfig, h0: PeriodicField) -> tuple:
     index = []
     for i, snap in enumerate(traj.snapshots):
         fname = f"snapshot_{i:04d}.csv"
-        write_field_csv(snap.field, snap_dir / fname, value_name="h")
+        write_field_csv(snap.field, snap_dir / fname)
         index.append({"index": i, "t": snap.t, "file": f"snapshots/{fname}",
                       "droplets": len(count_local_maxima(snap.field))})
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
@@ -495,10 +494,7 @@ def cmd_steady(cfg: RunConfig) -> int:
     try:
         if spec.chi == 0.0:
             for q in spec.targets:
-                prof = moffatt_profile(spec.mu, q, grid)
-                if prof is None:
-                    raise BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
-                profiles.append(prof)
+                profiles.append(moffatt_profile(spec.mu, q, grid))
         else:
             first = spec.targets[0]
             if spec.mode == "fixed_flux":
@@ -516,7 +512,7 @@ def cmd_steady(cfg: RunConfig) -> int:
     index = []
     for i, prof in enumerate(profiles):
         fname = f"profile_{i:04d}.csv"
-        write_field_csv(prof.h, prof_dir / fname, value_name="h")
+        write_field_csv(prof.h, prof_dir / fname)
         index.append(
             {
                 "index": i,
@@ -579,14 +575,16 @@ def _check_battery(seed: int):
     rng = np.random.default_rng(seed)
     grid = Grid(n=64)
 
-    # Quadrature and summation by parts on random trigonometric data.
+    # The centred difference against the exact derivative of random trigonometric
+    # data.  d1 maps mode k to sin(k dx)/dx, and k - sin(k dx)/dx <= k^3 dx^2 / 6.
+    x, dx = grid.x, grid.dx
     for trial in range(3):
-        coeffs = rng.normal(size=4) * 0.1
-        v = 1.0 + coeffs[0] * np.cos(grid.x) + coeffs[1] * np.sin(grid.x) \
-            + coeffs[2] * np.cos(2 * grid.x) + coeffs[3] * np.sin(2 * grid.x)
-        yield BoundReport.check(
-            f"mean_derivative_zero[{trial}]", abs(integrate(d1(v, grid.dx), grid.dx)), 1e-13
-        )
+        c = rng.normal(size=4) * 0.1
+        v = 1.0 + c[0] * np.cos(x) + c[1] * np.sin(x) + c[2] * np.cos(2 * x) + c[3] * np.sin(2 * x)
+        vp = -c[0] * np.sin(x) + c[1] * np.cos(x) - 2 * c[2] * np.sin(2 * x) + 2 * c[3] * np.cos(2 * x)
+        bound = dx**2 / 6.0 * (abs(c[0]) + abs(c[1]) + 8.0 * (abs(c[2]) + abs(c[3])))
+        yield BoundReport.check(f"d1_truncation[{trial}]", np.abs(d1(v, dx) - vp).max(), bound,
+                                tolerance=1e-12)
 
     # Interpolation bound on random positive fields.
     for trial in range(3):

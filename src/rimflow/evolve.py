@@ -147,7 +147,7 @@ class StepFailure(RuntimeError):
     undershoots -10x the Newton tolerance in force.
     """
 
-    def __init__(self, message: str, residual_sup: float, t: float, dt: float, diverged: bool = False):
+    def __init__(self, message: str, residual_sup: float, t: float, dt: float, diverged: bool):
         super().__init__(message)
         self.residual_sup = residual_sup
         self.t = t
@@ -184,7 +184,7 @@ class Trajectory:
     snapshots: list
     termination: str
     step_count: int
-    energy_rise_max: float  # largest rise between consecutive steps' energies; 0 before two steps
+    energy_rise_max: float  # largest energy rise over one accepted step, the first included; 0 before any
     newton_tol_effective: float  # largest tolerance in force over accepted steps
     k1_observed: float  # largest K1 over the run; NaN when p.k_coefficient is 0
     supcube_time_integral: float
@@ -225,7 +225,7 @@ class _System:
         self.drive = None if params.a2 == 0.0 else params.a2 * periodic_pad(params.w.wp_mid, 1)[:-1]
         self._factor, self._factor_dt = None, None  # kept by solve() while dt holds
         self.last_step = None  # (h_{n-1}, dt) of the last step step() accepted
-        self.last_flux = None  # (u, (d, g, f)) of the last interface_flux call
+        self.last_flux = None  # (d, g, f) of the last interface_flux call
 
     def interface_values(self, u: np.ndarray):
         """(m, d, g): interface mean and driving term on interfaces -1..n-1, jumps on -2..n.
@@ -243,7 +243,7 @@ class _System:
         """f(m) g + a3 m on interfaces -1..n-1."""
         m, d, g = self.interface_values(u)
         f = mobility(m, self.knobs)
-        self.last_flux = (u, (d, g, f))
+        self.last_flux = (d, g, f)
         F = f * g
         if self.params.a3 != 0.0:
             F += self.params.a3 * m
@@ -286,7 +286,7 @@ class _System:
 
         The Jacobian factor is kept from call to call while dt is unchanged,
         and a start other than hold is corrected at least once.  On success
-        last_flux holds the flux terms at u.
+        last_flux holds the flux terms at u, where newton took its last residual.
         """
         if dt != self._factor_dt:
             self._factor, self._factor_dt = None, dt
@@ -303,9 +303,6 @@ class _System:
             tol, max_iter, self._factor, direction, floor=NEWTON_FLOOR_SAFETY,
             min_iter=0 if u0 is hold else 1,
         )
-        # A successful Newton solve took its last residual at u itself.
-        if stats.failure is None and self.last_flux[0] is not u:
-            self.interface_flux(u)
         return u, stats
 
 
@@ -428,15 +425,16 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             positive, grad, ent = _k1_terms(u, dx, epsilon)
         sup = np.abs(u).max(axis=-1).tolist()
         energies = energy(u, p).tolist()
+        if traj.step_count == 0:
+            e_prev = traj.records[0].energy  # E(h_0): the first step's rise counts too
         for i, dt_used in enumerate(dts):
             diss_cum += dt_used * diss[i]
             traj.supcube_time_integral += dt_used * sup[i]**3
             if with_k1:
                 diss3_cum += dt_used * diss3[i]
                 traj.k1_observed = max(traj.k1_observed, k1(positive[i], grad[i], ent[i]))
-            if traj.step_count > 0:
-                rise = energies[i] - e_prev
-                traj.energy_rise_max = rise if traj.step_count == 1 else max(traj.energy_rise_max, rise)
+            rise = energies[i] - e_prev
+            traj.energy_rise_max = rise if traj.step_count == 0 else max(traj.energy_rise_max, rise)
             traj.step_count += 1
             e_prev = energies[i]
 
@@ -470,7 +468,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             # the flux terms step left there, a block of steps at a time.
             dt_used = new.t - state.t
             u = new.h.values
-            pending.append((dt_used, u, *sysm.last_flux[1]))
+            pending.append((dt_used, u, *sysm.last_flux))
             if len(pending) == block:
                 flush()
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, PeriodicField, d1, integrate, periodic_pad, require_full_period
+from .grid import Grid, PeriodicField, d1, integrate, require_full_period
 
 THETA_RANGE = (0.0, 0.4)
 
@@ -51,9 +50,10 @@ class Forcing:
     """Substrate forcing w, w' at the nodes, and w' at the interfaces x_{i+1/2} (wp_mid).
 
     sine samples w = sin x and w' analytically (the domain must be one full
-    period); tabulated takes w' from d1 and averages it onto the interfaces.
-    Each array is checked and frozen as a PeriodicField's values; two
-    Forcings compare equal only when they are the same object.
+    period); constant is the zero forcing, every sample +0.0.  Any other w
+    is built from its three arrays.  Each array is checked and frozen as a
+    PeriodicField's values; two Forcings compare equal only when they are
+    the same object.
     """
 
     grid: Grid
@@ -72,14 +72,9 @@ class Forcing:
         return cls(grid, np.sin(x), np.cos(x), np.cos(x + 0.5 * grid.dx))
 
     @classmethod
-    def tabulated(cls, grid: Grid, w) -> "Forcing":
-        w = PeriodicField(grid, w).values
-        wp = d1(w, grid.dx)
-        return cls(grid, w, wp, 0.5 * (wp + periodic_pad(wp, 1)[2:]))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float = 0.0) -> "Forcing":
-        return cls.tabulated(grid, np.full(grid.n, float(value)))
+    def constant(cls, grid: Grid) -> "Forcing":
+        zero = np.zeros(grid.n)
+        return cls(grid, zero, zero, zero)
 
     # Norms used by the a priori constants.
     @property
@@ -122,14 +117,12 @@ class Params:
         return abs(self.a2 * self.a3) * self.w.sup_wp
 
 
-def from_physical(chi: float, mu: float, grid: Optional[Grid] = None) -> Params:
+def from_physical(chi: float, mu: float, grid: Grid) -> Params:
     """Coefficients for the rotating-cylinder film: a0 = a1 = chi/3, a2 = -mu/3, a3 = 1, w = sin."""
     if not (chi > 0.0):
         raise ValueError(f"chi must be positive, got {chi}")
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    if grid is None:
-        grid = Grid()
     return Params(a0=chi / 3.0, a1=chi / 3.0, a2=-mu / 3.0, a3=1.0, w=Forcing.sine(grid))
 
 

@@ -109,7 +109,8 @@ def newton(
     lowered no residual, or if it started within eps * ||J||_inf *
     max(1, sup|z|) and contracted by no more than REFACTOR_RATE.  With
     floor >= 1 the tolerance in force is at least that rounding level, so
-    only the first case can stop a floored solve.
+    only the first case can stop a floored solve.  On success the last
+    residual call was at the very array returned.
     """
     z = z0.copy()
     r = residual(z)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,8 @@ DOUBLE_ROOT_ULPS = 4
 
 
 class BranchLost(RuntimeError):
-    """Newton iterate left the positive cone; the branch has no solution there."""
+    """The branch has no positive solution here: a Newton iterate left the positive cone
+    (min_h is its minimum), or the cubic branch crosses its fold (min_h is NaN)."""
 
     def __init__(self, message: str, min_h: float):
         super().__init__(message)
@@ -50,7 +50,7 @@ class BranchLost(RuntimeError):
 class NoConvergence(RuntimeError):
     """Newton did not reach the tolerance; reason is its NewtonStats.failure."""
 
-    def __init__(self, message: str, residual_sup: float, iterations: int, reason: str = "budget"):
+    def __init__(self, message: str, residual_sup: float, iterations: int, reason: str):
         super().__init__(message)
         self.residual_sup = residual_sup
         self.iterations = iterations
@@ -63,7 +63,11 @@ class SteadyProfile:
     q: float
     mu: float
     residual_sup: float
-    mass: float
+
+    @property
+    def mass(self) -> float:
+        """The profile's mass, integrate(h) on its grid."""
+        return integrate(self.h.values, self.h.grid.dx)
 
     @property
     def beta(self) -> float:
@@ -172,8 +176,8 @@ def _cubic_roots(mu: float, q: float, c: np.ndarray) -> tuple[np.ndarray, np.nda
     return _polish(mu, q, c, low), _polish(mu, q, c, high)
 
 
-def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
-    """Pointwise branch below the fold; None when the fold is crossed somewhere.
+def moffatt_profile(mu: float, q: float, grid: Grid) -> SteadyProfile:
+    """Pointwise branch below the fold; raises BranchLost when the fold is crossed somewhere.
 
     The cubic is solved at every grid point at once, in Viete's closed form
     (_cubic_roots).  The profile takes the smallest positive real root; on
@@ -189,7 +193,7 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
     c = cosx[far]
     low, _ = _cubic_roots(mu, q, c)
     if not np.all((low > 0.0) & ((c < 0.0) | (mu * c * low * low < 1.0))):
-        return None
+        raise BranchLost(f"no surface-tension-free profile at q={q}", min_h=math.nan)
     h = np.full(grid.n, q)
     h[far] = low
     prof = PeriodicField(grid, h)
@@ -199,7 +203,6 @@ def moffatt_profile(mu: float, q: float, grid: Grid) -> Optional[SteadyProfile]:
         q=q,
         mu=mu,
         residual_sup=float(np.max(np.abs(resid))),
-        mass=integrate(h, grid.dx),
     )
 
 
@@ -298,7 +301,7 @@ def capillary_solve(h: PeriodicField, q: float, target: float, spec: Continuatio
                             reason=stats.failure)
     prof = PeriodicField(grid, z[:n])
     q = float(z[n]) if fixed_mass else target
-    return SteadyProfile(h=prof, q=q, mu=mu, residual_sup=stats.residual, mass=integrate(prof.values, dx))
+    return SteadyProfile(h=prof, q=q, mu=mu, residual_sup=stats.residual)
 
 
 @dataclass(frozen=True)

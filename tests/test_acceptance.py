@@ -150,13 +150,15 @@ def test_criterion_06_drift_displaces_droplet(fig5):
 def test_criterion_07_critical_flux_bisection():
     g = Grid(n=256)
     lo, hi = 0.1, 1.0
-    assert moffatt_profile(1.0, lo, g) is not None
-    assert moffatt_profile(1.0, hi, g) is None
+    moffatt_profile(1.0, lo, g)
+    with pytest.raises(BranchLost):
+        moffatt_profile(1.0, hi, g)
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
-        if moffatt_profile(1.0, mid, g) is not None:
+        try:
+            moffatt_profile(1.0, mid, g)
             lo = mid
-        else:
+        except BranchLost:
             hi = mid
     err = abs(0.5 * (lo + hi) - 2.0 / 3.0)
     ok = err <= 1e-6

@@ -503,8 +503,7 @@ epsilon = 0.0
     def test_file_initial_data(self, tmp_path):
         g = Grid(n=64)
         field_path = tmp_path / "h0.csv"
-        write_field_csv(PeriodicField(g, 0.3 + 0.02 * np.cos(g.x)), field_path,
-                        value_name="h")
+        write_field_csv(PeriodicField(g, 0.3 + 0.02 * np.cos(g.x)), field_path)
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace(
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
@@ -520,7 +519,7 @@ epsilon = 0.0
         trig = text.format(out=tmp_path / "trig")
         cfg = parse_config(trig)
         field_path = tmp_path / "h0.csv"
-        write_field_csv(cfg.initial.build(cfg.grid), field_path, value_name="h")
+        write_field_csv(cfg.initial.build(cfg.grid), field_path)
         from_file = text.format(out=tmp_path / "file").replace(
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", f"kind = file\npath = {field_path}")
         assert main(["evolve", write_cfg(tmp_path, trig, "trig.ini")]) == 0
@@ -534,7 +533,7 @@ epsilon = 0.0
     def test_file_grid_mismatch_fails(self, tmp_path, capsys):
         g = Grid(n=32)
         field_path = tmp_path / "h0.csv"
-        write_field_csv(g.constant(0.3), field_path, value_name="h")
+        write_field_csv(g.constant(0.3), field_path)
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace(
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02",
@@ -1162,6 +1161,15 @@ class TestCheckCommand:
         assert f"{status} local_existence_positive: lhs=0 rhs={tloc:.6g}\n" in printed
         assert printed.count("FAIL") == (status == "FAIL")
 
+    def test_forward_difference_fails_d1_truncation(self, tmp_path, capsys, monkeypatch):
+        # The d1 checks hold the centred difference to its k^3 dx^2 / 6
+        # truncation bound: a first-order forward difference is far outside it.
+        monkeypatch.setattr(cli, "d1", lambda v, dx: (np.roll(v, -1) - v) / dx)
+        cfg = write_cfg(tmp_path, f"[run]\nmode = check\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["check", cfg]) == 1
+        printed = capsys.readouterr().out
+        assert printed.count("FAIL") == printed.count("FAIL d1_truncation[") == 3
+
     def test_same_seed_reproduces_battery(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nmode = check\n")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1173,7 +1181,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("exc", [
         ValueError("bad value"),
         OSError("disk full"),
-        NoConvergence("no convergence", residual_sup=1.0, iterations=3),
+        NoConvergence("no convergence", residual_sup=1.0, iterations=3, reason="budget"),
     ], ids=lambda e: type(e).__name__)
     def test_battery_error_exits_one_without_reports(self, tmp_path, capsys, monkeypatch, exc):
         def failing_battery(seed):

@@ -146,7 +146,7 @@ class TestFlux:
         g = Grid(n=n)
         rng = np.random.default_rng(n)
         a2, a3, delta = (0.0, 0.0, 0.0) if zeros else (-2.0, 1.2, 0.02)
-        p = Params(0.7, 5.0, a2, a3, Forcing.tabulated(g, rng.normal(size=n)))
+        p = Params(0.7, 5.0, a2, a3, Forcing(g, *rng.normal(size=(3, n))))
         knobs = RegularizationKnobs(delta=delta, epsilon=1e-3)
         u = random_positive(g, n).values
         hold = random_positive(g, n + 1).values
@@ -394,7 +394,7 @@ class TestStep:
         g = Grid(n=64)
         cells = 9
         h = random_positive(g, seed)
-        w = Forcing.constant(g, 0.0)
+        w = Forcing.constant(g)
         p = Params(1.0, 16.0, 0.0, 2.0, w)
         cfg = EvolveConfig(t_end=1.0, dt_init=1e-3,
                            knobs=RegularizationKnobs(epsilon=1e-6))
@@ -434,7 +434,9 @@ class TestSolve:
         again, second = sysm.solve(hold, 1e-3, u, 1e-10, 12)
         assert second.failure is None
         assert second.iterations >= 1 and second.factorizations == 0
-        assert sysm.last_flux[0] is again
+        m, d, gv = sysm.interface_values(again)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(sysm.last_flux, (d, gv, mobility(m, sysm.knobs))))
         _, third = sysm.solve(hold, 2e-3, hold, 1e-10, 12)
         assert third.failure is None and third.factorizations >= 1
 
@@ -537,8 +539,9 @@ class TestRun:
 
     @pytest.mark.parametrize("t_end", [1e-3, 0.05])
     def test_energy_rise_max_is_the_worst_consecutive_rise(self, monkeypatch, t_end):
-        # The same pairs as a max over every accepted step's energy: a
-        # decreasing energy gives a negative worst rise, one step gives 0.
+        # The same pairs as a max over E(h_0) and every accepted step's
+        # energy: a decreasing energy gives a negative worst rise, also
+        # after one step.
         g = Grid(n=64)
         p = make_params(g, a=(1.0, 16.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=t_end, dt_init=1e-3, dt_max=1e-2,
@@ -552,11 +555,12 @@ class TestRun:
             return new
 
         monkeypatch.setattr(rimflow.evolve, "step", recording_step)
-        traj = run(random_positive(g, 3, mean=0.3, amp=0.02), p, cfg)
-        worst = max((b - a for a, b in zip(accepted, accepted[1:])), default=0.0)
+        h0 = random_positive(g, 3, mean=0.3, amp=0.02)
+        traj = run(h0, p, cfg)
+        energies = [energy(h0.values, p), *accepted]
+        worst = max(b - a for a, b in zip(energies, energies[1:]))
         assert traj.step_count == len(accepted)
-        assert traj.energy_rise_max == worst
-        assert (worst < 0.0) if len(accepted) > 1 else (worst == 0.0)
+        assert traj.energy_rise_max == worst < 0.0
 
     def test_effective_tolerance_is_the_floor_in_force(self, monkeypatch):
         # On the drift data the representable-residual floor, not the
@@ -640,34 +644,13 @@ class TestRun:
             new = step(state, cfg, sysm)
             m, d, gv = sysm.interface_values(new.h.values)
             fresh = (d, gv, mobility(m, sysm.knobs))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(sysm.last_flux[1], fresh))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(sysm.last_flux, fresh))
             checked.append(new.t)
             return new
 
         monkeypatch.setattr(rimflow.evolve, "step", checking_step)
         traj, _ = self._counted_run(monkeypatch)
         assert len(checked) == traj.step_count > 10
-
-    def test_handed_over_flux_terms_match_recomputed_ones_bitwise(self, monkeypatch):
-        traj, _ = self._counted_run(monkeypatch)
-
-        # Newton handing back a copy of its iterate makes every step evaluate
-        # the flux at the accepted state again.
-        def copying_newton(*args, **kwargs):
-            u, stats, factor = newton(*args, **kwargs)
-            return u.copy(), stats, factor
-
-        monkeypatch.setattr(rimflow.evolve, "newton", copying_newton)
-        fresh, fresh_calls = self._counted_run(monkeypatch)
-        assert (fresh_calls["interface_values"]
-                == fresh_calls["residual"] + fresh_calls["jacobian"] + fresh.step_count)
-        assert fresh.step_count == traj.step_count
-        # float.hex tells every bit apart, signed zeros included.
-        assert ([r.dissipation_cum.hex() for r in fresh.records]
-                == [r.dissipation_cum.hex() for r in traj.records])
-        for name in ("k1_observed", "supcube_time_integral", "energy_rise_max",
-                     "newton_tol_effective"):
-            assert getattr(fresh, name).hex() == getattr(traj, name).hex(), name
 
     def test_dissipation_accumulates(self):
         g = Grid(n=64)
@@ -869,7 +852,7 @@ class TestMonitorBlocks:
             def failing_step(state, cfg, sysm):
                 calls.append(state.t)
                 if len(calls) == 23:
-                    raise StepFailure("injected", residual_sup=1.0, t=state.t, dt=state.dt)
+                    raise StepFailure("injected", residual_sup=1.0, t=state.t, dt=state.dt, diverged=False)
                 return step(state, cfg, sysm)
 
             monkeypatch.setattr(rimflow.evolve, "step", failing_step)

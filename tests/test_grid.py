@@ -74,7 +74,7 @@ class TestGrid:
         assert not g.compatible(Grid(n=32, origin=0.5))
 
     def test_compatible_tolerates_a_rebuilt_grid_equality_does_not(self):
-        # compatible's default 1e-9 absorbs the rounding of a grid rebuilt
+        # compatible's 1e-9 absorbs the rounding of a grid rebuilt
         # from an x column; == is the exact test every solver layer uses.
         g = Grid(n=32)
         near = Grid(n=32, length=g.length * (1.0 + 1e-11), origin=1e-11)
@@ -399,7 +399,7 @@ class TestCsvRoundTrip:
         g = Grid(n=32, length=4.0, origin=-2.0)
         f = random_trig(g, 3)
         path = tmp_path / "field.csv"
-        write_field_csv(f, path, value_name="h")
+        write_field_csv(f, path)
         assert path.read_text().splitlines()[0] == "x,h"
         back = read_field_csv(path)
         assert back.grid.compatible(g)
@@ -419,7 +419,7 @@ class TestCsvRoundTrip:
                                                                allow_infinity=False)))
         f = PeriodicField(g, v)
         path = tmp_path_factory.mktemp("csv") / "field.csv"
-        write_field_csv(f, path, value_name="h")
+        write_field_csv(f, path)
         # The bulk writer gives the bytes of one formatted line per sample.
         rows = "".join(f"{xi:.17g},{vi:.17g}\n" for xi, vi in zip(g.x, f.values))
         assert path.read_text() == "x,h\n" + rows
@@ -431,12 +431,12 @@ class TestCsvRoundTrip:
                              ids=["default", "shifted", "non-2pi"])
     def test_field_writer_matches_the_generic_writer(self, tmp_path, grid):
         # The field writer formats each grid's x column once and reuses it;
-        # its bytes stay those of write_csv, for each value name.
-        for k, name in enumerate(("h", "value")):
+        # its bytes stay those of write_csv, for every field on the grid.
+        for k in range(2):
             f = random_trig(grid, k)
-            path, generic = tmp_path / f"{name}.csv", tmp_path / f"{name}.generic.csv"
-            write_field_csv(f, path, value_name=name)
-            write_csv(generic, ("x", name), np.column_stack((grid.x, f.values)))
+            path, generic = tmp_path / f"{k}.csv", tmp_path / f"{k}.generic.csv"
+            write_field_csv(f, path)
+            write_csv(generic, ("x", "h"), np.column_stack((grid.x, f.values)))
             assert path.read_bytes() == generic.read_bytes()
             back = read_field_csv(path)
             assert back.grid.compatible(grid)

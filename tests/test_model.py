@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rimflow.grid import Grid, d1, integrate
+from rimflow.grid import Grid, integrate
 from rimflow.model import (
     Forcing,
     Params,
@@ -86,24 +86,10 @@ class TestForcing:
         w = Forcing.sine(g)
         assert_allclose(w.wp_mid, np.cos(g.x + 0.5 * g.dx), atol=0)
 
-    def test_tabulated_defaults_to_grid_derivatives(self):
-        g = Grid(n=64)
-        vals = np.sin(g.x) + 0.3 * np.cos(2 * g.x)
-        w = Forcing.tabulated(g, vals)
-        assert_allclose(w.wp, d1(vals, g.dx), atol=0)
-        # Interface samples average the two neighbouring nodal values.
-        assert_allclose(w.wp_mid, 0.5 * (w.wp + np.roll(w.wp, -1)), atol=0)
-
-    @pytest.mark.parametrize("n", [8, 10, 256])
-    def test_tabulated_interface_samples_bit_identical_to_roll(self, n):
-        g = Grid(n=n)
-        w = Forcing.tabulated(g, np.random.default_rng(n).normal(size=n))
-        assert np.array_equal(w.wp_mid, 0.5 * (w.wp + np.roll(w.wp, -1)))
-
     def test_constant_forcing_has_zero_derivatives(self):
         g = Grid(n=32)
-        w = Forcing.constant(g, 2.5)
-        assert_allclose(w.w, 2.5)
+        w = Forcing.constant(g)
+        assert w.sup_w == 0.0
         assert w.sup_wp == 0.0
         assert w.l2_wp == 0.0
 
@@ -112,14 +98,14 @@ class TestForcing:
         with pytest.raises(ValueError):
             w.w[0] = 1.0
 
-    def test_constant_is_tabulated_of_a_constant(self):
+    def test_constant_is_the_zero_forcing(self):
         g = Grid(n=32)
-        c, t = Forcing.constant(g, 2.5), Forcing.tabulated(g, np.full(g.n, 2.5))
+        c = Forcing.constant(g)
         for name in ("w", "wp", "wp_mid"):
             got = getattr(c, name)
-            assert np.array_equal(got, getattr(t, name)), name
+            # +0.0 bit for bit: a -0.0 would compare equal to a zero array.
+            assert got.tobytes() == np.zeros(g.n).tobytes(), name
             assert not got.flags.writeable, name
-        assert not np.any(c.wp_mid)
 
     def test_forcings_compare_by_identity(self):
         g = Grid(n=32)
@@ -148,17 +134,20 @@ class TestParams:
         assert p.grid is g
 
     def test_from_physical_map(self):
-        p = from_physical(3.0, 3.0)
+        g = Grid(n=64)
+        p = from_physical(3.0, 3.0, g)
         assert (p.a0, p.a1, p.a2, p.a3) == (1.0, 1.0, -1.0, 1.0)
-        assert p.grid.n == 256
-        p0 = from_physical(3.0, 0.0)
+        assert p.grid is g
+        assert np.array_equal(p.w.w, np.sin(g.x))
+        p0 = from_physical(3.0, 0.0, g)
         assert p0.a2 == 0.0
 
     def test_from_physical_validation(self):
+        g = Grid(n=64)
         with pytest.raises(ValueError):
-            from_physical(0.0, 1.0)
+            from_physical(0.0, 1.0, g)
         with pytest.raises(ValueError):
-            from_physical(1.0, -1.0)
+            from_physical(1.0, -1.0, g)
 
 
 class TestMobility:

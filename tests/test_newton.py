@@ -59,7 +59,8 @@ class LastArgument:
 def test_last_residual_call_is_at_the_returned_array(case, seed):
     # evolve's monitors read the flux terms of Newton's last residual
     # evaluation, so on success that evaluation is at the very array
-    # newton() returns, whichever way the solve went.
+    # newton() returns, whichever way the solve went.  The damped and the
+    # exactly-zero starts are checked the same way in their own tests.
     n = 32
     residual, bands, a_bands = cubic_system(n, seed)
     z_star, _, _ = newton(residual, bands, np.zeros(n), 1e-13, 30)
@@ -142,9 +143,10 @@ def test_overshooting_newton_steps_are_damped():
         out[2] = 1.0 / (1.0 + (z - c) ** 2)
         return out
 
-    z, stats, _ = newton(lambda z: np.arctan(z - c), bands, c + 3.0, 1e-12, 30)
+    last = LastArgument(lambda z: np.arctan(z - c))
+    z, stats, _ = newton(last, bands, c + 3.0, 1e-12, 30)
     assert stats.failure is None and np.max(np.abs(z - c)) <= 1e-12
-    assert stats.dampings >= 1
+    assert stats.dampings >= 1 and z is last.last
 
 
 def test_budget_and_divergence_failures():
@@ -250,11 +252,11 @@ def test_exact_zero_residual_start_is_not_corrected():
     # A start with residual exactly 0 (a constant state, say) returns as is:
     # no factor is made and no contraction rate divides by zero.
     n = 16
-    z, stats, factor = newton(lambda z: z**3, lambda z: np.zeros((5, n)), np.zeros(n),
-                              1e-10, 30, min_iter=1)
+    last = LastArgument(lambda z: z**3)
+    z, stats, factor = newton(last, lambda z: np.zeros((5, n)), np.zeros(n), 1e-10, 30, min_iter=1)
     assert stats.failure is None and stats.residual == 0.0
     assert stats.iterations == stats.factorizations == 0 and factor is None
-    assert np.array_equal(z, np.zeros(n))
+    assert np.array_equal(z, np.zeros(n)) and z is last.last
 
 
 def test_reused_step_landing_within_tolerance_is_kept():

@@ -114,7 +114,8 @@ class TestMoffattRoots:
         low, high = _cubic_roots(1.0, 2.0 / 3.0, np.ones(1))
         assert np.isnan(low[0])
         assert high[0] == pytest.approx(1.0, abs=1e-7)
-        assert moffatt_profile(1.0, 2.0 / 3.0, Grid(n=64)) is None
+        with pytest.raises(BranchLost):
+            moffatt_profile(1.0, 2.0 / 3.0, Grid(n=64))
 
     def test_zero_cosine_gives_flux(self):
         # cos x vanishes to rounding at the nodes x = pi/2 and 3 pi/2 of n = 64.
@@ -138,7 +139,8 @@ class TestMoffattRoots:
     def test_no_root_above_fold(self):
         low, high = _cubic_roots(1.0, 0.7, np.ones(1))
         assert np.isnan(low[0]) and np.isnan(high[0])
-        assert moffatt_profile(1.0, 0.7, Grid(n=64)) is None
+        with pytest.raises(BranchLost):
+            moffatt_profile(1.0, 0.7, Grid(n=64))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,7 +201,8 @@ class TestCubicRoots:
                 low, high = _cubic_roots(mu, q * (1.0 + k * 2.0**-53), np.ones(1))
                 assert np.isnan(low[0])
                 assert high[0] == pytest.approx(1.0 / math.sqrt(mu), rel=1e-7)
-            assert moffatt_profile(mu, q, Grid(n=64)) is None
+            with pytest.raises(BranchLost):
+                moffatt_profile(mu, q, Grid(n=64))
 
     def test_past_the_fold_and_rising_side_have_no_second_root(self):
         low, high = _cubic_roots(1.0, 0.7, np.array([1.0, 0.5, -0.5, -1.0]))
@@ -211,7 +214,6 @@ class TestMoffattProfile:
     def test_exists_below_critical(self):
         g = Grid(n=256)
         prof = moffatt_profile(1.0, 0.5, g)
-        assert prof is not None
         assert prof.residual_sup <= 1e-12
         assert prof.q == 0.5
         assert float(np.min(prof.h.values)) > 0.0
@@ -228,8 +230,11 @@ class TestMoffattProfile:
         (4.0, 0.35, False),
     ])
     def test_existence_boundary(self, mu, q, exists):
-        prof = moffatt_profile(mu, q, Grid(n=128))
-        assert (prof is not None) == exists
+        if exists:
+            assert moffatt_profile(mu, q, Grid(n=128)).q == q
+        else:
+            with pytest.raises(BranchLost, match=f"no surface-tension-free profile at q={q}"):
+                moffatt_profile(mu, q, Grid(n=128))
 
     def test_small_flux_matches_expansion(self):
         g = Grid(n=128)
@@ -258,10 +263,11 @@ class TestMoffattProfile:
         q = ratio * critical_flux(mu)
         g = Grid(n=n)
         ref = scalar_moffatt_profile(mu, q, g)
-        prof = moffatt_profile(mu, q, g)
-        assert (prof is None) == (ref is None)
         if ref is None:
+            with pytest.raises(BranchLost):
+                moffatt_profile(mu, q, g)
             return
+        prof = moffatt_profile(mu, q, g)
         # Both polishes end within rounding of a root, but h**3 rounds
         # differently in NumPy and in Python's float pow; an ulp in the
         # cubic moves the root by that over |f'(h)| = |1 - mu c h^2|.
@@ -560,18 +566,17 @@ class TestSolvability:
         # and the doublings are exact in floating point.
         g = Grid(n=128)
         prof = moffatt_profile(1.0, 0.5, g)
-        scaled = SteadyProfile(h=PeriodicField(g, 2.0 * prof.h.values),
-                               q=1.0, mu=0.25,
-                               residual_sup=0.0, mass=2.0 * prof.mass)
+        scaled = SteadyProfile(h=PeriodicField(g, 2.0 * prof.h.values), q=1.0, mu=0.25,
+                               residual_sup=0.0)
         a, b = solvability_residuals(prof), solvability_residuals(scaled)
         assert b.r0 == a.r0
         assert b.r1 == a.r1
         assert scaled.beta == prof.beta
+        assert scaled.mass == 2.0 * prof.mass
 
     def test_violation_flag(self):
         g = Grid(n=64)
-        fake = SteadyProfile(h=g.constant(1.0), q=1.0, mu=1.0,
-                             residual_sup=0.0, mass=math.tau)
+        fake = SteadyProfile(h=g.constant(1.0), q=1.0, mu=1.0, residual_sup=0.0)
         rep = solvability_residuals(fake)
         assert fake.beta == pytest.approx(1.0 / 3.0)
         # Beyond 8/27 no positive profile meets the identities: here y = 1, so r1 = -pi beta.
@@ -580,8 +585,7 @@ class TestSolvability:
 
     def test_needs_positive_profile(self):
         g = Grid(n=64)
-        bad = SteadyProfile(h=PeriodicField(g, np.cos(g.x)), q=0.5, mu=1.0,
-                            residual_sup=0.0, mass=0.0)
+        bad = SteadyProfile(h=PeriodicField(g, np.cos(g.x)), q=0.5, mu=1.0, residual_sup=0.0)
         with pytest.raises(ValueError):
             solvability_residuals(bad)
 
