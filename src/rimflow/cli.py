@@ -3,7 +3,8 @@
 Config files are INI-style (configparser syntax).  One schema, _SECTION_KEYS,
 names every section's keys and the type each is read as; unknown sections or
 keys are errors, as are missing required keys.  A key that is left out takes
-the default of the dataclass field it sets, and each value is checked there.
+the default of the dataclass field it sets, and each value is checked there;
+[initial] sets none, and is read straight into the field the run starts from.
 This module is the only one that reads or writes files: the config, an
 [initial] field CSV, and every file of the output trees.  The solver modules
 return values; nothing here reads back a file it wrote.  All outputs are
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -100,52 +102,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending section/key."""
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """[initial]: a constant value, a mean plus cos/sin coefficients, or a field CSV path."""
-
-    kind: str
-    value: Optional[float] = None
-    mean: Optional[float] = None
-    cos: tuple = ()
-    sin: tuple = ()
-    path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _INITIAL_KINDS:
-            raise ValueError(f"kind must be constant, trig, or file, got {self.kind!r}")
-        key = _INITIAL_KINDS[self.kind][0]
-        if getattr(self, key) is None:
-            raise ValueError(f"kind={self.kind} requires key {key!r}")
-
-    def build(self, grid: Grid) -> PeriodicField:
-        if self.kind == "constant":
-            f = grid.constant(self.value)
-        elif self.kind == "trig":
-            x = grid.x
-            v = np.full(grid.n, self.mean)
-            for k, c in enumerate(self.cos, start=1):
-                v += c * np.cos(k * x)
-            for k, c in enumerate(self.sin, start=1):
-                v += c * np.sin(k * x)
-            f = PeriodicField(grid, v)
-        else:
-            try:
-                f = read_field_csv(self.path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"[initial] path: {exc}") from None
-            # An x column rebuilds the grid only to rounding.  This is the one
-            # grid tolerance: past it the field lives on the run's own grid.
-            if not f.grid.compatible(grid):
-                raise ConfigError(
-                    "[initial] path: sampled grid does not match the [grid] section"
-                )
-            f = PeriodicField(grid, f.values)
-        if float(np.min(f.values)) < 0.0:
-            raise ConfigError("[initial] evaluated initial data must be nonnegative")
-        return f
-
-
 def _sweep_dir(vary: str, value: float) -> str:
     """Output subdirectory of one sweep run."""
     return f"{vary.split('.', 1)[1]}={value:g}"
@@ -181,7 +137,7 @@ class RunConfig:
     mode: str
     grid: Grid
     params: Optional[Params]
-    initial: Optional[InitialData]
+    initial: Optional[PeriodicField]
     evolve: Optional[EvolveConfig]
     steady: Optional[Continuation]
     sweep: Optional[SweepSpec]
@@ -223,6 +179,37 @@ def _require_full_period(grid: Grid, what: str) -> None:
     """grid.require_full_period as a ConfigError on [grid] length."""
     with _section("grid"):
         require_full_period(grid, f"length: {what}")
+
+
+def _initial(keys: dict, grid: Grid) -> PeriodicField:
+    """[initial] as the field a run starts from: a constant, a mean plus cos/sin terms, or a field CSV."""
+    kind = keys.pop("kind")
+    if kind not in _INITIAL_KINDS:
+        raise ConfigError(f"[initial] kind must be constant, trig, or file, got {kind!r}")
+    key = _INITIAL_KINDS[kind][0]
+    if key not in keys:
+        raise ConfigError(f"[initial] kind={kind} requires key {key!r}")
+    # A key its kind does not read would be dropped, and a sweep over it would repeat one run.
+    unread = sorted(set(keys) - set(_INITIAL_KINDS[kind]))
+    if unread:
+        raise ConfigError(f"[initial] kind={kind} does not take key(s) {unread}")
+    if kind == "file":
+        try:
+            h0 = PeriodicField(grid, read_field_csv(keys[key], grid))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[initial] path: {exc}") from None
+    else:
+        # |v| <= |mean| + sum |c|, summed in v's order (rounding is monotonic): if finite, nothing overflows.
+        if not math.isfinite(sum(map(abs, keys.get("cos", ()) + keys.get("sin", ())), abs(keys[key]))):
+            raise ConfigError("[initial] field values must be finite")
+        x, v = grid.x, np.full(grid.n, keys[key])
+        for wave, coeffs in ((np.cos, keys.get("cos", ())), (np.sin, keys.get("sin", ()))):
+            for k, c in enumerate(coeffs, start=1):
+                v += c * wave(k * x)
+        h0 = PeriodicField(grid, v)
+    if float(np.min(h0.values)) < 0.0:
+        raise ConfigError("[initial] evaluated initial data must be nonnegative")
+    return h0
 
 
 def _sections(text: str) -> dict:
@@ -293,13 +280,7 @@ def _build(raw: dict) -> RunConfig:
 
     initial = None
     if "initial" in raw:
-        keys = _read(raw, "initial", "kind")
-        with _section("initial"):
-            initial = InitialData(**keys)
-        # A key its kind does not read would be dropped, and a sweep over it would repeat one run.
-        unread = sorted(set(keys) - {"kind", *_INITIAL_KINDS[initial.kind]})
-        if unread:
-            raise ConfigError(f"[initial] kind={initial.kind} does not take key(s) {unread}")
+        initial = _initial(_read(raw, "initial", "kind"), grid)
 
     evolve_cfg = None
     if "evolve" in raw:
@@ -321,7 +302,7 @@ def _build(raw: dict) -> RunConfig:
     if "sweep" in raw:
         with _section("sweep"):
             sweep_spec = SweepSpec(**_read(raw, "sweep", "vary", "values"))
-        # Every run's config must be valid before the sweep writes anything.
+        # Every run's config, its initial field included, is built before the sweep writes anything.
         for v in sweep_spec.values:
             try:
                 _sweep_run(raw, sweep_spec.vary, v)
@@ -374,20 +355,19 @@ def write_field_csv(f: PeriodicField, path) -> None:
         fh.write(text)
 
 
-def read_field_csv(path) -> PeriodicField:
-    """Read a field written by write_field_csv, reconstructing the grid from the x column."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"expected two CSV columns (x,value) in {path}")
-    x, v = data[:, 0], data[:, 1]
-    n = len(x)
-    if n < 8:
-        raise ValueError(f"too few samples ({n}) in {path}")
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"non-uniform x column in {path}")
-    grid = Grid(n=n, length=float(n * dx), origin=float(x[0]))
-    return PeriodicField(grid, v)
+def read_field_csv(path, grid: Grid) -> np.ndarray:
+    """The h column of a field CSV whose x column is grid's nodes, each within 1e-9 * max(1, length):
+    write_field_csv's 17 digits of grid.x read back exactly at any origin."""
+    with warnings.catch_warnings():
+        # An empty or header-only file is reported by its shape, not by numpy's warning.
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape != (grid.n, 2):
+        raise ValueError(f"expected two CSV columns (x,h), one row per [grid] node, in {path}: "
+                         f"shape {data.shape} does not match ({grid.n}, 2)")
+    if not np.all(np.abs(data[:, 0] - grid.x) <= 1e-9 * max(1.0, grid.length)):
+        raise ValueError(f"x column in {path} does not match the [grid] nodes")
+    return data[:, 1]
 
 
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
@@ -457,16 +437,16 @@ def _run_reports(traj, params) -> list[BoundReport]:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    return _evolve(cfg, cfg.initial.build(cfg.grid))[0]
+    return _evolve(cfg)[0]
 
 
-def _evolve(cfg: RunConfig, h0: PeriodicField) -> tuple:
-    """(exit code, termination) of one evolve run from h0; a failed run still writes its tree."""
+def _evolve(cfg: RunConfig) -> tuple:
+    """(exit code, termination) of one evolve run; a failed run still writes its tree."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
-        traj = run(h0, cfg.params, cfg.evolve)
+        traj = run(cfg.initial, cfg.params, cfg.evolve)
     except StepFailure as exc:
         _emit_error(exc)
         traj, code = exc.trajectory, 1
@@ -538,8 +518,8 @@ def cmd_steady(cfg: RunConfig) -> int:
 def _sweep_worker(args) -> dict:
     """Run one sweep value; its index entry names the run's directory relative to the
     sweep root, so the tree does not depend on where the sweep is written."""
-    run_cfg, h0, value, name = args
-    code, termination = _evolve(run_cfg, h0)
+    run_cfg, value, name = args
+    code, termination = _evolve(run_cfg)
     return {"value": value, "dir": name, "exit_code": code, "termination": termination}
 
 
@@ -550,8 +530,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for v in spec.values:
         name = _sweep_dir(spec.vary, v)
         run_cfg = replace(_sweep_run(cfg.raw, spec.vary, v), output_dir=str(out / name))
-        jobs.append((run_cfg, run_cfg.initial.build(run_cfg.grid), v, name))
-    # Every run's initial data is built, so its config errors raised, before any output.
+        jobs.append((run_cfg, v, name))
     out.mkdir(parents=True, exist_ok=True)
     # Never more processes than runs or cores, whatever the config asks for.
     workers = min(spec.workers, len(jobs), os.cpu_count() or 1)

@@ -107,7 +107,7 @@ class EvolveConfig:
     dt_max: float = 0.1
     newton_tol: float = 1e-10
     newton_max_iter: int = 12
-    snapshot_times: Optional[Sequence[float]] = None
+    snapshot_times: Sequence[float] = ()
     knobs: RegularizationKnobs = field(default_factory=RegularizationKnobs)
 
     def __post_init__(self) -> None:
@@ -122,7 +122,7 @@ class EvolveConfig:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        bad = [t for t in self.snapshot_times or () if not (0.0 <= t < math.inf)]
+        bad = [t for t in self.snapshot_times if not (0.0 <= t < math.inf)]
         if bad:
             raise ValueError(f"snapshot times must be finite and nonnegative, got {bad}")
 
@@ -447,8 +447,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     # A requested time within 1e-14 (relative) of the next target, or of t = 0,
     # is dropped: no step fits between them, so both would record one state.
     # Merging here, not at record time, keeps targets close but apart.
-    given = () if cfg.snapshot_times is None else cfg.snapshot_times
-    asked = sorted({float(t) for t in given if 1e-14 < t < cfg.t_end})
+    asked = sorted({float(t) for t in cfg.snapshot_times if 1e-14 < t < cfg.t_end})
     targets = [t for t, later in zip(asked, asked[1:] + [cfg.t_end]) if later - t > 1e-14 * max(1.0, later)]
 
     steady_run = 0

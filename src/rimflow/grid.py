@@ -90,14 +90,6 @@ class Grid:
     def constant(self, c: float) -> "PeriodicField":
         return PeriodicField(self, np.full(self.n, float(c)))
 
-    def compatible(self, other: "Grid") -> bool:
-        """Same n, and length and origin within 1e-9 * max(1, length): a grid rebuilt from samples."""
-        return (
-            self.n == other.n
-            and abs(self.length - other.length) <= 1e-9 * max(1.0, abs(self.length))
-            and abs(self.origin - other.origin) <= 1e-9 * max(1.0, abs(self.length))
-        )
-
 
 def require_full_period(grid: Grid, what: str) -> None:
     """The one 2*pi check, for what needs a full period: "sine forcing is", "steady profiles are"."""

@@ -145,7 +145,7 @@ class TestParseConfig:
         x = cfg.grid.x
         want = 0.3 + 0.02 * np.cos(x) + 0.01 * np.cos(2 * x) \
             + 0.03 * np.sin(x) + 0.0 * np.sin(2 * x) - 0.04 * np.sin(3 * x)
-        np.testing.assert_allclose(cfg.initial.build(cfg.grid).values, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cfg.initial.values, want, rtol=0, atol=1e-15)
 
     def test_grid_defaults_when_section_missing(self):
         text = ("[run]\nmode = evolve\n[params]\na0=1\na1=1\na2=0\na3=0\n"
@@ -265,7 +265,8 @@ EVERY_KEY = {
     "sweep": {"vary": ("params.chi", "params.chi"), "values": ("2, 4", (2.0, 4.0)),
               "workers": ("1", 1)},
 }
-# [initial] per kind: each kind takes only the keys it reads.
+# [initial] per kind: each kind takes only the keys it reads.  [initial]
+# sets no dataclass field; its keys are checked against the starting field.
 INITIAL_KEYS = {
     "constant": {"kind": ("constant", "constant"), "value": ("0.4", 0.4)},
     "trig": {"kind": ("trig", "trig"), "mean": ("0.35", 0.35),
@@ -280,8 +281,14 @@ REQUIRED = {"params": {"a0": "1", "a1": "16", "a2": "0", "a3": "0"},
             "initial": {"kind": "constant", "value": "0.3"}, "evolve": {"t_end": "0.5"},
             "steady": {"mu": "1", "targets": "0.2"}, "sweep": {"vary": "params.a3", "values": "0"}}
 # The dataclass a key sets when it is left out.
-OWNER = {"run": cli.RunConfig, "grid": Grid, "initial": cli.InitialData, "evolve": EvolveConfig,
+OWNER = {"run": cli.RunConfig, "grid": Grid, "evolve": EvolveConfig,
          "steady": Continuation, "sweep": cli.SweepSpec}
+# The samples of each INITIAL_KEYS kind at the nodes x; the file kind's h0.csv holds these.
+INITIAL_SAMPLES = {
+    "constant": lambda x: np.full(x.shape, 0.4),
+    "trig": lambda x: 0.35 + 0.01 * np.cos(x) + 0.02 * np.cos(2 * x) + 0.03 * np.sin(x),
+    "file": lambda x: 0.3 + 0.1 * np.sin(x) ** 2,
+}
 
 
 def reached(cfg, section, key):
@@ -307,24 +314,32 @@ def render(sections):
 
 class TestSchema:
     @pytest.mark.parametrize("mode", sorted(MODE_SECTIONS))
-    def test_every_key_reaches_its_field(self, mode):
+    def test_every_key_reaches_its_field(self, mode, tmp_path, monkeypatch):
         # [initial] is given once per kind, with the keys that kind reads.
+        monkeypatch.chdir(tmp_path)
         run = {"mode": (mode, mode), "output_dir": ("elsewhere", "elsewhere"), "seed": ("7", 7)}
-        kinds = INITIAL_KEYS.values() if "initial" in MODE_SECTIONS[mode] else [None]
-        for initial in kinds:
+        kinds = INITIAL_KEYS if "initial" in MODE_SECTIONS[mode] else [None]
+        for kind in kinds:
             given = {"run": run, **{s: dict(EVERY_KEY[s]) for s in MODE_SECTIONS[mode] if s != "initial"}}
-            if initial is not None:
-                given["initial"] = initial
+            if kind is not None:
+                given["initial"] = INITIAL_KEYS[kind]
             if mode == "sweep":
                 # The other form of [params]; its sine forcing needs a 2*pi domain.
                 given["params"] = PHYSICAL
             if mode in ("sweep", "steady"):
                 given["grid"]["length"] = (repr(2.0 * math.pi), 2.0 * math.pi)
+            if kind == "file":
+                grid = Grid(**{k: v for k, (_, v) in given["grid"].items()})
+                write_field_csv(PeriodicField(grid, INITIAL_SAMPLES["file"](grid.x)), "h0.csv")
             cfg = parse_config(render({s: {k: t for k, (t, _) in kv.items()} for s, kv in given.items()}))
             for section, keys in given.items():
                 for key, (_, value) in keys.items():
-                    if section != "params":
+                    if section not in ("params", "initial"):
                         assert reached(cfg, section, key) == value, (section, key)
+            if kind is not None:
+                assert cfg.initial.grid == cfg.grid
+                np.testing.assert_allclose(cfg.initial.values, INITIAL_SAMPLES[kind](cfg.grid.x),
+                                           rtol=0, atol=1e-15)
             if mode == "evolve":
                 assert (cfg.params.a0, cfg.params.a1, cfg.params.a2, cfg.params.a3) == (2.0, 3.0, -1.0, 0.5)
                 assert not np.any(cfg.params.w.w) and not np.any(cfg.params.w.wp)
@@ -348,7 +363,7 @@ class TestSchema:
         checked = 0
         for section in ("run", *MODE_SECTIONS[mode]):
             for key in cli._SECTION_KEYS[section]:
-                if section == "params" or key in given.get(section, {}):
+                if section in ("params", "initial") or key in given.get(section, {}):
                     continue
                 if section == "evolve" and key in ("delta", "epsilon", "theta"):
                     default = field_default(RegularizationKnobs, key)
@@ -362,6 +377,8 @@ class TestSchema:
         if mode == "steady":
             assert cfg.steady == Continuation((0.2,), 1.0)
         if mode in ("evolve", "sweep"):
+            # No cos or sin terms: the constant value at every node.
+            assert np.array_equal(cfg.initial.values, np.full(cfg.grid.n, 0.3))
             assert np.array_equal(cfg.params.w.wp_mid, Forcing.sine(cfg.grid).wp_mid)
             assert cfg.evolve.knobs == RegularizationKnobs()
 
@@ -512,14 +529,14 @@ epsilon = 0.0
         assert main(["evolve", cfg]) == 0
 
     def test_file_initial_data_far_from_the_origin_runs_on_the_config_grid(self, tmp_path):
-        # An x column read back at origin 1e4 rebuilds the grid only to about
-        # 1e-11; the run must still use the [grid] section's grid, exactly as
-        # a trig start with the same values does.
+        # An x column is checked against the [grid] nodes and not read
+        # further: the run uses the [grid] section's grid, exactly as a trig
+        # start with the same values does.
         text = EVOLVE_TEMPLATE.replace("n = 64", "n = 96\norigin = 10000.0")
         trig = text.format(out=tmp_path / "trig")
         cfg = parse_config(trig)
         field_path = tmp_path / "h0.csv"
-        write_field_csv(cfg.initial.build(cfg.grid), field_path)
+        write_field_csv(cfg.initial, field_path)
         from_file = text.format(out=tmp_path / "file").replace(
             "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", f"kind = file\npath = {field_path}")
         assert main(["evolve", write_cfg(tmp_path, trig, "trig.ini")]) == 0
@@ -529,6 +546,21 @@ epsilon = 0.0
         assert len(names) == 5
         for name in names:
             assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "trig" / name).read_bytes()
+
+    @pytest.mark.parametrize("origin", ["0", "1e4", "1e6", "1e8"])
+    def test_file_initial_data_restarts_from_its_own_snapshot(self, tmp_path, origin):
+        # write_field_csv writes x to 17 digits from grid.x, and the file kind
+        # reads it back against the same nodes, so a run at any origin can
+        # restart from its last snapshot.
+        text = EVOLVE_TEMPLATE.replace("n = 64", f"n = 64\norigin = {origin}")
+        first = tmp_path / "first"
+        assert main(["evolve", write_cfg(tmp_path, text.format(out=first), "first.ini")]) == 0
+        last = json.loads((first / "manifest.json").read_text())["snapshots"][-1]["file"]
+        restart = text.format(out=tmp_path / "restart").replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", f"kind = file\npath = {first / last}")
+        assert main(["evolve", write_cfg(tmp_path, restart, "restart.ini")]) == 0
+        assert (tmp_path / "restart" / "manifest.json").exists()
+        assert (tmp_path / "restart" / "snapshots" / "snapshot_0002.csv").exists()
 
     def test_file_grid_mismatch_fails(self, tmp_path, capsys):
         g = Grid(n=32)
@@ -543,11 +575,14 @@ epsilon = 0.0
         assert "does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize("table, needle", [
-        # Nine evenly spaced rows describe a grid of odd size, which Grid rejects.
-        ("x,h\n" + "".join(f"{0.5 * i},0.3\n" for i in range(9)), "grid size must be even"),
+        # One row per [grid] node, n = 64.
+        ("x,h\n" + "".join(f"{0.5 * i},0.3\n" for i in range(9)), "shape (9, 2) does not match (64, 2)"),
         ("x,h,extra\n" + "".join(f"{0.5 * i},0.3,0\n" for i in range(8)),
          "expected two CSV columns"),
-    ], ids=["odd_rows", "three_columns"])
+        # No rows: a ConfigError, not numpy's "input contained no data" warning.
+        ("x,h\n", "does not match (64, 2)"),
+        ("", "does not match (64, 2)"),
+    ], ids=["odd_rows", "three_columns", "header_only", "empty"])
     def test_malformed_field_file_is_config_error(self, tmp_path, capsys, table, needle):
         field_path = tmp_path / "h0.csv"
         field_path.write_text(table)
@@ -710,8 +745,8 @@ class TestModeAndParseErrors:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["initial_lift"] == RegularizationKnobs(epsilon=1e-4).lift == 1e-4**0.3
         cfg = parse_config(text)
-        h0 = cfg.initial.build(cfg.grid).values
-        first = read_field_csv(out / manifest["snapshots"][0]["file"]).values
+        h0 = cfg.initial.values
+        first = read_field_csv(out / manifest["snapshots"][0]["file"], cfg.grid)
         assert first.tobytes() == (h0 + manifest["initial_lift"]).tobytes()
 
     def test_largest_grid_parses(self):
@@ -724,6 +759,9 @@ class TestModeAndParseErrors:
         ("evolve", "evolve", "epsilon", "nan", "[evolve] epsilon must be nonnegative and finite"),
         ("evolve", "evolve", "delta", "inf", "[evolve] delta must be nonnegative and finite"),
         ("evolve", "initial", "value", "-0.5", "[initial] evaluated initial data must be nonnegative"),
+        ("evolve", "initial", "value", "inf", "[initial] field values must be finite"),
+        # The sum would overflow: a ConfigError, not numpy's overflow warning.
+        ("evolve", "initial", "cos", "1e308, 1e308", "[initial] field values must be finite"),
         ("steady", "steady", "mode", "fixed_mass", "[steady] chi=0 profiles support only fixed_flux"),
         ("steady", "steady", "mu", "0", "[steady] chi=0 profiles need mu > 0"),
         ("steady", "steady", "tol", "-1", "[steady] tol must be positive"),
@@ -1088,9 +1126,24 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("vary", ["params.a1", "grid.origin", "initial.mean", "evolve.epsilon"])
     def test_vary_accepts_number_keys(self, tmp_path, vary):
+        # Mean 0 with the template's cos terms gives negative data, a ConfigError.
+        values = "0.3, 1" if vary == "initial.mean" else "0, 1"
         text = EVOLVE_TEMPLATE.format(out=tmp_path / "out").replace("mode = evolve", "mode = sweep")
-        text += f"[sweep]\nvary = {vary}\nvalues = 0, 1\n"
+        text += f"[sweep]\nvary = {vary}\nvalues = {values}\n"
         assert parse_config(text).sweep.vary == vary
+
+    def test_sweep_value_giving_negative_initial_data_is_config_error(self, tmp_path, capsys):
+        # Each run's initial field is built when the sweep is parsed.
+        out = tmp_path / "out"
+        text = EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve", "mode = sweep")
+        text += "[sweep]\nvary = initial.mean\nvalues = 0.3, 0\n"
+        message = "[sweep] run mean=0: [initial] evaluated initial data must be nonnegative"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 2
+        assert single_error(capsys, "ConfigError")["message"] == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):
@@ -1124,7 +1177,7 @@ class TestSweepCommand:
                 return map(fn, jobs)
 
         def fake_worker(args):
-            return {"value": args[2], "dir": args[3], "exit_code": 0, "termination": "t_end"}
+            return {"value": args[1], "dir": args[2], "exit_code": 0, "termination": "t_end"}
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_sweep_worker", fake_worker)

@@ -2,6 +2,7 @@
 import ast
 import importlib.machinery
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,21 +66,6 @@ class TestGrid:
     def test_rejects_bad_length(self, length):
         with pytest.raises(ValueError):
             Grid(n=16, length=length)
-
-    def test_compatible(self):
-        g = Grid(n=32)
-        assert g.compatible(Grid(n=32))
-        assert not g.compatible(Grid(n=64))
-        assert not g.compatible(Grid(n=32, length=1.0))
-        assert not g.compatible(Grid(n=32, origin=0.5))
-
-    def test_compatible_tolerates_a_rebuilt_grid_equality_does_not(self):
-        # compatible's 1e-9 absorbs the rounding of a grid rebuilt
-        # from an x column; == is the exact test every solver layer uses.
-        g = Grid(n=32)
-        near = Grid(n=32, length=g.length * (1.0 + 1e-11), origin=1e-11)
-        assert g.compatible(near) and g != near
-        assert not g.compatible(Grid(n=32, length=g.length * (1.0 + 1e-8)))
 
 
 class TestPeriodicField:
@@ -401,9 +387,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "field.csv"
         write_field_csv(f, path)
         assert path.read_text().splitlines()[0] == "x,h"
-        back = read_field_csv(path)
-        assert back.grid.compatible(g)
-        assert_allclose(back.values, f.values, rtol=0, atol=0)
+        assert np.array_equal(read_field_csv(path, g), f.values)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -423,9 +407,7 @@ class TestCsvRoundTrip:
         # The bulk writer gives the bytes of one formatted line per sample.
         rows = "".join(f"{xi:.17g},{vi:.17g}\n" for xi, vi in zip(g.x, f.values))
         assert path.read_text() == "x,h\n" + rows
-        back = read_field_csv(path)
-        assert np.array_equal(back.values, f.values)
-        assert back.grid.compatible(g)
+        assert np.array_equal(read_field_csv(path, g), f.values)
 
     @pytest.mark.parametrize("grid", [Grid(), Grid(n=64, origin=-1.25), Grid(n=48, length=3.5)],
                              ids=["default", "shifted", "non-2pi"])
@@ -438,9 +420,7 @@ class TestCsvRoundTrip:
             write_field_csv(f, path)
             write_csv(generic, ("x", "h"), np.column_stack((grid.x, f.values)))
             assert path.read_bytes() == generic.read_bytes()
-            back = read_field_csv(path)
-            assert back.grid.compatible(grid)
-            assert np.array_equal(back.values, f.values)
+            assert np.array_equal(read_field_csv(path, grid), f.values)
 
     def test_write_csv_table(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -453,11 +433,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         rows = ["x,value"] + [f"{x},{1.0}" for x in (0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7)]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError):
-            read_field_csv(path)
+        with pytest.raises(ValueError, match=r"x column in .*bad\.csv does not match the \[grid\] nodes"):
+            read_field_csv(path, Grid(n=8, length=0.8))
 
     def test_rejects_too_few_samples(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("x,value\n0.0,1.0\n0.1,1.0\n")
-        with pytest.raises(ValueError):
-            read_field_csv(path)
+        with pytest.raises(ValueError, match=re.escape("shape (2, 2) does not match (8, 2)")):
+            read_field_csv(path, Grid(n=8, length=0.8))
+
+    @pytest.mark.parametrize("origin", [0.0, -3.0, 1e4])
+    def test_x_column_is_read_within_1e_9_of_the_length(self, tmp_path, origin):
+        # Each x may lie 1e-9 * max(1, length) from its node, whatever the origin.
+        g = Grid(n=16, length=10.0, origin=origin)
+        v = random_trig(g, 5).values
+        path = tmp_path / "field.csv"
+        write_csv(path, ("x", "h"), np.column_stack((g.x + 1e-10 * g.length, v)))
+        assert np.array_equal(read_field_csv(path, g), v)
+        write_csv(path, ("x", "h"), np.column_stack((g.x - 1e-8 * g.length, v)))
+        with pytest.raises(ValueError, match="does not match the"):
+            read_field_csv(path, g)

@@ -190,24 +190,6 @@ def test_only_grid_sums_a_quadrature(path):
     assert sum_sites(ast.parse(path.read_text())) == SUMS_OUTSIDE_GRID.get(path.name, [])
 
 
-def compatible_calls(tree: ast.Module) -> list:
-    """Lines calling a .compatible( method."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compatible")
-
-
-def test_finds_compatible_calls():
-    tree = ast.parse("a = g.compatible(h)\nb = g != h\nc = compatible(g)\nd = x.grid.compatible(y, tol=1)\n")
-    assert compatible_calls(tree) == [1, 4]
-
-
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
-def test_only_cli_compares_grids_with_a_tolerance(path):
-    # A run has one grid; only a grid rebuilt from a file's x column needs
-    # Grid.compatible, and every other layer compares grids with ==.
-    assert compatible_calls(ast.parse(path.read_text())) == []
-
-
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 # Named by the tracer, gone from rimflow: diff_matrix since the banded solver

@@ -217,7 +217,13 @@ class TestMoffattProfile:
         assert prof.residual_sup <= 1e-12
         assert prof.q == 0.5
         assert float(np.min(prof.h.values)) > 0.0
-        assert prof.mass == pytest.approx(integrate(prof.h.values, g.dx), rel=1e-15)
+        # Lagrange inversion of h = q + (mu/3) cos(x) h^3, integrated term by
+        # term over a period: only even powers of cos x survive, and
+        # int cos^(2k) = 2 pi C(2k, k) / 4^k.  Forty terms reach rounding.
+        t = 1.0 * 0.5**2 / 3.0  # mu q^2 / 3
+        series = sum(math.comb(6 * k, 2 * k) / (4 * k + 1) * t ** (2 * k) * math.comb(2 * k, k) / 4**k
+                     for k in range(40))
+        assert prof.mass == pytest.approx(2.0 * math.pi * 0.5 * series, rel=1e-13)
         cosx = np.cos(g.x)
         mask = cosx > 1e-14
         assert np.all(cosx[mask] * prof.h.values[mask] ** 2 < 1.0)
