@@ -207,7 +207,9 @@ def gradient_bound_check(traj, p: Params) -> BoundReport:
     base = max(p.w.l2_wp**2, first.gradient_sq)
     lhs = math.log(last.gradient_sq) if last.gradient_sq > 0.0 else -math.inf
     rhs = (math.log(base) if base > 0.0 else -math.inf) + B
-    return BoundReport.check("gradient_growth", lhs, rhs, tolerance=1e-9 * max(1.0, abs(rhs)))
+    # An infinite rhs takes no relative slack: lhs = -inf (int h_x^2 = 0) then holds against rhs = -inf.
+    tol = 1e-9 * max(1.0, abs(rhs)) if math.isfinite(rhs) else 0.0
+    return BoundReport.check("gradient_growth", lhs, rhs, tolerance=tol)
 
 
 def count_local_maxima(h: PeriodicField) -> list[int]:

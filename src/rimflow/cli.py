@@ -5,12 +5,12 @@ names every section's keys and the type each is read as; unknown sections or
 keys are errors, as are missing required keys.  A key that is left out takes
 the default of the dataclass field it sets, and each value is checked there;
 [initial] sets none, and is read straight into the field the run starts from.
-This module is the only one that reads or writes files: the config, an
-[initial] field CSV, and every file of the output trees.  The solver modules
-return values; nothing here reads back a file it wrote.  All outputs are
-deterministic functions of the config and the seed: CSV numbers are written
-with 17 significant digits and JSON is emitted with sorted keys and no
-timestamps, so identical inputs give bit-identical output trees.
+A sweep config is its runs: one evolve RunConfig per value, each built once.
+This module alone reads or writes files: the config, an [initial] field CSV,
+and every file of the output trees; the solver modules return values, and
+nothing here reads back a file it wrote.  Outputs are deterministic in the
+config and the seed: CSV numbers have 17 significant digits and JSON sorted
+keys and no timestamps, so identical inputs give bit-identical output trees.
 """
 from __future__ import annotations
 
@@ -144,6 +144,7 @@ class RunConfig:
     output_dir: str = "out"
     seed: int = 0
     raw: dict = field(default_factory=dict, compare=False)
+    runs: tuple = ()  # a sweep's evolve RunConfigs, one per value; no config key sets it
 
 
 def _value(section: str, key: str, text: str):
@@ -173,12 +174,6 @@ def _section(name: str):
         raise
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
-
-
-def _require_full_period(grid: Grid, what: str) -> None:
-    """grid.require_full_period as a ConfigError on [grid] length."""
-    with _section("grid"):
-        require_full_period(grid, f"length: {what}")
 
 
 def _initial(keys: dict, grid: Grid) -> PeriodicField:
@@ -213,8 +208,8 @@ def _initial(keys: dict, grid: Grid) -> PeriodicField:
 
 
 def _sections(text: str) -> dict:
-    """The config text as {section: {key: text}}; nothing is checked but the syntax."""
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    """The config text as {section: {key: text}}, [DEFAULT] an ordinary section; only the syntax is checked."""
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",), default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -242,6 +237,8 @@ def _build(raw: dict) -> RunConfig:
     mode = run_keys.get("mode")
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {_MODES}, got {mode!r}")
+    if run_keys.get("seed", 0) < 0:
+        raise ConfigError(f"[run] seed must be nonnegative, got {run_keys['seed']}")
 
     required, optional = _MODE_SECTIONS[mode]
     present = set(raw) - {"run"}
@@ -257,7 +254,15 @@ def _build(raw: dict) -> RunConfig:
     if grid.n > MAX_GRID_N:
         raise ConfigError(f"[grid] n: at most {MAX_GRID_N}, got {grid.n}")
     if mode == "steady":
-        _require_full_period(grid, "steady profiles are")
+        with _section("grid"):
+            require_full_period(grid, "length: steady profiles are")
+    if mode == "sweep":
+        with _section("sweep"):
+            spec = SweepSpec(**_read(raw, "sweep", "vary", "values"))
+        # Each run, its initial field included, is built before the sweep writes anything.
+        runs = tuple(_sweep_run(raw, spec.vary, v) for v in spec.values)
+        return RunConfig(**run_keys, grid=grid, params=None, initial=None, evolve=None,
+                         steady=None, sweep=spec, runs=runs, raw=raw)
 
     params = None
     if "params" in raw:
@@ -269,7 +274,8 @@ def _build(raw: dict) -> RunConfig:
         keys = _read(raw, "params", *(("chi", "mu") if physical else ("a0", "a1", "a2", "a3")))
         forcing = keys.pop("forcing", "sine")
         if physical or forcing == "sine":
-            _require_full_period(grid, "sine forcing is")
+            with _section("grid"):
+                require_full_period(grid, "length: sine forcing is")
         with _section("params"):
             if physical:
                 params = from_physical(grid=grid, **keys)
@@ -298,17 +304,6 @@ def _build(raw: dict) -> RunConfig:
         with _section("steady"):
             steady_spec = Continuation(**_read(raw, "steady", "targets", "mu"))
 
-    sweep_spec = None
-    if "sweep" in raw:
-        with _section("sweep"):
-            sweep_spec = SweepSpec(**_read(raw, "sweep", "vary", "values"))
-        # Every run's config, its initial field included, is built before the sweep writes anything.
-        for v in sweep_spec.values:
-            try:
-                _sweep_run(raw, sweep_spec.vary, v)
-            except ConfigError as exc:
-                raise ConfigError(f"[sweep] run {_sweep_dir(sweep_spec.vary, v)}: {exc}") from None
-
     return RunConfig(
         **run_keys,
         grid=grid,
@@ -316,18 +311,21 @@ def _build(raw: dict) -> RunConfig:
         initial=initial,
         evolve=evolve_cfg,
         steady=steady_spec,
-        sweep=sweep_spec,
+        sweep=None,
         raw=raw,
     )
 
 
 def _sweep_run(raw: dict, vary: str, value: float) -> RunConfig:
-    """The evolve run of one sweep value: the sweep's sections with vary set to value."""
+    """The evolve run of one sweep value: the sweep's sections with vary set to value, errors naming it."""
     section, key = vary.split(".", 1)
     sections = {s: dict(kv) for s, kv in raw.items() if s != "sweep"}
     sections.setdefault(section, {})[key] = repr(value)
     sections["run"]["mode"] = "evolve"
-    return _build(sections)
+    try:
+        return _build(sections)
+    except ConfigError as exc:
+        raise ConfigError(f"[sweep] run {_sweep_dir(vary, value)}: {exc}") from None
 
 
 def write_csv(path, columns: Sequence[str], rows) -> None:
@@ -527,10 +525,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     spec = cfg.sweep
     jobs = []
-    for v in spec.values:
+    for run_cfg, v in zip(cfg.runs, spec.values):
         name = _sweep_dir(spec.vary, v)
-        run_cfg = replace(_sweep_run(cfg.raw, spec.vary, v), output_dir=str(out / name))
-        jobs.append((run_cfg, v, name))
+        jobs.append((replace(run_cfg, output_dir=str(out / name)), v, name))
     out.mkdir(parents=True, exist_ok=True)
     # Never more processes than runs or cores, whatever the config asks for.
     workers = min(spec.workers, len(jobs), os.cpu_count() or 1)

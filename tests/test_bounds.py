@@ -254,6 +254,15 @@ class TestTrajectoryChecks:
         assert rep.satisfied
         assert rep.lhs <= rep.rhs + 1e-9 * max(1.0, abs(rep.rhs))
 
+    def test_gradient_growth_holds_on_a_flat_film(self):
+        # No forcing and no gradient: both log sides are -inf, and 0 <= 0 holds.
+        g = Grid(n=32)
+        p = Params(1.0, 1.0, 0.0, 0.0, Forcing.constant(g))
+        traj = run(g.constant(0.3), p, EvolveConfig(t_end=0.01))
+        rep = gradient_bound_check(traj, p)
+        assert (rep.lhs, rep.rhs) == (-math.inf, -math.inf)
+        assert rep.satisfied
+
 
 class TestCountLocalMaxima:
     def test_counts_cosine_peaks(self):

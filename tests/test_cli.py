@@ -165,6 +165,9 @@ class TestParseConfig:
         ("[bogus]\nx = 1\n", "unknown section"),
         ("[sweep]\nteeth = 3\n", "unknown key"),
         ("[steady]\ntargets = 0.1\nmu = 1\n", "does not accept"),
+        # configparser would copy a [DEFAULT]'s keys into every other section.
+        ("[DEFAULT]\nmode = check\n", r"^unknown section \[DEFAULT\]$"),
+        ("[DEFAULT]\nfoo = 1\n", r"^unknown section \[DEFAULT\]$"),
     ])
     def test_rejects_unknown_structure(self, tmp_path, mutation, needle):
         text = EVOLVE_TEMPLATE.format(out=tmp_path) + mutation
@@ -332,19 +335,25 @@ class TestSchema:
                 grid = Grid(**{k: v for k, (_, v) in given["grid"].items()})
                 write_field_csv(PeriodicField(grid, INITIAL_SAMPLES["file"](grid.x)), "h0.csv")
             cfg = parse_config(render({s: {k: t for k, (t, _) in kv.items()} for s, kv in given.items()}))
+            # A sweep's [evolve], [params] and [initial] reach each of its runs.
+            runs = cfg.runs if mode == "sweep" else (cfg,)
             for section, keys in given.items():
                 for key, (_, value) in keys.items():
                     if section not in ("params", "initial"):
-                        assert reached(cfg, section, key) == value, (section, key)
+                        for owner in (runs if section == "evolve" else (cfg,)):
+                            assert reached(owner, section, key) == value, (section, key)
             if kind is not None:
-                assert cfg.initial.grid == cfg.grid
-                np.testing.assert_allclose(cfg.initial.values, INITIAL_SAMPLES[kind](cfg.grid.x),
-                                           rtol=0, atol=1e-15)
+                for r in runs:
+                    assert r.initial.grid == r.grid == cfg.grid
+                    np.testing.assert_allclose(r.initial.values, INITIAL_SAMPLES[kind](r.grid.x),
+                                               rtol=0, atol=1e-15)
             if mode == "evolve":
                 assert (cfg.params.a0, cfg.params.a1, cfg.params.a2, cfg.params.a3) == (2.0, 3.0, -1.0, 0.5)
                 assert not np.any(cfg.params.w.w) and not np.any(cfg.params.w.wp)
             if mode == "sweep":
-                assert (cfg.params.a0, cfg.params.a2) == (2.0, -0.5)
+                assert (cfg.params, cfg.initial, cfg.evolve) == (None, None, None)
+                # vary = params.chi: each run's chi is its value, and mu = 1.5 gives a2.
+                assert [(r.params.a0, r.params.a2) for r in runs] == [(2 / 3, -0.5), (4 / 3, -0.5)]
             if mode == "steady":
                 assert cfg.steady == Continuation((0.8, 0.9), 2.0, 3.0, "fixed_mass", 1e-9, 20)
 
@@ -360,6 +369,7 @@ class TestSchema:
         given = {"run": {"mode": mode},
                  **{s: REQUIRED[s] for s in MODE_SECTIONS[mode] if s in REQUIRED}}
         cfg = parse_config(render(given))
+        runs = cfg.runs if mode == "sweep" else (cfg,)
         checked = 0
         for section in ("run", *MODE_SECTIONS[mode]):
             for key in cli._SECTION_KEYS[section]:
@@ -371,16 +381,18 @@ class TestSchema:
                     default = field_default(EvolveConfig, "snapshot_times")
                 else:
                     default = field_default(OWNER[section], key)
-                assert reached(cfg, section, key) == default, (section, key)
+                for owner in (runs if section == "evolve" else (cfg,)):
+                    assert reached(owner, section, key) == default, (section, key)
                 checked += 1
         assert checked >= 2
         if mode == "steady":
             assert cfg.steady == Continuation((0.2,), 1.0)
         if mode in ("evolve", "sweep"):
-            # No cos or sin terms: the constant value at every node.
-            assert np.array_equal(cfg.initial.values, np.full(cfg.grid.n, 0.3))
-            assert np.array_equal(cfg.params.w.wp_mid, Forcing.sine(cfg.grid).wp_mid)
-            assert cfg.evolve.knobs == RegularizationKnobs()
+            for r in runs:
+                # No cos or sin terms: the constant value at every node.
+                assert np.array_equal(r.initial.values, np.full(r.grid.n, 0.3))
+                assert np.array_equal(r.params.w.wp_mid, Forcing.sine(r.grid).wp_mid)
+                assert r.evolve.knobs == RegularizationKnobs()
 
 
 class TestEvolveCommand:
@@ -780,6 +792,9 @@ class TestModeAndParseErrors:
         ("evolve", "evolve", "snapshots", "nan, -1, 0.005, 5",
          "[evolve] snapshot times must be finite and nonnegative, got [nan, -1.0]"),
         ("steady", "steady", "tol", "inf", "[steady] tol must be positive"),
+        ("evolve", "run", "seed", "-1", "[run] seed must be nonnegative, got -1"),
+        ("steady", "run", "seed", "-1", "[run] seed must be nonnegative, got -1"),
+        ("sweep", "run", "seed", "-1", "[run] seed must be nonnegative, got -1"),
     ])
     def test_bad_values_exit_two(self, tmp_path, capsys, mode, section, key, value, needle):
         out = tmp_path / "out"
@@ -1055,6 +1070,34 @@ class TestSweepCommand:
         assert "nope.csv" in single_error(capsys, "ConfigError")["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_builds_each_run_once(self, tmp_path, monkeypatch, workers):
+        # Each run's [initial] CSV is read when the config is parsed, and
+        # cmd_sweep runs the runs it was given: one read per value.
+        paths = []
+
+        def counting_read(path, grid):
+            paths.append(path)
+            return read_field_csv(path, grid)
+
+        monkeypatch.setattr(cli, "read_field_csv", counting_read)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        grid = Grid(n=64)
+        write_field_csv(PeriodicField(grid, 0.3 + 0.02 * np.cos(grid.x)), tmp_path / "h0.csv")
+        out = tmp_path / "out"
+        text = sweep_text(out, workers).replace("values = 0, 1", "values = 0, 1, 2").replace(
+            "kind = trig\nmean = 0.3\ncos = 0.02, 0.02", f"kind = file\npath = {tmp_path / 'h0.csv'}")
+        assert main(["sweep", write_cfg(tmp_path, text)]) == 0
+        assert len(paths) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["a3=0", "a3=1", "a3=2", "sweep_index.json"]
+
+    def test_the_varied_key_may_be_left_out(self, tmp_path):
+        # No run reads the varied key's own [params] value.
+        text = sweep_text(tmp_path / "out", 1).replace("a3 = 0.0\n", "")
+        cfg = parse_config(text)
+        assert "a3" not in cfg.raw["params"]
+        assert [r.params.a3 for r in cfg.runs] == [0.0, 1.0]
+
     def test_serial_sweep_over_drift(self, tmp_path):
         out = tmp_path / "out"
         text = EVOLVE_TEMPLATE.format(out=out).replace("mode = evolve",
@@ -1222,6 +1265,13 @@ class TestCheckCommand:
         assert main(["check", cfg]) == 1
         printed = capsys.readouterr().out
         assert printed.count("FAIL") == printed.count("FAIL d1_truncation[") == 3
+
+    def test_negative_seed_is_config_error_before_anything_is_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"[run]\nmode = check\noutput_dir = {out}\n")
+        assert main(["check", cfg, "--seed", "-1"]) == 2
+        assert single_error(capsys, "ConfigError")["message"] == "[run] seed must be nonnegative, got -1"
+        assert not out.exists()
 
     def test_same_seed_reproduces_battery(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nmode = check\n")
