@@ -40,7 +40,7 @@ from .bounds import (
     local_existence_time,
 )
 from .evolve import DiagnosticsRecord, EvolveConfig, StepFailure, run
-from .grid import Grid, PeriodicField, d1, require_full_period
+from .grid import Grid, PeriodicField, gradient_sq, require_full_period
 from .model import Forcing, Params, RegularizationKnobs, from_physical
 from .steady import (
     FLUX_BOUND_RATIO,
@@ -384,10 +384,19 @@ def write_branch_csv(profiles: Sequence[SteadyProfile], path) -> None:
     write_csv(path, cols, rows)
 
 
+def _strict(value):
+    """value with every non-finite float, at any depth, as None: strict JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
-    """The one JSON format of the output trees: sorted keys, indent 2, final newline."""
+    """The one JSON format of the output trees: strict, sorted keys, indent 2, final newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -405,10 +414,8 @@ def _emit_error(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("residual_sup", "iterations", "reason", "min_h", "t", "dt", "diverged"):
         if hasattr(exc, attr):
-            value = getattr(exc, attr)
-            finite = not isinstance(value, float) or math.isfinite(value)
-            record[attr] = value if finite else None
-    print(json.dumps(record, sort_keys=True, allow_nan=False), file=sys.stderr)
+            record[attr] = getattr(exc, attr)
+    print(json.dumps(_strict(record), sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
 def _mass_drift(traj) -> float:
@@ -551,16 +558,15 @@ def _check_battery(seed: int):
     rng = np.random.default_rng(seed)
     grid = Grid(n=64)
 
-    # The centred difference against the exact derivative of random trigonometric
-    # data.  d1 maps mode k to sin(k dx)/dx, and k - sin(k dx)/dx <= k^3 dx^2 / 6.
+    # gradient_sq against pi sum k^2 c_k^2, the integral of v_x^2 of random trigonometric
+    # data: it reads mode k's k^2 as 4 sin^2(k dx/2)/dx^2, within k^4 dx^2 / 12 below it.
     x, dx = grid.x, grid.dx
     for trial in range(3):
         c = rng.normal(size=4) * 0.1
         v = 1.0 + c[0] * np.cos(x) + c[1] * np.sin(x) + c[2] * np.cos(2 * x) + c[3] * np.sin(2 * x)
-        vp = -c[0] * np.sin(x) + c[1] * np.cos(x) - 2 * c[2] * np.sin(2 * x) + 2 * c[3] * np.cos(2 * x)
-        bound = dx**2 / 6.0 * (abs(c[0]) + abs(c[1]) + 8.0 * (abs(c[2]) + abs(c[3])))
-        yield BoundReport.check(f"d1_truncation[{trial}]", np.abs(d1(v, dx) - vp).max(), bound,
-                                tolerance=1e-12)
+        k2, k4 = (c[0]**2 + c[1]**2 + 2.0**p * (c[2]**2 + c[3]**2) for p in (2, 4))  # sum k^p c_k^2
+        yield BoundReport.check(f"gradient_sq_truncation[{trial}]", abs(math.pi * k2 - gradient_sq(v, dx)),
+                                math.pi * dx**2 / 12.0 * k4, tolerance=1e-12)
 
     # Interpolation bound on random positive fields.
     for trial in range(3):

@@ -19,8 +19,8 @@ slices.  It telescopes, so the discrete mass is conserved identically.
 
 The per-step monitors reuse these interface values: the dissipation sums
 and the K1 gradient/entropy functional use the interface gradient and third
-derivative, so energy plus dissipation closes the discrete energy identity
-of the scheme.  They read the terms (d, g, f) that _System keeps of its
+derivative: energy, dissipation and the remainder R close the discrete
+energy identity.  They read the terms (d, g, f) that _System keeps of its
 last flux evaluation: Newton's last residual is taken at the very array it
 returns, so step hands that evaluation over.  run queues each accepted
 step's dt, state and terms, and evaluates the monitors over a stack of up
@@ -170,6 +170,7 @@ class DiagnosticsRecord:
     entropy_eps: float
     gradient_sq: float
     dissipation_cum: float
+    remainder_cum: float
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,8 @@ def _k1_terms(u: np.ndarray, dx: float, epsilon: float) -> tuple:
     return positive.tolist(), gradient_sq(u, dx).tolist(), ent.tolist()
 
 
-def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float) -> DiagnosticsRecord:
+def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: float,
+            rem_cum: float) -> DiagnosticsRecord:
     v, dx = h.values, h.grid.dx
     l2_sq = integrate(v * v, dx)
     grad_sq = gradient_sq(v, dx)
@@ -386,6 +388,7 @@ def _record(h: PeriodicField, t: float, p: Params, cfg: EvolveConfig, diss_cum: 
         entropy_eps=entropy_eps,
         gradient_sq=grad_sq,
         dissipation_cum=diss_cum,
+        remainder_cum=rem_cum,
     )
 
 
@@ -402,22 +405,24 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
     with_k1 = p.k_coefficient != 0.0  # else bounds.k_constant never reads K1
     k1_weight = (p.a1 / p.a0) * (p.a1 / p.a0 + 2.0 * cfg.knobs.delta)
     block = max(1, MONITOR_BLOCK_VALUES // state.h.grid.n)
-    pending = []  # (dt_used, u, d, g, f) of accepted steps not yet in the monitors
-    diss_cum = diss3_cum = e_prev = 0.0
+    pending = []  # (dt_used, u, du, d, g, f) of accepted steps not yet in the monitors
+    diss_cum = diss3_cum = rem_cum = e_prev = 0.0
 
     def k1(positive: bool, grad: float, ent: float) -> float:
         return grad + k1_weight * ent + p.a0 * diss3_cum if positive else math.inf
 
     def flush() -> None:
         """Evaluate the monitors on the pending steps and fold them in, in step order."""
-        nonlocal diss_cum, diss3_cum, e_prev
+        nonlocal diss_cum, diss3_cum, rem_cum, e_prev
         if not pending:
             return
-        dts, u, d, g, f = zip(*pending)
+        dts, u, du, d, g, f = zip(*pending)
         pending.clear()
         # The monitors read interfaces 0..n-1: g and f[1:], and t3 the jumps d[1:].
-        u, g, f = np.stack(u), np.stack(g)[:, 1:], np.stack(f)[:, 1:]
+        u, du, g, f = np.stack(u), np.stack(du), np.stack(g)[:, 1:], np.stack(f)[:, 1:]
         diss = integrate(f * g**2, dx).tolist()
+        # The backward-Euler remainder R_k = 1/2 du^T H du, E_h's quadratic part at du = u_k - u_{k-1}.
+        rem = (0.5 * (p.a0 * gradient_sq(du, dx) - p.a1 * integrate(du**2, dx))).tolist()
         if with_k1:
             d = np.stack(d)
             t3 = (d[:, 3:] - 2.0 * d[:, 2:-1] + d[:, 1:-2]) / dx**3
@@ -429,6 +434,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             e_prev = traj.records[0].energy  # E(h_0): the first step's rise counts too
         for i, dt_used in enumerate(dts):
             diss_cum += dt_used * diss[i]
+            rem_cum += rem[i]
             traj.supcube_time_integral += dt_used * sup[i]**3
             if with_k1:
                 diss3_cum += dt_used * diss3[i]
@@ -466,12 +472,12 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
             # The monitors are evaluated at the accepted implicit state, from
             # the flux terms step left there, a block of steps at a time.
             dt_used = new.t - state.t
-            u = new.h.values
-            pending.append((dt_used, u, *sysm.last_flux))
+            du = new.h.values - state.h.values
+            pending.append((dt_used, new.h.values, du, *sysm.last_flux))
             if len(pending) == block:
                 flush()
             traj.newton_tol_effective = max(traj.newton_tol_effective, new.newton.tol_used)
-            rate = float(np.abs(u - state.h.values).max()) / dt_used
+            rate = float(np.abs(du).max()) / dt_used
             steady_run = steady_run + 1 if rate < STEADY_RATE else 0
 
             # Rounding in the summed step sizes leaves up to 1e-12 at a landing.
@@ -481,7 +487,7 @@ def run(h0: PeriodicField, p: Params, cfg: EvolveConfig) -> Trajectory:
                 new = replace(new, dt=state.dt)
             state = new
         flush()
-        traj.snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum)))
+        traj.snapshots.append(Snapshot(state.t, state.h, _record(state.h, state.t, p, cfg, diss_cum, rem_cum)))
         if steady_run >= STEADY_RUN_LENGTH:
             traj.termination = "steady"
             break

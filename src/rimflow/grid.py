@@ -1,10 +1,10 @@
 """Uniform periodic grid and the discrete calculus built on it.
 
-Every functional is composed from three reductions on bare samples along
-the last axis: integrate, the one quadrature (the periodic rectangle rule,
-exact for trigonometric polynomials below the grid cutoff), d1, the centred
-difference, and gradient_sq, the sum of squared compact jumps.  jump_terms
-is the interface jump form both Newton solvers share.
+Every functional is composed from two reductions on bare samples along the
+last axis: integrate, the one quadrature (the periodic rectangle rule, exact
+for trigonometric polynomials below the grid cutoff), and gradient_sq, the
+sum of squared compact jumps, the one discrete gradient (the flux's).
+jump_terms is the interface jump form both Newton solvers share.
 """
 from __future__ import annotations
 
@@ -133,12 +133,6 @@ def integrate(v: np.ndarray, dx: float):
     """dx * sum(v) along the last axis, the periodic rectangle rule: a float or one per row."""
     s = dx * v.sum(axis=-1)
     return float(s) if v.ndim == 1 else s
-
-
-def d1(v: np.ndarray, dx: float) -> np.ndarray:
-    """(v[i+1] - v[i-1]) / (2 dx) along the last axis of v: the centred first derivative, second order."""
-    p = periodic_pad(v, 1)
-    return (p[..., 2:] - p[..., :-2]) / (2.0 * dx)
 
 
 def gradient_sq(v: np.ndarray, dx: float):

@@ -17,6 +17,12 @@ def shift(f: PeriodicField, cells: int) -> PeriodicField:
     return f.with_values(np.roll(f.values, cells))
 
 
+def d1(v: np.ndarray, dx: float) -> np.ndarray:
+    """(v[i+1] - v[i-1]) / (2 dx) along the last axis of v: the centred first derivative, second order."""
+    p = periodic_pad(v, 1)
+    return (p[..., 2:] - p[..., :-2]) / (2.0 * dx)
+
+
 def d3(f: PeriodicField) -> PeriodicField:
     """Centered third derivative, second order."""
     v, dx = f.values, f.grid.dx

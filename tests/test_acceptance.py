@@ -13,6 +13,7 @@ import pytest
 
 from rimflow.bounds import (
     count_local_maxima,
+    dissipation_check,
     h1_growth_bound,
     interpolation_check,
 )
@@ -109,6 +110,14 @@ def test_criterion_03_energy_monotone(fig3):
     worst = fig3.traj.energy_rise_max
     ok = worst <= 1e-8
     assert report(3, ok, f"worst per-step energy rise {worst:.3e}")
+
+
+def test_criterion_03_dissipation_ledger_closes(fig3):
+    # E_h(T) + D(T) + R(T) = E_h(0) up to the Newton residuals (K = 0 here).
+    rep = dissipation_check(fig3.traj, fig3.p)
+    gap = rep.lhs - rep.rhs
+    ok = rep.satisfied and abs(gap) <= 1e-6 * abs(rep.rhs)
+    assert report(3, ok, f"energy ledger lhs - rhs {gap:.3e} against E_h(0) = {rep.rhs:.6g}")
 
 
 def test_criterion_04_four_droplets(fig3):

@@ -237,8 +237,9 @@ class TestTrajectoryChecks:
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
 
     def test_dissipation_reduces_to_energy_stability(self):
-        # Without the drift coupling the production constant is zero and the
-        # check is exactly the discrete energy inequality.
+        # Without the drift coupling the production constant is zero, and
+        # without forcing E_h(T) + D(T) + R(T) = E_h(0) up to the Newton
+        # residuals: the check is the scheme's discrete energy identity.
         g = Grid(n=64)
         p = sine_params(64, (1.0, 16.0, 0.0, 0.0))
         cfg = EvolveConfig(t_end=0.5, dt_init=1e-4, dt_max=1e-3,
@@ -247,6 +248,7 @@ class TestTrajectoryChecks:
         rep = dissipation_check(traj, p)
         assert rep.satisfied
         assert rep.rhs == pytest.approx(traj.records[0].energy, abs=1e-12)
+        assert abs(rep.lhs - rep.rhs) <= 1e-9 * max(1.0, abs(rep.rhs))
 
     def test_gradient_growth_holds(self, short_run):
         p, traj = short_run
@@ -348,7 +350,7 @@ class TestReportsAndWriters:
     def test_diagnostics_csv_roundtrip(self, tmp_path):
         rec = DiagnosticsRecord(t=0.5, mass=2.0, l2=1.0, h1=1.5, min_h=0.1,
                                 energy=-3.0, entropy0=4.0, entropy_eps=4.1,
-                                gradient_sq=0.25, dissipation_cum=0.7)
+                                gradient_sq=0.25, dissipation_cum=0.7, remainder_cum=-0.05)
         path = tmp_path / "diag.csv"
         write_diagnostics_csv([rec], path)
         with open(path) as fh:

@@ -443,6 +443,26 @@ class TestEvolveCommand:
         metrics = tracer.layer_metrics(traced.spans, traced.absent, 0)
         assert {name: metrics[name] for name in counts} == counts
 
+    def test_non_finite_reports_are_strict_json_nulls(self, tmp_path):
+        # A flat film without forcing has int h_x^2 = 0 at both ends, so the
+        # gradient_growth report compares log 0 = -inf with -inf: the tree
+        # writes each non-finite number as null, which a strict parser reads.
+        out = tmp_path / "out"
+        text = ("[run]\nmode = evolve\n[grid]\nn = 32\n"
+                "[params]\na0 = 1\na1 = 1\na2 = 0\na3 = 0\nforcing = constant\n"
+                "[initial]\nkind = constant\nvalue = 0.3\n[evolve]\nt_end = 0.01\n")
+        assert main(["evolve", write_cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        for path in sorted(out.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=refuse)
+        reports = json.loads((out / "bound_reports.json").read_text())
+        growth = next(r for r in reports if r["name"] == "gradient_growth")
+        assert growth["lhs"] is growth["rhs"] is growth["slack"] is None
+        assert growth["satisfied"]
+
     def test_end_to_end_outputs(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, EVOLVE_TEMPLATE.format(out=out))
@@ -1257,14 +1277,16 @@ class TestCheckCommand:
         assert f"{status} local_existence_positive: lhs=0 rhs={tloc:.6g}\n" in printed
         assert printed.count("FAIL") == (status == "FAIL")
 
-    def test_forward_difference_fails_d1_truncation(self, tmp_path, capsys, monkeypatch):
-        # The d1 checks hold the centred difference to its k^3 dx^2 / 6
-        # truncation bound: a first-order forward difference is far outside it.
-        monkeypatch.setattr(cli, "d1", lambda v, dx: (np.roll(v, -1) - v) / dx)
+    def test_centred_gradient_fails_gradient_sq_truncation(self, tmp_path, capsys, monkeypatch):
+        # The gradient_sq checks hold the compact jumps to their sharp
+        # k^4 dx^2 / 12 bound: centred jumps, which read k^2 as
+        # sin^2(k dx)/dx^2, are off by about four times as much.
+        monkeypatch.setattr(cli, "gradient_sq",
+                            lambda v, dx: float(((np.roll(v, -1) - np.roll(v, 1)) ** 2).sum() / (4.0 * dx)))
         cfg = write_cfg(tmp_path, f"[run]\nmode = check\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["check", cfg]) == 1
         printed = capsys.readouterr().out
-        assert printed.count("FAIL") == printed.count("FAIL d1_truncation[") == 3
+        assert printed.count("FAIL") == printed.count("FAIL gradient_sq_truncation[") == 3
 
     def test_negative_seed_is_config_error_before_anything_is_written(self, tmp_path, capsys):
         out = tmp_path / "out"

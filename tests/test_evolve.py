@@ -669,6 +669,35 @@ class TestRun:
         assert p.k_coefficient > 0.0
         assert math.isfinite(run(random_positive(g, 4, mean=0.3, amp=0.02), p, cfg).k1_observed)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        a0=st.floats(0.1, 3.0),
+        a1=st.floats(-5.0, 20.0),
+        epsilon=st.sampled_from([0.0, 1e-8, 1e-2]),
+        forcing=st.one_of(st.tuples(st.just("constant"), st.floats(-5.0, 5.0)),
+                          st.tuples(st.just("sine"), st.just(0.0))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_energy_ledger_closes(self, n, a0, a1, epsilon, forcing, seed):
+        # Backward Euler's discrete energy identity: with a3 = 0 and a2 w = 0,
+        # E_h(T) + D(T) + R(T) = E_h(0) up to the Newton residuals, R being
+        # the sum over steps of 1/2 (a0 gradient_sq(du) - a1 integral of du^2).
+        g = Grid(n=n)
+        kind, a2 = forcing
+        p = make_params(g, a=(a0, a1, a2, 0.0), forcing=kind)
+        cfg = EvolveConfig(t_end=0.05, dt_max=1e-2, snapshot_times=[0.01, 0.02, 0.03, 0.04],
+                           knobs=RegularizationKnobs(epsilon=epsilon))
+        try:
+            traj = run(random_positive(g, seed, mean=0.5, amp=0.1), p, cfg)
+        except StepFailure as exc:  # a run that fails keeps its records, and they close too
+            traj = exc.trajectory
+        e0 = traj.records[0].energy
+        for rec in traj.records[1:]:
+            gap = rec.energy + rec.dissipation_cum + rec.remainder_cum - e0
+            scale = abs(e0) + abs(rec.energy) + rec.dissipation_cum + abs(rec.remainder_cum)
+            assert abs(gap) <= 1e-9 * max(1.0, scale)
+
 
 class TestRecord:
     def test_norms_of_shifted_cos(self):
@@ -677,7 +706,7 @@ class TestRecord:
         g = Grid(n=256)
         c = 2.0
         rec = _record(sample(g, lambda x: c + np.cos(x)), 0.0, make_params(g),
-                      EvolveConfig(t_end=1.0), 0.0)
+                      EvolveConfig(t_end=1.0), 0.0, 0.0)
         assert rec.l2 == pytest.approx(math.sqrt(2.0 * math.pi * c**2 + math.pi), abs=1e-10)
         assert rec.h1 == pytest.approx(math.sqrt(2.0 * math.pi * (c**2 + 1.0)), abs=g.dx**2)
         assert rec.min_h == pytest.approx(c - 1.0, abs=1e-12)
@@ -686,7 +715,7 @@ class TestRecord:
         # Both entropies of h = c are L G(c), G(z) = 1/(2z) + eps/(6 z^2).
         g = Grid(n=32)
         cfg = EvolveConfig(t_end=1.0, knobs=RegularizationKnobs(epsilon=0.2))
-        rec = _record(g.constant(0.5), 0.0, make_params(g), cfg, 0.0)
+        rec = _record(g.constant(0.5), 0.0, make_params(g), cfg, 0.0, 0.0)
         assert rec.entropy_eps == pytest.approx(g.length * (0.5 / 0.5 + 0.2 / (6 * 0.25)),
                                                 rel=1e-14)
         assert rec.entropy0 == pytest.approx(g.length * (0.5 / 0.5), rel=1e-14)
@@ -694,7 +723,7 @@ class TestRecord:
     def test_entropies_blow_up_at_touchdown(self):
         g = Grid(n=32)
         cfg = EvolveConfig(t_end=1.0, knobs=RegularizationKnobs(epsilon=0.1))
-        rec = _record(PeriodicField(g, np.maximum(np.sin(g.x), 0.0)), 0.0, make_params(g), cfg, 0.0)
+        rec = _record(PeriodicField(g, np.maximum(np.sin(g.x), 0.0)), 0.0, make_params(g), cfg, 0.0, 0.0)
         assert rec.entropy0 == rec.entropy_eps == math.inf
 
     @settings(max_examples=20, deadline=None)
@@ -727,6 +756,7 @@ class TestRecord:
         assert rec.entropy0 == dx * np.sum(entropy_G(v, 0.0))
         assert rec.entropy_eps == dx * np.sum(entropy_G(v, epsilon))
         assert rec.dissipation_cum == 0.0
+        assert rec.remainder_cum == 0.0
 
 
 class TestFailure:

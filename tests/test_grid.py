@@ -21,13 +21,12 @@ from rimflow.grid import (
     CyclicBandedFactor,
     Grid,
     PeriodicField,
-    d1,
     integrate,
     periodic_pad,
 )
 from rimflow.cli import read_field_csv, write_csv, write_field_csv
 
-from oracles import d3, sample, shift
+from oracles import d1, d3, sample, shift
 
 
 def random_trig(grid, seed, modes=3, mean=1.0, amp=0.1):

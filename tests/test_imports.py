@@ -185,8 +185,8 @@ SUMS_OUTSIDE_GRID = {"evolve.py": ["direction"]}
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "grid.py"], ids=lambda p: p.name)
 def test_only_grid_sums_a_quadrature(path):
-    # dx * sum(v) is grid.integrate's rule; every functional calls integrate,
-    # d1 or gradient_sq instead of summing samples itself.
+    # dx * sum(v) is grid.integrate's rule; every functional calls integrate
+    # or gradient_sq instead of summing samples itself.
     assert sum_sites(ast.parse(path.read_text())) == SUMS_OUTSIDE_GRID.get(path.name, [])
 
 

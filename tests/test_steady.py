@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import rimflow.newton
 import rimflow.steady
-from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, d1, integrate, jump_terms
+from rimflow.grid import CyclicBandedFactor, Grid, PeriodicField, integrate, jump_terms
 from rimflow.newton import newton
 from rimflow.steady import (
     DOUBLE_ROOT_ULPS,
@@ -36,7 +36,7 @@ from rimflow.steady import (
 )
 from rimflow.cli import write_branch_csv
 
-from oracles import d3
+from oracles import d1, d3
 
 
 def flux_solve(grid, q, mu, chi):
